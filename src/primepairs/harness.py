@@ -36,16 +36,15 @@ from .sieve import (
     von_mangoldt_vector,
 )
 from .spectral import (
+    correlation_direct,
+    correlation_via_spectrum,
     decompose,
     half_spectrum_residual,
     main_term_convolution,
-    pair_correlation_via_spectrum,
     pair_count_via_spectrum,
-    psi_pair_direct,
-    psi_pair_via_spectrum,
     rho_identity_check,
 )
-from .transform import as_ring, forward, inverse, plancherel_residual
+from .transform import as_ring, forward, inverse_real, plancherel_residual
 
 MODES = ("identity-suite", "decompose", "constants", "spectrum-export", "hl-ratio-sweep")
 
@@ -186,6 +185,23 @@ def _table(config: ExperimentConfig, n: int) -> PrimeTable:
     return load_or_build(n, config.cache_dir)
 
 
+class _ExtentTable:
+    """The prime table of one extent at a time: asking for another extent
+    releases the held table, with its cached spectrum and correlation,
+    before the next is loaded, so consecutive requests for one extent
+    share a single sieve and a single transform."""
+
+    def __init__(self, config: ExperimentConfig) -> None:
+        self._config = config
+        self._table: PrimeTable | None = None
+
+    def get(self, n: int) -> PrimeTable:
+        if self._table is None or self._table.n != n:
+            self._table = None
+            self._table = _table(self._config, n)
+        return self._table
+
+
 def _run_identity_suite(config: ExperimentConfig, out: Path) -> RunResult:
     results = []
     lines = []
@@ -210,109 +226,15 @@ def _run_identity_suite(config: ExperimentConfig, out: Path) -> RunResult:
             f"residual={residual:.3e} tolerance={tolerance:.3e}"
         )
 
+    # each extent's rows run in their own function, so that no array of a
+    # previous extent stays referenced while the next one is transformed
+    tables = _ExtentTable(config)
     for n in config.n_values:
-        table = _table(config, n)
-        ring = table.ring_indicator()
-        pi_n = table.pi(n)
-
-        spec_tol = _tol(config, "spectral-pair-count")
-        for two_k in config.two_k_values:
-            raw = pair_correlation_via_spectrum(ring, two_k)
-            sieved = pair_count_circular(table, two_k)
-            record("spectral-pair-count", n, None, two_k, abs(raw - sieved), spec_tol * n)
-
-        round_trip = float(np.abs(inverse(forward(ring)) - ring).max())
-        record("round-trip", n, None, None, round_trip, _tol(config, "round-trip"))
-
-        record("plancherel", n, None, None, plancherel_residual(ring), _tol(config, "plancherel"))
-
-        even_n = n if n % 2 == 0 else n + 1
-        parity_table = table if even_n == n else _table(config, even_n)
-        record(
-            "parity-half-spectrum",
-            even_n,
-            None,
-            None,
-            half_spectrum_residual(even_n, parity_table),
-            _tol(config, "parity-half-spectrum") * max(parity_table.pi(even_n), 1),
-            extra={"requested_n": n},
-        )
-
-        for two_k in config.two_k_values:
-            gap = abs(
-                psi_pair_via_spectrum(n, two_k) - psi_pair_direct(n, two_k)
-            )
-            record(
-                "psi-spectral-identity",
-                n,
-                None,
-                two_k,
-                gap,
-                _tol(config, "psi-spectral-identity") * n * math.log(n) ** 2,
-            )
-
+        _extent_rows(config, record, tables.get(n))
+        _parity_row(config, record, tables, n)
+        _psi_rows(config, record, n)
         for z in config.z_schedule:
-            Q = primorial(z).value
-            adjusted = round_up_multiple(n, Q)
-            sub_table = table if adjusted == n else _table(config, adjusted)
-            extra = {
-                "requested_n": n,
-                "z": z,
-                "within_log5": bool(Q <= math.log(adjusted) ** 5),
-                "within_log10": bool(Q <= math.log(adjusted) ** 10),
-            }
-            record(
-                "subgroup-restriction",
-                adjusted,
-                Q,
-                None,
-                rho_identity_check(adjusted, Q, sub_table, tol=float("inf")),
-                _tol(config, "subgroup-restriction") * max(sub_table.pi(adjusted), 1),
-                extra=extra,
-            )
-            # twisted energy identity on a few residue classes: the
-            # class-masked spectrum is the twisted progression sum, so its
-            # mean power equals the plain class count
-            sub_ring = sub_table.ring_indicator()
-            slots = np.arange(adjusted, dtype=np.int64) % Q
-            worst = 0.0
-            for a in {0, 1, Q - 1}:
-                masked = np.where(slots == a, sub_ring, 0.0)
-                energy = float(np.sum(np.abs(np.fft.fft(masked)) ** 2)) / adjusted
-                count = pi_progression(sub_table, Q, a)
-                worst = max(worst, abs(energy - count) / max(count, 1))
-            record(
-                "twisted-plancherel",
-                adjusted,
-                Q,
-                None,
-                worst,
-                _tol(config, "twisted-plancherel"),
-                extra=extra,
-            )
-            for two_k in config.two_k_values:
-                report = decompose(
-                    adjusted, Q, two_k, sub_table, constant_cutoff=config.cutoff,
-                    tol=float("inf"),
-                )
-                record(
-                    "decomposition-reconstruction",
-                    adjusted,
-                    Q,
-                    two_k,
-                    report.reconstruction_residual,
-                    _tol(config, "decomposition-reconstruction") * adjusted,
-                    extra=extra,
-                )
-                record(
-                    "main-term-convolution",
-                    adjusted,
-                    Q,
-                    two_k,
-                    abs(main_term_convolution(adjusted, Q, two_k, sub_table) - report.main_term),
-                    _tol(config, "main-term-convolution") * (adjusted / Q),
-                    extra=extra,
-                )
+            _subgroup_rows(config, record, tables, n, z)
 
     failures = sorted({row["identity"] for row in results if not row["passed"]})
     payload = {
@@ -325,6 +247,118 @@ def _run_identity_suite(config: ExperimentConfig, out: Path) -> RunResult:
     }
     path = write_json(out / "identity_suite.json", payload)
     return RunResult(exit_code=0 if not failures else 2, files=[path], failures=failures, lines=lines)
+
+
+def _extent_rows(config: ExperimentConfig, record, table: PrimeTable) -> None:
+    """Spectral pair counts, round trip and Plancherel at one extent."""
+    n = table.n
+    ring = table.ring_indicator()
+    correlation = table.correlation()
+    spec_tol = _tol(config, "spectral-pair-count")
+    for two_k in config.two_k_values:
+        sieved = pair_count_circular(table, two_k)
+        record("spectral-pair-count", n, None, two_k, abs(correlation[two_k] - sieved), spec_tol * n)
+
+    round_trip = float(np.abs(inverse_real(table.spectrum(), n) - ring).max())
+    record("round-trip", n, None, None, round_trip, _tol(config, "round-trip"))
+
+    # the energy identity keeps its own full transform: it is the direct
+    # route the cached spectrum is checked by
+    record("plancherel", n, None, None, plancherel_residual(ring), _tol(config, "plancherel"))
+
+
+def _parity_row(config: ExperimentConfig, record, tables: _ExtentTable, n: int) -> None:
+    """The half-spectrum parity relation at n, or at n + 1 when n is odd."""
+    even_n = n if n % 2 == 0 else n + 1
+    table = tables.get(even_n)
+    record(
+        "parity-half-spectrum",
+        even_n,
+        None,
+        None,
+        half_spectrum_residual(even_n, table),
+        _tol(config, "parity-half-spectrum") * max(table.pi(even_n), 1),
+        extra={"requested_n": n},
+    )
+
+
+def _psi_rows(config: ExperimentConfig, record, n: int) -> None:
+    """Von Mangoldt pair correlations for every shift from one transform;
+    a violation is recorded as a FAIL row, never raised."""
+    ring = as_ring(von_mangoldt_vector(n))
+    spectral = correlation_via_spectrum(ring)
+    tolerance = _tol(config, "psi-spectral-identity") * n * math.log(n) ** 2
+    for two_k in config.two_k_values:
+        gap = abs(float(spectral[two_k % n]) - correlation_direct(ring, two_k))
+        record("psi-spectral-identity", n, None, two_k, gap, tolerance)
+
+
+def _subgroup_rows(
+    config: ExperimentConfig, record, tables: _ExtentTable, n: int, z: int
+) -> None:
+    """Subgroup, twisted-energy, reconstruction and main-term rows for the
+    primorial Q of z at the extent round_up_multiple(n, Q)."""
+    Q = primorial(z).value
+    adjusted = round_up_multiple(n, Q)
+    sub_table = tables.get(adjusted)
+    extra = {
+        "requested_n": n,
+        "z": z,
+        "within_log5": bool(Q <= math.log(adjusted) ** 5),
+        "within_log10": bool(Q <= math.log(adjusted) ** 10),
+    }
+    record(
+        "subgroup-restriction",
+        adjusted,
+        Q,
+        None,
+        rho_identity_check(adjusted, Q, sub_table, tol=float("inf")),
+        _tol(config, "subgroup-restriction") * max(sub_table.pi(adjusted), 1),
+        extra=extra,
+    )
+    # twisted energy identity on a few residue classes: the class-masked
+    # spectrum is the twisted progression sum, so its mean power equals
+    # the plain class count; each mask keeps its own direct transform
+    sub_ring = sub_table.ring_indicator()
+    slots = np.arange(adjusted, dtype=np.int64) % Q
+    worst = 0.0
+    for a in {0, 1, Q - 1}:
+        masked = np.where(slots == a, sub_ring, 0.0)
+        energy = float(np.sum(np.abs(np.fft.fft(masked)) ** 2)) / adjusted
+        count = pi_progression(sub_table, Q, a)
+        worst = max(worst, abs(energy - count) / max(count, 1))
+    record(
+        "twisted-plancherel",
+        adjusted,
+        Q,
+        None,
+        worst,
+        _tol(config, "twisted-plancherel"),
+        extra=extra,
+    )
+    for two_k in config.two_k_values:
+        report = decompose(
+            adjusted, Q, two_k, sub_table, constant_cutoff=config.cutoff,
+            tol=float("inf"),
+        )
+        record(
+            "decomposition-reconstruction",
+            adjusted,
+            Q,
+            two_k,
+            report.reconstruction_residual,
+            _tol(config, "decomposition-reconstruction") * adjusted,
+            extra=extra,
+        )
+        record(
+            "main-term-convolution",
+            adjusted,
+            Q,
+            two_k,
+            abs(main_term_convolution(adjusted, Q, two_k, sub_table) - report.main_term),
+            _tol(config, "main-term-convolution") * (adjusted / Q),
+            extra=extra,
+        )
 
 
 def _report_meta(config: ExperimentConfig, **extra) -> dict:

@@ -4,7 +4,10 @@ A PrimeTable is an immutable bitmap of primality on {1..n} with prefix
 counts; on top of it sit progression counts, linear and circular pair
 counts, twisted progression sums, and the von Mangoldt weight vector.
 Construction is a single blocking call; all queries afterwards are
-read-only and safe to use from concurrent callers.
+read-only and safe to use from concurrent callers.  A table fills a few
+derived arrays on first use (its primes, checksum, half spectrum and
+circular pair correlation); concurrent first calls each compute the same
+array and either result may be kept.
 
 Memory model: the bitmap costs 1 byte per entry and the prefix array 4
 bytes per entry, so a table of extent n needs about 5*(n+1) bytes plus
@@ -23,6 +26,7 @@ import numpy as np
 
 from .errors import CacheError, ResourceLimitError, UsageError
 from .factored import is_prime_u64
+from .transform import autocorrelation, forward_real
 
 MAX_TABLE_EXTENT = 10**9
 DEFAULT_MEMORY_BUDGET = 6 * 2**30  # bytes
@@ -59,6 +63,8 @@ class PrimeTable:
     pi_prefix: np.ndarray
     _primes: np.ndarray | None = field(default=None, repr=False)
     _checksum: int | None = field(default=None, repr=False)
+    _spectrum: np.ndarray | None = field(default=None, repr=False)
+    _correlation: np.ndarray | None = field(default=None, repr=False)
 
     def pi(self, x: int) -> int:
         """Number of primes <= x."""
@@ -78,6 +84,23 @@ class PrimeTable:
         out[1:] = self.is_prime[1 : self.n]
         out[0] = self.is_prime[self.n]
         return out
+
+    def spectrum(self) -> np.ndarray:
+        """Half spectrum F(P)(xi), 0 <= xi <= n//2, of the ring indicator:
+        one rfft, computed once, then cached.  F(n - xi) = conj F(xi)."""
+        if self._spectrum is None:
+            self._spectrum = forward_real(self.ring_indicator())
+        return self._spectrum
+
+    def correlation(self) -> np.ndarray:
+        """Circular pair correlation for every shift m at once: entry m is
+        (1/n) sum_xi |F(P)(xi)|^2 e_n(-m xi), the number of primes x with
+        x + m mod n also prime, as floats carrying transform rounding.
+        One irfft of the cached power (Wiener-Khinchin), computed once,
+        then cached."""
+        if self._correlation is None:
+            self._correlation = autocorrelation(self.spectrum(), self.n)
+        return self._correlation
 
     def bitmap_payload(self) -> bytes:
         """Packed bits of is_prime[1..n], MSB-first within each byte."""

@@ -12,6 +12,16 @@ instruments.  Every identity here is exact in exact arithmetic; the
 functions verify their stated floating-point residuals and raise
 IdentityError (naming the identity) when a residual exceeds tolerance.
 
+Every identity on a PrimeTable reads the table's one cached real spectrum
+(``PrimeTable.spectrum``, an rfft of the ring indicator) instead of
+transforming again: circular pair counts for all shifts come from one
+irfft of its power (``PrimeTable.correlation``); ``decompose`` and
+``error_spectrum_stats`` regroup its power mirrored to length n;
+``half_spectrum_pair_value`` reads its power directly; and
+``rho_identity_check`` and ``half_spectrum_residual`` take the samples
+F(n - m) as conj F(m).  The mod-Q transforms of residue profiles stay
+direct, being the independent side of those identities.
+
 Conjugation note: for a complex twisted profile rho the subgroup inversion
 produces sum_a rho(a) * conj(rho(a + 2k)); the conjugate on the shifted
 factor is required for the two evaluation routes to agree and is what this
@@ -37,7 +47,15 @@ from .sieve import (
     residue_profile,
     von_mangoldt_vector,
 )
-from .transform import as_ring, forward, phases, subgroup_slice
+from .transform import (
+    as_ring,
+    autocorrelation,
+    forward_real,
+    mirror_power,
+    phase_weights,
+    phases,
+    spectrum_at,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -85,12 +103,24 @@ def _table_for(n: int, table: PrimeTable | None) -> PrimeTable:
     return build_table(n)
 
 
+def correlation_via_spectrum(ring: np.ndarray) -> np.ndarray:
+    """(1/n) * sum_xi |F(ring)(xi)|^2 * exp(-2*pi*i*m*xi/n) for every shift
+    m at once, for any real weight vector in residue layout: one rfft and
+    one irfft (Wiener-Khinchin).  |F|^2 is even, so entry m also equals
+    the sum with exp(+2*pi*i*m*xi/n)."""
+    return autocorrelation(forward_real(ring), ring.shape[0])
+
+
+def correlation_direct(ring: np.ndarray, two_k: int) -> float:
+    """sum_x ring(x) * ring(x + 2k mod n): the direct side of the
+    correlation identities."""
+    return float(np.dot(ring, np.roll(ring, -(two_k % ring.shape[0]))))
+
+
 def pair_correlation_via_spectrum(ring: np.ndarray, two_k: int) -> complex:
     """(1/n) * sum_xi |F(ring)(xi)|^2 * exp(-2*pi*i*2k*xi/n) for any real
     weight vector in residue layout; the spectral side of the identities."""
-    n = ring.shape[0]
-    power = np.abs(forward(ring).values) ** 2
-    return complex(np.dot(power, phases(n, two_k)) / n)
+    return complex(correlation_via_spectrum(ring)[two_k % ring.shape[0]])
 
 
 def pair_count_via_spectrum(
@@ -98,23 +128,21 @@ def pair_count_via_spectrum(
 ) -> int:
     """Circular prime-pair count evaluated through the spectrum.
 
-    Asserts the value is real and integral to within tol * n, rounds, and
-    checks exact agreement with the sieve's circular count before
-    returning it.
+    Reads the table's cached correlation (one irfft for all shifts),
+    asserts the value is integral to within tol * n, rounds, and checks
+    exact agreement with the sieve's circular count before returning it.
     """
     if not 2 <= two_k < n:
         raise UsageError(f"need 2 <= 2k < n, got 2k={two_k}, n={n}")
     if n > MAX_SPECTRAL_EXTENT:
         raise UsageError(f"spectral pair count capped at n <= 1e7, got {n}")
     t = _table_for(n, table)
-    raw = pair_correlation_via_spectrum(t.ring_indicator(), two_k)
+    raw = float(t.correlation()[two_k])
     budget = tol * n
-    if abs(raw.imag) > budget:
-        raise IdentityError("spectral-pair-count", abs(raw.imag), budget, f"imaginary part, n={n}")
-    nearest = round(raw.real)
-    if abs(raw.real - nearest) > budget:
+    nearest = round(raw)
+    if abs(raw - nearest) > budget:
         raise IdentityError(
-            "spectral-pair-count", abs(raw.real - nearest), budget, f"rounding, n={n}"
+            "spectral-pair-count", abs(raw - nearest), budget, f"rounding, n={n}"
         )
     sieved = pair_count_circular(t, two_k)
     if nearest != sieved:
@@ -138,7 +166,7 @@ def rho_identity_check(
     if Q < 1 or n % Q:
         raise UsageError(f"subgroup identity requires Q | n, got Q={Q}, n={n}")
     t = _table_for(n, table)
-    coset = subgroup_slice(forward(t.ring_indicator()), Q, 0)
+    coset = spectrum_at(t.spectrum(), n, np.arange(Q, dtype=np.int64) * (n // Q))
     rho = residue_profile(t, Q).values
     deviation = float(np.abs(coset - np.fft.fft(rho)).max())
     budget = tol * max(t.pi(n), 1)
@@ -160,11 +188,18 @@ def main_term_convolution(
     return float(Q / n * np.dot(rho, np.roll(rho, -(two_k % Q))))
 
 
+def _full_power(table: PrimeTable) -> np.ndarray:
+    """|F(P)(xi)|^2 for every xi in Z/nZ, mirrored from the cached half."""
+    return mirror_power(np.abs(table.spectrum()) ** 2, table.n)
+
+
 def _coset_regroup(power: np.ndarray, Q: int, two_k: int) -> np.ndarray:
     """T(xi) for 0 <= xi < n/Q from the full power spectrum |F(P)|^2."""
-    n = power.shape[0]
-    width = n // Q
-    return phases(Q, two_k) @ power.reshape(Q, width)
+    rows = power.reshape(Q, power.shape[0] // Q)
+    weights = phases(Q, two_k)
+    # real and imaginary weights apart: a complex weight vector would cast
+    # the whole real power array to a complex copy
+    return weights.real @ rows + 1j * (weights.imag @ rows)
 
 
 def is_primorial(Q) -> bool:
@@ -207,16 +242,13 @@ def decompose(
     if Q * Q > n:
         logger.warning("decompose called with Q=%d above sqrt(n=%d); identity still exact", Q, n)
     t = _table_for(n, table)
-    power = np.abs(forward(t.ring_indicator()).values) ** 2
-    spectrum = _coset_regroup(power, Q, two_k)
-    width = n // Q
+    spectrum = _coset_regroup(_full_power(t), Q, two_k)
     if abs(spectrum[0].imag) > tol * n:
         raise IdentityError(
             "main-term-realness", abs(spectrum[0].imag), tol * n, f"n={n}, Q={Q}"
         )
     main_term = float(spectrum[0].real) / n
-    weights = np.exp((-2j * np.pi / n) * ((two_k % n) * np.arange(width) % n))
-    reconstructed = complex(np.dot(spectrum, weights) / n)
+    reconstructed = complex(np.dot(spectrum, phase_weights(n, two_k, n // Q)) / n)
     sieved = pair_count_circular(t, two_k)
     residual = abs(reconstructed - sieved)
     if residual > tol * n:
@@ -285,11 +317,10 @@ def error_spectrum_stats(
     if Q >= n:
         raise UsageError(f"degenerate Q = n rejected, got Q={Q}, n={n}")
     t = _table_for(n, table)
-    power = np.abs(forward(t.ring_indicator()).values) ** 2
+    power = _full_power(t)
     spectrum = _coset_regroup(power, Q, two_k)
-    width = n // Q
     tail = np.abs(spectrum[1:])
-    weights = np.exp((-2j * np.pi / n) * ((two_k % n) * np.arange(width) % n))
+    weights = phase_weights(n, two_k, n // Q)
     offzero = complex(np.dot(spectrum[1:], weights[1:]) / n)
     phi_q = float(np.count_nonzero(np.gcd(np.arange(1, Q + 1, dtype=np.int64), Q) == 1))
     large = int(np.count_nonzero(power[1:] / n >= n / math.log(n) ** 2))
@@ -312,8 +343,7 @@ def error_spectrum_stats(
 
 def psi_pair_direct(n: int, two_k: int) -> float:
     """sum_x Lambda(x) * Lambda(x + 2k mod n) on Z/nZ = {1..n}."""
-    ring = as_ring(von_mangoldt_vector(n))
-    return float(np.dot(ring, np.roll(ring, -(two_k % n))))
+    return correlation_direct(as_ring(von_mangoldt_vector(n)), two_k)
 
 
 def psi_pair_via_spectrum(n: int, two_k: int, tol: float = 1e-6) -> float:
@@ -324,13 +354,12 @@ def psi_pair_via_spectrum(n: int, two_k: int, tol: float = 1e-6) -> float:
     if two_k % 2 or two_k < 0:
         raise UsageError(f"2k must be even and nonnegative, got {two_k}")
     ring = as_ring(von_mangoldt_vector(n))
-    raw = pair_correlation_via_spectrum(ring, two_k)
-    direct = float(np.dot(ring, np.roll(ring, -(two_k % n))))
+    raw = float(correlation_via_spectrum(ring)[two_k % n])
     budget = tol * n * math.log(n) ** 2
-    gap = abs(raw - direct)
+    gap = abs(raw - correlation_direct(ring, two_k))
     if gap > budget:
         raise IdentityError("psi-spectral-identity", gap, budget, f"n={n}, 2k={two_k}")
-    return raw.real
+    return raw
 
 
 def half_spectrum_residual(n: int, table: PrimeTable | None = None) -> float:
@@ -343,10 +372,11 @@ def half_spectrum_residual(n: int, table: PrimeTable | None = None) -> float:
     if n < 4 or n % 2:
         raise UsageError(f"parity relation needs even n >= 4, got {n}")
     t = _table_for(n, table)
-    values = forward(t.ring_indicator()).values
+    values = t.spectrum()
     half = n // 2
-    expected = 2.0 * np.exp((-2j * np.pi / n) * (2 * np.arange(half) % n))
-    return float(np.abs(values[half:] + values[:half] - expected).max())
+    upper = spectrum_at(values, n, np.arange(half, n, dtype=np.int64))
+    expected = 2.0 * phase_weights(n, 2, half)
+    return float(np.abs(upper + values[:half] - expected).max())
 
 
 def half_spectrum_pair_value(
@@ -358,7 +388,6 @@ def half_spectrum_pair_value(
     if n < 4 or n % 2:
         raise UsageError(f"folded pair value needs even n >= 4, got {n}")
     t = _table_for(n, table)
-    power = np.abs(forward(t.ring_indicator()).values) ** 2
     half = n // 2
-    weights = np.exp((-2j * np.pi / n) * ((two_k % n) * np.arange(half) % n))
-    return complex(2.0 * np.dot(power[:half], weights) / n)
+    power = np.abs(t.spectrum()[:half]) ** 2
+    return complex(2.0 * np.dot(power, phase_weights(n, two_k, half)) / n)

@@ -17,6 +17,17 @@ or prime lengths run in O(n log n) without any padding of the ring.
 Accumulated transform error is budgeted as 1e-10 * n * max|f|; every
 integer-valued identity downstream asserts a rounding residual against
 that model.
+
+Real input has a Hermitian spectrum, F(n - xi) = conj F(xi), so its whole
+spectrum is fixed by the half 0 <= xi <= n//2 that ``forward_real`` (one
+rfft) returns.  A PrimeTable caches that half spectrum of its ring
+indicator (``PrimeTable.spectrum``), and every spectral identity on a
+table reads it: ``inverse_real`` inverts it (the round trip),
+``autocorrelation`` turns it into the circular correlation of every
+shift at once, ``spectrum_at`` samples F at any frequency, and
+``mirror_power`` extends |F|^2 to all of Z/nZ.
+``forward``, ``inverse`` and ``plancherel_residual`` stay full complex
+transforms: they are the direct routes the identities are checked by.
 """
 
 from __future__ import annotations
@@ -45,8 +56,14 @@ class Spectrum:
 def phases(n: int, multiplier: int) -> np.ndarray:
     """The vector exp(-2*pi*i*multiplier*j/n) for j = 0..n-1, with the
     angle reduced mod n in exact integer arithmetic first."""
-    j = np.arange(n, dtype=np.int64)
-    return np.exp((-2j * np.pi / n) * ((multiplier % n) * j % n))
+    return phase_weights(n, multiplier, n)
+
+
+def phase_weights(n: int, multiplier: int, count: int) -> np.ndarray:
+    """The first ``count`` entries of ``phases(n, multiplier)``: the
+    weights e_n(-multiplier * xi) for xi = 0..count-1."""
+    xi = np.arange(count, dtype=np.int64)
+    return np.exp((-2j * np.pi / n) * ((multiplier % n) * xi % n))
 
 
 def as_ring(values_one_indexed: np.ndarray) -> np.ndarray:
@@ -71,6 +88,48 @@ def forward(f: np.ndarray) -> Spectrum:
     if n > MAX_TRANSFORM_LENGTH:
         raise ResourceLimitError(f"transform length capped at 1e7, got {n}")
     return Spectrum(n=n, values=np.fft.fft(f))
+
+
+def forward_real(f: np.ndarray) -> np.ndarray:
+    """Half spectrum F(xi), 0 <= xi <= n//2, of a real vector in residue
+    layout (one rfft); the rest is F(n - xi) = conj F(xi)."""
+    f = np.asarray(f)
+    n = f.shape[0]
+    if n < 1:
+        raise UsageError("cannot transform an empty vector")
+    if n > MAX_TRANSFORM_LENGTH:
+        raise ResourceLimitError(f"transform length capped at 1e7, got {n}")
+    return np.fft.rfft(f)
+
+
+def inverse_real(half: np.ndarray, n: int) -> np.ndarray:
+    """Inverse transform (with the 1/n factor) of the Hermitian spectrum on
+    Z/nZ whose half ``half`` is, as a real vector of length n."""
+    if half.shape[0] != n // 2 + 1:
+        raise UsageError(f"half spectrum of length {half.shape[0]} does not fit n={n}")
+    return np.fft.irfft(half, n)
+
+
+def autocorrelation(half: np.ndarray, n: int) -> np.ndarray:
+    """sum_x f(x) * f(x + m mod n) for every shift m at once, from the half
+    spectrum of a real f: one irfft of |F|^2 (Wiener-Khinchin)."""
+    return inverse_real(np.abs(half) ** 2, n)
+
+
+def spectrum_at(half: np.ndarray, n: int, xi: np.ndarray) -> np.ndarray:
+    """Samples F(xi mod n) of a Hermitian spectrum given by its half."""
+    m = np.asarray(xi, dtype=np.int64) % n
+    upper = m > n // 2
+    values = half[np.where(upper, n - m, m)]
+    return np.where(upper, np.conj(values), values)
+
+
+def mirror_power(power: np.ndarray, n: int) -> np.ndarray:
+    """Extend |F(xi)|^2 on 0 <= xi <= n//2 to all of Z/nZ by
+    |F(n - xi)| = |F(xi)|; odd n has no Nyquist bin to leave unpaired."""
+    if power.shape[0] != n // 2 + 1:
+        raise UsageError(f"half power spectrum of length {power.shape[0]} does not fit n={n}")
+    return np.concatenate((power, power[(n - 1) // 2 : 0 : -1]))
 
 
 def inverse(spectrum: Spectrum) -> np.ndarray:

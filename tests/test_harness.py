@@ -1,8 +1,12 @@
 import json
+import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from primepairs import UsageError
+from primepairs import harness, sieve
 from primepairs.cli import main
 from primepairs.harness import (
     ExperimentConfig,
@@ -120,6 +124,92 @@ class TestIdentitySuite:
         parity_rows = [r for r in payload["results"] if r["identity"] == "parity-half-spectrum"]
         assert parity_rows[0]["n"] == 32
         assert parity_rows[0]["requested_n"] == 31
+
+    def test_psi_violation_recorded_not_raised(self, tmp_path, monkeypatch, capsys):
+        # push every spectral psi value past the default budget
+        # 1e-6 * n * log(n)^2; the run must finish and record FAIL rows
+        exact = harness.correlation_via_spectrum
+
+        def perturbed(ring):
+            n = ring.shape[0]
+            return exact(ring) + 2e-6 * n * math.log(n) ** 2
+
+        monkeypatch.setattr(harness, "correlation_via_spectrum", perturbed)
+        code = main(["verify", "--n", "30,120", "--two-k", "2,6", "--z", "5", "--out", str(tmp_path)])
+        assert code == 2
+        payload = json.loads((tmp_path / "identity_suite.json").read_text())
+        assert payload["failing_identities"] == ["psi-spectral-identity"]
+        psi = [r for r in payload["results"] if r["identity"] == "psi-spectral-identity"]
+        assert [(r["n"], r["two_k"]) for r in psi] == [(30, 2), (30, 6), (120, 2), (120, 6)]
+        assert not any(r["passed"] for r in psi)
+        assert all(r["passed"] for r in payload["results"] if r not in psi)
+        assert capsys.readouterr().out.count("[FAIL] psi-spectral-identity") == 4
+
+
+class TestTransformBudget:
+    FFT_ENTRY_POINTS = (
+        "fft", "ifft", "rfft", "irfft", "hfft", "ihfft",
+        "fft2", "ifft2", "fftn", "ifftn", "rfft2", "irfft2", "rfftn", "irfftn",
+    )
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """(entry point, input copy) of every numpy.fft call in the test."""
+        seen = []
+        for name in self.FFT_ENTRY_POINTS:
+            def counted(a, *args, _name=name, _original=getattr(np.fft, name), **kwargs):
+                seen.append((_name, np.array(a)))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        return seen
+
+    def test_pairs_one_rfft_and_one_irfft_per_extent(self, calls, capsys):
+        assert main(["pairs", "--n", "1001,2310", "--two-k", "2,4,6"]) == 0
+        assert [(name, a.shape[0]) for name, a in calls] == [
+            ("rfft", 1001), ("irfft", 1001 // 2 + 1), ("rfft", 2310), ("irfft", 2310 // 2 + 1)
+        ]
+
+    def test_one_ring_transform_per_extent(self, tmp_path, monkeypatch, calls):
+        built = {}
+        build = sieve.build_table
+
+        def counted_build(n, *args, **kwargs):
+            table = build(n, *args, **kwargs)
+            built.setdefault(n, []).append(table.ring_indicator())
+            return table
+
+        monkeypatch.setattr(sieve, "build_table", counted_build)
+        n_values, z_values = [2310, 1001], [5, 7, 11]
+        code = main(
+            [
+                "verify", "--n", "2310,1001", "--z", "5,7,11", "--two-k", "2,4,6",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        # 2310 serves every row of its own; 1001 is odd, so its parity row
+        # and z = 5 (Q = 6) share 1002, and z = 7, 11 need 1020 and 1050
+        extents = [2310, 1001, 1002, 1020, 1050]
+        assert {n: len(rings) for n, rings in built.items()} == {n: 1 for n in extents}
+
+        def ring_transforms(name):
+            return Counter(
+                n
+                for fn, a in calls
+                if fn == name
+                for n, (ring,) in built.items()
+                if a.shape == ring.shape and np.array_equal(a, ring)
+            )
+
+        assert ring_transforms("rfft") == Counter(extents)
+        # the energy identity's independent full transform, once per n
+        assert ring_transforms("fft") == Counter(n_values)
+        # per n: correlation and round-trip irffts, the Plancherel fft and
+        # one rfft plus one irfft of the von Mangoldt ring; per (n, z): the
+        # mod-Q transform of the residue counts and three class masks
+        budget = len(extents) + 5 * len(n_values) + 4 * len(n_values) * len(z_values)
+        assert len(calls) <= budget
 
 
 class TestModeOutputs:

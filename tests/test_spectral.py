@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from primepairs import (
     UsageError,
@@ -23,7 +25,7 @@ from primepairs import (
     von_mangoldt_vector,
 )
 from primepairs.spectral import is_primorial, pair_correlation_via_spectrum
-from primepairs.transform import as_ring, forward
+from primepairs.transform import as_ring, forward, phases
 
 import oracles
 
@@ -264,6 +266,69 @@ class TestHalfSpectrum:
                 folded = half_spectrum_pair_value(n, two_k, t)
                 full = pair_count_circular(t, two_k)
                 assert abs(folded - full) <= 6.0, (n, two_k)
+
+
+PRIMORIALS = (1, 2, 6, 30, 210, 2310)
+EXTENTS = st.integers(min_value=4, max_value=1200)
+
+
+def _divisors(n):
+    return [q for q in range(1, n + 1) if n % q == 0]
+
+
+class TestHermitianPaths:
+    """Identities read from the cached real spectrum at odd and even n,
+    prime n, n = 2k + 2 and Q = n, against full complex transforms and
+    the sieve; odd n has no Nyquist bin, so its mirror differs."""
+
+    @given(n=EXTENTS)
+    @example(n=4)
+    @example(n=1009)
+    @example(n=2310)
+    @example(n=9973)
+    @example(n=30030)
+    @settings(max_examples=40, deadline=None)
+    def test_pair_count_every_even_shift(self, n):
+        t = build_table(n)
+        # the last shift is 2k = n - 2 for even n
+        for two_k in range(2, n, 2):
+            assert pair_count_via_spectrum(n, two_k, t) == pair_count_circular(t, two_k)
+
+    @given(n=EXTENTS, k=st.integers(min_value=0, max_value=600))
+    @example(n=1155, k=0)
+    @example(n=2310, k=1153)
+    @example(n=30, k=13)
+    @example(n=30030, k=2)
+    @example(n=30031, k=4)
+    @settings(max_examples=40, deadline=None)
+    def test_error_spectrum_matches_full_transform(self, n, k):
+        two_k = 2 + 2 * (k % ((n - 1) // 2))  # every even shift 2 <= 2k < n
+        t = build_table(n)
+        power = np.abs(forward(t.ring_indicator()).values) ** 2
+        for Q in (q for q in PRIMORIALS if n % q == 0):
+            width = n // Q
+            weights = np.exp(-2j * np.pi * (two_k * np.arange(Q) % Q) / Q)
+            expected = weights @ power.reshape(Q, width)
+            got = decompose(n, Q, two_k, t).error_spectrum
+            assert got.shape == (width,)
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        if n % 2 == 0:
+            # folded value: read from the cached half, against the full power
+            half = n // 2
+            folded = 2.0 * np.dot(power[:half], phases(n, two_k)[:half]) / n
+            assert half_spectrum_pair_value(n, two_k, t) == pytest.approx(folded, rel=1e-12)
+
+    @given(n=EXTENTS)
+    @example(n=997)
+    @example(n=2310)
+    @example(n=30030)
+    @example(n=30031)
+    @settings(max_examples=40, deadline=None)
+    def test_rho_identity_every_divisor(self, n):
+        t = build_table(n)
+        budget = 1e-6 * max(t.pi(n), 1)
+        for Q in _divisors(n):
+            assert rho_identity_check(n, Q, t) <= budget
 
 
 class TestIsPrimorial:

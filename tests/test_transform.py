@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from primepairs import (
     ResourceLimitError,
@@ -14,6 +16,13 @@ from primepairs import (
     phases,
     plancherel_residual,
     subgroup_slice,
+)
+from primepairs.transform import (
+    forward_real,
+    inverse_real,
+    mirror_power,
+    phase_weights,
+    spectrum_at,
 )
 
 import oracles
@@ -198,3 +207,45 @@ class TestRingLayout:
         n = 48
         assert np.allclose(phases(n, n + 3), phases(n, 3), atol=1e-15)
         assert phases(n, 0) == pytest.approx(np.ones(n))
+
+
+class TestRealSpectrum:
+    """The half spectrum of one rfft against the full complex transform, at
+    odd n (no Nyquist bin to leave unpaired) and even n."""
+
+    @given(n=st.integers(min_value=1, max_value=2000), seed=st.integers(0, 2**32 - 1))
+    @example(n=101, seed=0)
+    @example(n=1155, seed=0)
+    @example(n=2310, seed=0)
+    @example(n=9973, seed=0)
+    @example(n=30030, seed=0)
+    @example(n=30031, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_hermitian_half_rebuilds_full_spectrum(self, n, seed):
+        f = np.random.default_rng(seed).normal(size=n)
+        full = forward(f).values
+        half = forward_real(f)
+        assert half.shape == (n // 2 + 1,)
+        scale = np.abs(full).max()
+        every = np.arange(-n, 2 * n)
+        assert np.abs(spectrum_at(half, n, every) - full[every % n]).max() <= 1e-12 * scale
+        power = np.abs(full) ** 2
+        mirrored = mirror_power(np.abs(half) ** 2, n)
+        assert mirrored.shape == (n,)
+        assert np.abs(mirrored - power).max() <= 1e-12 * power.max()
+        assert np.abs(inverse_real(half, n) - f).max() <= 1e-12 * max(1.0, np.abs(f).max())
+
+    def test_rejects_mismatched_half(self):
+        with pytest.raises(UsageError):
+            inverse_real(np.ones(4, dtype=complex), 10)
+        with pytest.raises(UsageError):
+            mirror_power(np.ones(4), 10)
+
+    def test_length_budget(self):
+        with pytest.raises(ResourceLimitError):
+            forward_real(np.zeros(10**7 + 1, dtype=np.float32))
+
+    def test_phase_weights_are_leading_phases(self):
+        for n, multiplier in ((48, 5), (49, 2), (30, 30 + 4)):
+            for count in (0, 1, n // 2, n):
+                assert np.array_equal(phase_weights(n, multiplier, count), phases(n, multiplier)[:count])
