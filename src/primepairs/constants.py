@@ -152,7 +152,15 @@ def mertens_ratio(z: int) -> tuple[float, float]:
 
 def li2(n: float, tol: float = 1e-6) -> float:
     """Offset pair logarithmic integral: integral of dt/log(t)^2 from 2 to n,
-    by adaptive Simpson refinement to absolute tolerance ``tol``."""
+    by adaptive Simpson refinement to absolute tolerance ``tol``.  Values
+    are memoized by argument: decompose asks for the same n repeatedly."""
+    # a plain function over the cached one keeps li2 visible to
+    # bench/shim.py, which traces functions, not lru_cache wrappers
+    return _li2(float(n), tol)
+
+
+@lru_cache(maxsize=8)
+def _li2(n: float, tol: float) -> float:
     if n <= 2:
         return 0.0
 

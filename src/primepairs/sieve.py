@@ -17,9 +17,11 @@ budget are rejected up front.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,8 @@ import numpy as np
 from .errors import CacheError, ResourceLimitError, UsageError
 from .factored import is_prime_u64
 from .transform import autocorrelation, forward_real
+
+logger = logging.getLogger(__name__)
 
 MAX_TABLE_EXTENT = 10**9
 DEFAULT_MEMORY_BUDGET = 6 * 2**30  # bytes
@@ -36,14 +40,46 @@ CACHE_MAGIC = b"PSPC1"
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+_FNV_PRIME_LOW = np.uint8(_FNV_PRIME & 0xFF)
 _U64 = (1 << 64) - 1
+FNV_BLOCK = 1 << 16
+
+
+@lru_cache(maxsize=1)
+def _fnv_powers() -> np.ndarray:
+    """Entry j is P^(FNV_BLOCK - j) mod 2^64 (uint64 products wrap)."""
+    ascending = np.multiply.accumulate(np.full(FNV_BLOCK, _FNV_PRIME, dtype=np.uint64))
+    powers = ascending[::-1].copy()
+    powers.setflags(write=False)
+    return powers
 
 
 def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a hash of a byte string."""
+    """64-bit FNV-1a hash of a byte string: h <- ((h XOR b) * P) mod 2^64
+    per byte b, computed exactly in numpy blocks of FNV_BLOCK bytes.
+
+    XOR with a byte changes only the low byte s = h mod 256 of h, so
+    h XOR b = h + d with d = (s XOR b) - s, and over a block of C bytes
+    h_end = h * P^C + sum_i d_i * P^(C - i) mod 2^64.  The low bytes run
+    alone, s' = ((s XOR b) * 0xB3) mod 256.  As P is odd, bit k of s' is
+    bit k of s XOR bit k of (((s mod 2^k) XOR b) * 0xB3), so bit k of every
+    s in the block is a prefix XOR once bits 0..k-1 are known.
+    """
+    payload = np.frombuffer(data, dtype=np.uint8)
     h = _FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & _U64
+    for lo in range(0, payload.size, FNV_BLOCK):
+        b = payload[lo : lo + FNV_BLOCK]
+        s = np.zeros(b.size, dtype=np.uint8)  # low byte of h before each byte
+        flips = np.empty(b.size, dtype=bool)
+        for k in range(8):
+            bit = np.uint8(1 << k)
+            flips[0] = h & (1 << k)
+            np.not_equal((s[:-1] ^ b[:-1]) * _FNV_PRIME_LOW & bit, np.uint8(0), out=flips[1:])
+            np.logical_xor.accumulate(flips, out=flips)
+            s |= flips.view(np.uint8) * bit
+        d = ((s ^ b).astype(np.int64) - s).view(np.uint64)
+        high = int((d * _fnv_powers()[FNV_BLOCK - b.size :]).sum(dtype=np.uint64))
+        h = (h * pow(_FNV_PRIME, b.size, 1 << 64) + high) & _U64
     return h
 
 
@@ -275,22 +311,25 @@ def von_mangoldt_vector(n: int) -> np.ndarray:
 
 def save_table(table: PrimeTable, path: str | Path) -> Path:
     """Write the binary cache: magic, n (8-byte LE), packed bitmap payload,
-    then an 8-byte LE FNV-1a checksum of the payload."""
+    then an 8-byte LE FNV-1a checksum of the payload.  The digest stays
+    cached on the table, so its checksum() needs no second hash."""
     path = Path(path)
     payload = table.bitmap_payload()
-    digest = fnv1a64(payload)
+    if table._checksum is None:
+        table._checksum = fnv1a64(payload)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(CACHE_MAGIC)
         fh.write(table.n.to_bytes(8, "little"))
         fh.write(payload)
-        fh.write(digest.to_bytes(8, "little"))
+        fh.write(table._checksum.to_bytes(8, "little"))
     return path
 
 
 def load_table(path: str | Path) -> PrimeTable:
     """Read a binary cache written by save_table, verifying structure and
-    checksum; raises CacheError on any mismatch."""
+    checksum; raises CacheError on any mismatch.  The verified digest is
+    the loaded table's checksum()."""
     path = Path(path)
     if not path.exists():
         raise CacheError(f"no cache file at {path}")
@@ -311,7 +350,7 @@ def load_table(path: str | Path) -> PrimeTable:
     is_prime = np.zeros(n + 1, dtype=bool)
     is_prime[1:] = bits.astype(bool)
     pi_prefix = np.cumsum(is_prime, dtype=np.int32)
-    return PrimeTable(n=n, is_prime=is_prime, pi_prefix=pi_prefix)
+    return PrimeTable(n=n, is_prime=is_prime, pi_prefix=pi_prefix, _checksum=digest)
 
 
 def cache_path(cache_dir: str | Path, n: int) -> Path:
@@ -321,14 +360,15 @@ def cache_path(cache_dir: str | Path, n: int) -> Path:
 def load_or_build(n: int, cache_dir: str | Path | None = None) -> PrimeTable:
     """Fetch a table from the cache directory when a valid file exists,
     otherwise build it (and write the cache when a directory is given).
-    Corrupt caches are rebuilt in place."""
+    Corrupt caches are logged as a warning and rebuilt in place."""
     if cache_dir is None:
         return build_table(n)
     path = cache_path(cache_dir, n)
     if path.exists():
         try:
             return load_table(path)
-        except CacheError:
+        except CacheError as exc:
+            logger.warning("rebuilding corrupt prime-table cache %s: %s", path, exc)
             os.remove(path)
     table = build_table(n)
     save_table(table, path)

@@ -27,3 +27,19 @@ def table_9240():
 @pytest.fixture(scope="session")
 def table_1e6():
     return build_table(10**6)
+
+
+@pytest.fixture
+def fnv_calls(monkeypatch):
+    """Lengths of the payloads hashed through primepairs.sieve.fnv1a64."""
+    from primepairs import sieve
+
+    calls = []
+    original = sieve.fnv1a64
+
+    def counted(data):
+        calls.append(len(data))
+        return original(data)
+
+    monkeypatch.setattr(sieve, "fnv1a64", counted)
+    return calls

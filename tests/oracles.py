@@ -113,6 +113,16 @@ def sieve_numpy_independent(n: int) -> np.ndarray:
     return mask
 
 
+# --- checksums ----------------------------------------------------------------
+
+def fnv1a64_reference(data: bytes) -> int:
+    """64-bit FNV-1a from its definition, one byte at a time."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) & ((1 << 64) - 1)
+    return h
+
+
 # --- transforms -------------------------------------------------------------
 
 def dft_direct(values: np.ndarray) -> np.ndarray:

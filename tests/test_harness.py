@@ -355,6 +355,13 @@ class TestCacheAdmin:
         assert "no-op" in status
         assert "warning" in capsys.readouterr().err
 
+    def test_verify_hashes_the_table_once(self, tmp_path, fnv_calls):
+        cache_admin("build", 3000, tmp_path)
+        fnv_calls.clear()
+        status = cache_admin("verify", 3000, tmp_path)
+        assert fnv_calls == [(3000 + 7) // 8]
+        assert f"fnv1a64:{fnv1a64(sieve.build_table(3000).bitmap_payload()):016x}" in status
+
     def test_verify_detects_corruption(self, tmp_path):
         cache_admin("build", 2048, tmp_path)
         path = tmp_path / "primetable_2048.pspc"

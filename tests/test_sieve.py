@@ -1,7 +1,10 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primepairs import (
     CacheError,
@@ -18,7 +21,7 @@ from primepairs import (
     twisted_progression_count,
     von_mangoldt_vector,
 )
-from primepairs.sieve import fnv1a64, load_or_build
+from primepairs.sieve import FNV_BLOCK, fnv1a64, load_or_build
 
 import oracles
 
@@ -227,3 +230,54 @@ class TestCache:
         # standard FNV-1a 64-bit test vector
         assert fnv1a64(b"") == 0xCBF29CE484222325
         assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+
+    def test_load_or_build_logs_truncated_cache(self, tmp_path, caplog):
+        path = save_table(build_table(6000), tmp_path / "primetable_6000.pspc")
+        path.write_bytes(path.read_bytes()[:400])
+        with caplog.at_level(logging.WARNING, logger="primepairs.sieve"):
+            rebuilt = load_or_build(6000, tmp_path)
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert str(path) in warnings[0].getMessage()
+        assert "payload length mismatch" in warnings[0].getMessage()
+        fresh = build_table(6000)
+        assert np.array_equal(rebuilt.is_prime, fresh.is_prime)
+        assert np.array_equal(load_table(path).is_prime, fresh.is_prime)
+
+    def test_one_hash_per_table(self, tmp_path, fnv_calls):
+        table = load_or_build(7000, tmp_path)
+        assert table.checksum() == oracles.fnv1a64_reference(table.bitmap_payload())
+        assert len(fnv_calls) == 1
+        loaded = load_table(tmp_path / "primetable_7000.pspc")
+        assert loaded.checksum() == table.checksum()
+        assert len(fnv_calls) == 2
+
+
+class TestFnv1a64:
+    """The numpy block kernel against the per-byte definition."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.binary(max_size=3000), st.sampled_from([bytes, bytearray, memoryview]))
+    def test_matches_reference(self, data, kind):
+        assert fnv1a64(kind(data)) == oracles.fnv1a64_reference(data)
+
+    @pytest.mark.parametrize(
+        "length", [0, 1, FNV_BLOCK - 1, FNV_BLOCK, FNV_BLOCK + 1, 3 * FNV_BLOCK + 5]
+    )
+    def test_block_boundaries(self, length):
+        data = np.random.default_rng(length).integers(0, 256, length, dtype=np.uint8).tobytes()
+        assert fnv1a64(data) == oracles.fnv1a64_reference(data)
+
+    @pytest.mark.parametrize("fill", [0x00, 0xFF])
+    def test_constant_runs(self, fill):
+        # 0x00 gives d = 0 at every byte; 0xFF gives the largest |d|
+        data = bytes([fill]) * 70000
+        assert fnv1a64(data) == oracles.fnv1a64_reference(data)
+
+    def test_published_vectors(self):
+        assert fnv1a64(b"") == 0xCBF29CE484222325
+        assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+        assert fnv1a64(b"foobar") == 0x85944171F73967E8
+
+    def test_prime_table_checksum(self, table_1e6):
+        assert table_1e6.checksum() == oracles.fnv1a64_reference(table_1e6.bitmap_payload())
