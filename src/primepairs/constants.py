@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ResourceLimitError, UsageError
 from .factored import FactoredInteger, _as_factored, euler_phi, coprime_pair_count_formula
+from .sieve import _simple_sieve
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -42,12 +43,7 @@ def _primes_below(cutoff: int) -> np.ndarray:
         raise UsageError(f"cutoff must be >= 3, got {cutoff}")
     if cutoff > 10**8:
         raise ResourceLimitError(f"constant cutoff capped at 1e8, got {cutoff}")
-    mask = np.ones(cutoff, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(cutoff - 1) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    out = np.flatnonzero(mask).astype(np.int64)
+    out = _simple_sieve(cutoff - 1)
     out.setflags(write=False)
     return out
 

@@ -1,18 +1,21 @@
 """Segmented prime sieving and every prime-indicator-derived count.
 
-A PrimeTable is an immutable bitmap of primality on {1..n} with prefix
-counts; on top of it sit progression counts, linear and circular pair
-counts, twisted progression sums, and the von Mangoldt weight vector.
+A PrimeTable is an immutable bitmap of primality on {1..n}; on top of it
+sit prime and progression counts, linear and circular pair counts,
+twisted progression sums, and the von Mangoldt weight vector.
 Construction is a single blocking call; all queries afterwards are
 read-only and safe to use from concurrent callers.  A table fills a few
 derived arrays on first use (its primes, checksum, half spectrum and
 circular pair correlation); concurrent first calls each compute the same
 array and either result may be kept.
 
-Memory model: the bitmap costs 1 byte per entry and the prefix array 4
-bytes per entry, so a table of extent n needs about 5*(n+1) bytes plus
-transient sieving buffers.  Builds that would exceed the configured byte
-budget are rejected up front.
+Memory model: the bitmap is the whole table, 1 byte per entry, so a
+table of extent n needs about n+1 bytes (about 1 GB at the 1e9 cap) plus
+transient sieving buffers.  It keeps no prefix counts: pi(x) counts the
+bitmap, about 10 ms at 1e8, and callers ask for it a handful of times per
+extent.  Builds that would exceed the configured byte budget are rejected
+up front.  The cached spectrum and correlation, when asked for, cost 8
+more bytes per entry each.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+import uuid
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -85,7 +89,7 @@ def fnv1a64(data: bytes) -> int:
 
 @dataclass(eq=False)
 class PrimeTable:
-    """Primality bitmap on {1..n} with prefix counts pi_prefix[x] = pi(x).
+    """Primality bitmap on {1..n}.
 
     ``is_prime`` has length n+1 and is indexed directly by the integer
     (index 0 is unused and False).  The table identifies Z/nZ with
@@ -96,7 +100,6 @@ class PrimeTable:
 
     n: int
     is_prime: np.ndarray
-    pi_prefix: np.ndarray
     _primes: np.ndarray | None = field(default=None, repr=False)
     _checksum: int | None = field(default=None, repr=False)
     _spectrum: np.ndarray | None = field(default=None, repr=False)
@@ -106,7 +109,7 @@ class PrimeTable:
         """Number of primes <= x."""
         if not 0 <= x <= self.n:
             raise UsageError(f"pi(x) requires 0 <= x <= {self.n}, got {x}")
-        return int(self.pi_prefix[x])
+        return int(np.count_nonzero(self.is_prime[: x + 1]))
 
     def primes(self) -> np.ndarray:
         """All primes <= n as an int64 array (computed once, then cached)."""
@@ -167,14 +170,14 @@ class ResidueProfile:
 def build_table(n: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> PrimeTable:
     """Sieve primality on {1..n} with a segmented Eratosthenes pass.
 
-    Rejects n outside [2, 1e9] and builds whose bitmap + prefix arrays
-    would exceed ``memory_budget`` bytes.
+    Rejects n outside [2, 1e9] and builds whose bitmap would exceed
+    ``memory_budget`` bytes.
     """
     if n < 2:
         raise UsageError(f"build_table requires n >= 2, got {n}")
     if n > MAX_TABLE_EXTENT:
         raise ResourceLimitError(f"table extent capped at 1e9, got {n}")
-    needed = 5 * (n + 1) + 2 * SEGMENT_LENGTH
+    needed = (n + 1) + 2 * SEGMENT_LENGTH
     if needed > memory_budget:
         raise ResourceLimitError(
             f"building a table of extent {n} needs about {needed} bytes, "
@@ -191,11 +194,11 @@ def build_table(n: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> PrimeTabl
             start = max(p * p, ((lo + p - 1) // p) * p)
             if start < hi:
                 is_prime[start:hi:p] = False
-    pi_prefix = np.cumsum(is_prime, dtype=np.int32)
-    return PrimeTable(n=n, is_prime=is_prime, pi_prefix=pi_prefix)
+    return PrimeTable(n=n, is_prime=is_prime)
 
 
 def _simple_sieve(limit: int) -> np.ndarray:
+    """All primes <= limit as an int64 array, by one unsegmented mask."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     mask = np.ones(limit + 1, dtype=bool)
@@ -290,14 +293,7 @@ def von_mangoldt_vector(n: int) -> np.ndarray:
     if n > 10**8:
         raise ResourceLimitError(f"von Mangoldt vector capped at n <= 1e8, got {n}")
     lam = np.zeros(n + 1)
-    if n < 2:
-        return lam
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    primes = np.flatnonzero(mask)
+    primes = _simple_sieve(n)
     lam[primes] = np.log(primes.astype(np.float64))
     for p in primes[primes <= math.isqrt(n)]:
         p = int(p)
@@ -312,17 +308,30 @@ def von_mangoldt_vector(n: int) -> np.ndarray:
 def save_table(table: PrimeTable, path: str | Path) -> Path:
     """Write the binary cache: magic, n (8-byte LE), packed bitmap payload,
     then an 8-byte LE FNV-1a checksum of the payload.  The digest stays
-    cached on the table, so its checksum() needs no second hash."""
+    cached on the table, so its checksum() needs no second hash.
+
+    The bytes go to a uniquely named file in the same directory, which
+    ``os.replace`` then renames onto ``path``: a process that crashes
+    mid-write, or a concurrent writer, never leaves a truncated cache
+    there (a process killed outright may leave the temporary file behind).
+    Nothing is fsynced, so this does not guard against power loss.
+    """
     path = Path(path)
     payload = table.bitmap_payload()
     if table._checksum is None:
         table._checksum = fnv1a64(payload)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(table.n.to_bytes(8, "little"))
-        fh.write(payload)
-        fh.write(table._checksum.to_bytes(8, "little"))
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(CACHE_MAGIC)
+            fh.write(table.n.to_bytes(8, "little"))
+            fh.write(payload)
+            fh.write(table._checksum.to_bytes(8, "little"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -338,19 +347,18 @@ def load_table(path: str | Path) -> PrimeTable:
     if len(blob) < header + 8 or blob[: len(CACHE_MAGIC)] != CACHE_MAGIC:
         raise CacheError(f"{path} is not a prime-table cache (bad magic or truncated)")
     n = int.from_bytes(blob[len(CACHE_MAGIC) : header], "little")
-    expected_payload = (n + 7) // 8
-    payload = blob[header : header + expected_payload]
-    tail = blob[header + expected_payload :]
-    if len(payload) != expected_payload or len(tail) != 8:
+    end = header + (n + 7) // 8
+    if len(blob) != end + 8:
         raise CacheError(f"{path}: payload length mismatch for extent {n}")
-    digest = int.from_bytes(tail, "little")
+    # hash and unpack views of the blob: no copy of the payload
+    payload = memoryview(blob)[header:end]
+    digest = int.from_bytes(blob[end:], "little")
     if fnv1a64(payload) != digest:
         raise CacheError(f"{path}: checksum mismatch, cache is corrupt")
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=n)
-    is_prime = np.zeros(n + 1, dtype=bool)
-    is_prime[1:] = bits.astype(bool)
-    pi_prefix = np.cumsum(is_prime, dtype=np.int32)
-    return PrimeTable(n=n, is_prime=is_prime, pi_prefix=pi_prefix, _checksum=digest)
+    is_prime = np.empty(n + 1, dtype=bool)
+    is_prime[0] = False
+    is_prime[1:] = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=n).view(bool)
+    return PrimeTable(n=n, is_prime=is_prime, _checksum=digest)
 
 
 def cache_path(cache_dir: str | Path, n: int) -> Path:

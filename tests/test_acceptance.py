@@ -283,9 +283,7 @@ def test_criterion_08_parity_relation(table_10k):
     worst = 0.0
     worst_n = None
     for n in range(4, 10**4 + 1, 2):
-        sub = PrimeTable(
-            n=n, is_prime=table_10k.is_prime[: n + 1], pi_prefix=table_10k.pi_prefix[: n + 1]
-        )
+        sub = PrimeTable(n=n, is_prime=table_10k.is_prime[: n + 1])
         residual = half_spectrum_residual(n, sub) / max(sub.pi(n), 1)
         if residual > worst:
             worst, worst_n = residual, n

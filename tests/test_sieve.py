@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from primepairs import (
     twisted_progression_count,
     von_mangoldt_vector,
 )
+from primepairs import sieve
 from primepairs.sieve import FNV_BLOCK, fnv1a64, load_or_build
 
 import oracles
@@ -53,9 +55,20 @@ class TestBuildTable:
     def test_prefix_counts(self, table_10k):
         assert table_10k.is_prime[1] == False  # noqa: E712
         assert table_10k.is_prime[2] == True  # noqa: E712
-        diffs = np.diff(table_10k.pi_prefix)
-        assert np.all(diffs >= 0)
+        cumulative = np.cumsum(oracles.sieve_numpy_independent(table_10k.n))
+        assert [table_10k.pi(x) for x in range(table_10k.n + 1)] == cumulative.tolist()
         assert table_10k.pi(table_10k.n) == int(np.count_nonzero(table_10k.is_prime))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5000), st.data())
+    def test_pi_matches_oracle(self, n, data):
+        t = build_table(n)
+        ref = oracles.sieve_numpy_independent(n)
+        for x in (0, 1, 2, n, data.draw(st.integers(0, n))):
+            assert t.pi(x) == int(ref[: x + 1].sum())
+        for x in (-1, n + 1):
+            with pytest.raises(UsageError):
+                t.pi(x)
 
     def test_memory_budget(self):
         with pytest.raises(ResourceLimitError):
@@ -195,7 +208,7 @@ class TestCache:
         loaded = load_table(path)
         assert loaded.n == t.n
         assert np.array_equal(loaded.is_prime, t.is_prime)
-        assert np.array_equal(loaded.pi_prefix, t.pi_prefix)
+        assert [loaded.pi(x) for x in range(t.n + 1)] == [t.pi(x) for x in range(t.n + 1)]
         assert loaded.checksum() == t.checksum()
 
     def test_corrupt_payload_detected(self, tmp_path):
@@ -205,6 +218,65 @@ class TestCache:
         path.write_bytes(bytes(blob))
         with pytest.raises(CacheError, match="checksum"):
             load_table(path)
+
+    # n = 5001: a 13-byte header, a 626-byte payload ending in 7 padding
+    # bits, an 8-byte digest
+    @pytest.mark.parametrize("size", [0, 5, 13, 20, 21, 400, 646])
+    def test_truncated_file_rejected(self, tmp_path, size):
+        path = save_table(build_table(5001), tmp_path / "t.pspc")
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(CacheError):
+            load_table(path)
+
+    @pytest.mark.parametrize("extra", [b"\x00", bytes(8), b"PSPC1"])
+    def test_trailing_bytes_rejected(self, tmp_path, extra):
+        path = save_table(build_table(5001), tmp_path / "t.pspc")
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(CacheError, match="payload length mismatch"):
+            load_table(path)
+
+    # bit offsets after the header: first entry, a middle one, the last
+    # entry, the last padding bit, the first and last bits of the digest
+    @pytest.mark.parametrize("bit", [0, 2500, 5000, 5007, 5008, 5071])
+    def test_flipped_bit_rejected(self, tmp_path, bit):
+        path = save_table(build_table(5001), tmp_path / "t.pspc")
+        blob = bytearray(path.read_bytes())
+        blob[13 + bit // 8] ^= 0x80 >> (bit % 8)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CacheError, match="checksum"):
+            load_table(path)
+
+    def test_crash_mid_write_keeps_the_old_cache(self, tmp_path, monkeypatch):
+        n = 5001
+        path = save_table(build_table(n), tmp_path / "t.pspc")
+
+        class TornFile:
+            """Writes half of its second write, then fails like a full disk."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 2:
+                    self.fh.write(bytes(data)[: len(data) // 2])
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(
+            sieve, "open", lambda *a, **k: TornFile(open(*a, **k)), raising=False
+        )
+        with pytest.raises(OSError, match="No space"):
+            save_table(build_table(n), path)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["t.pspc"]
+        assert np.array_equal(load_table(path).is_prime, build_table(n).is_prime)
 
     def test_bad_magic_detected(self, tmp_path):
         path = tmp_path / "junk.pspc"
@@ -251,6 +323,32 @@ class TestCache:
         loaded = load_table(tmp_path / "primetable_7000.pspc")
         assert loaded.checksum() == table.checksum()
         assert len(fnv_calls) == 2
+
+
+class TestMemoryModel:
+    """Traced peak bytes per entry at n = 1e6.  The table is its 1-byte
+    bitmap; loading holds the file, one unpacked copy and the table."""
+
+    N = 10**6
+
+    @classmethod
+    def _peak_per_entry(cls, fn, *args):
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.n == cls.N
+        return peak / (cls.N + 1)
+
+    def test_build_table(self):
+        assert self._peak_per_entry(build_table, self.N) < 1.5
+
+    def test_load_table(self, tmp_path):
+        # saving hashes first, so the hash's power table is not counted
+        path = save_table(build_table(self.N), tmp_path / "t.pspc")
+        assert self._peak_per_entry(load_table, path) < 2.5
 
 
 class TestFnv1a64:
