@@ -46,12 +46,9 @@ from .sieve import (
 from .transform import (
     Spectrum,
     as_ring,
-    cyclic_convolution,
     forward,
     inverse,
-    phases,
     plancherel_residual,
-    subgroup_slice,
 )
 from .constants import (
     TruncatedConstant,
@@ -110,11 +107,8 @@ __all__ = [
     "Spectrum",
     "forward",
     "inverse",
-    "cyclic_convolution",
     "plancherel_residual",
-    "subgroup_slice",
     "as_ring",
-    "phases",
     "TruncatedConstant",
     "hl_constant",
     "singular_series_divisor_sum",

@@ -21,6 +21,7 @@ from .harness import (
     validate_config,
 )
 from .reports import write_csv, write_json
+from .sieve import cache_path
 
 _VERB_MODE = {
     "verify": "identity-suite",
@@ -61,7 +62,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cutoff", type=int, help="prime cutoff for constants")
     parser.add_argument("--out", help="output directory (or file for single-file verbs)")
     parser.add_argument("--cache-dir", help="prime-table cache directory")
-    parser.add_argument("--format", choices=("csv", "json"), help="tabular output format")
     parser.add_argument(
         "--tolerance",
         action="append",
@@ -91,6 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(verb, help=help_text)
         _add_common(p)
+        if verb == "pairs":
+            p.add_argument("--format", choices=("csv", "json"), help="format of the --out file")
         if verb == "spectrum":
             p.add_argument("--function", choices=("prime", "mangoldt"), default="prime")
     return parser
@@ -111,7 +113,7 @@ def _config_from_args(args: argparse.Namespace, mode: str) -> ExperimentConfig:
         raw["output_dir"] = args.out
     if args.cache_dir:
         raw["cache_dir"] = args.cache_dir
-    if args.format:
+    if getattr(args, "format", None):
         raw["out_format"] = args.format
     if args.stamp:
         raw["stamp"] = True
@@ -137,7 +139,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.verb == "sieve":
-            print(cache_admin(args.action, args.n, args.cache_dir))
+            status = cache_admin(args.action, args.n, args.cache_dir)
+            if status.startswith("no-op"):
+                path = cache_path(args.cache_dir, args.n)
+                print(f"warning: no cache at {path}, nothing to purge", file=sys.stderr)
+            print(status)
             return 0
         config = _config_from_args(args, _VERB_MODE.get(args.verb, "identity-suite"))
         if args.verb == "pairs":

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import sys
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -44,7 +43,7 @@ from .spectral import (
     pair_count_via_spectrum,
     rho_identity_check,
 )
-from .transform import as_ring, forward, inverse_real, plancherel_residual
+from .transform import as_ring, check_extents, forward, inverse_real, plancherel_residual
 
 MODES = ("identity-suite", "decompose", "constants", "spectrum-export", "hl-ratio-sweep")
 
@@ -165,6 +164,7 @@ def run(config: ExperimentConfig) -> RunResult:
     problems = validate_config(config)
     if problems:
         raise UsageError("invalid config:\n  " + "\n  ".join(problems))
+    check_extents(_transform_extents(config), f"{config.mode} transform length")
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     runner = {
@@ -175,6 +175,26 @@ def run(config: ExperimentConfig) -> RunResult:
         "hl-ratio-sweep": _run_sweep,
     }[config.mode]
     return runner(config, out)
+
+
+def _transform_extents(config: ExperimentConfig) -> list[int]:
+    """Every extent the mode will transform, so that one over the cap is
+    rejected before any table is sieved or any report written."""
+    if config.mode == "identity-suite":
+        extents = [m for n in config.n_values for m in (n, n + n % 2)]
+        for z in config.z_schedule:
+            Q = primorial(z).value
+            extents += [round_up_multiple(n, Q) for n in config.n_values]
+        return extents
+    if config.mode == "decompose":
+        return [
+            round_up_multiple(n, primorial(z).value)
+            for z in config.z_schedule
+            for n in config.n_values
+        ]
+    if config.mode == "spectrum-export":
+        return list(config.n_values)
+    return []
 
 
 def _tol(config: ExperimentConfig, key: str) -> float:
@@ -500,14 +520,18 @@ def pairs_report(config: ExperimentConfig) -> list[tuple]:
                     two_k,
                     pair_count_linear(table, two_k),
                     pair_count_circular(table, two_k),
-                    pair_count_via_spectrum(n, two_k, table),
+                    pair_count_via_spectrum(
+                        n, two_k, table, tol=_tol(config, "spectral-pair-count")
+                    ),
                 )
             )
     return rows
 
 
 def cache_admin(action: str, n: int, cache_dir: str | Path) -> str:
-    """Administer the binary prime-table cache: build, verify, or purge."""
+    """Administer the binary prime-table cache: build, verify, or purge.
+    Returns the status message; purging a missing cache is a no-op whose
+    message starts with "no-op"."""
     path = cache_path(cache_dir, n)
     if action == "build":
         save_table(build_table(n), path)
@@ -519,6 +543,5 @@ def cache_admin(action: str, n: int, cache_dir: str | Path) -> str:
         if path.exists():
             path.unlink()
             return f"purged {path}"
-        print(f"warning: no cache at {path}, nothing to purge", file=sys.stderr)
         return f"no-op (missing {path})"
     raise UsageError(f"unknown cache action {action!r}; use build, verify, or purge")

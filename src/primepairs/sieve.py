@@ -2,12 +2,15 @@
 
 A PrimeTable is an immutable bitmap of primality on {1..n}; on top of it
 sit prime and progression counts, linear and circular pair counts,
-twisted progression sums, and the von Mangoldt weight vector.
-Construction is a single blocking call; all queries afterwards are
-read-only and safe to use from concurrent callers.  A table fills a few
-derived arrays on first use (its primes, checksum, half spectrum and
-circular pair correlation); concurrent first calls each compute the same
-array and either result may be kept.
+twisted progression sums, and the von Mangoldt weight vector.  The
+Z/nZ conventions these use are the ones ``transform`` defines: the ring
+layout (``as_ring``), the phase e_n(-k) (``unit_phase``) and the Q | n
+check (``require_divisor``).  Linear and circular pair counts AND slices
+of the bitmap and copy no ring.  Construction is a single blocking call;
+all queries afterwards are read-only and safe to use from concurrent
+callers.  A table fills a few derived arrays on first use (its primes,
+checksum, half spectrum and circular pair correlation); concurrent first
+calls each compute the same array and either result may be kept.
 
 Memory model: the bitmap is the whole table, 1 byte per entry, so a
 table of extent n needs about n+1 bytes (about 1 GB at the 1e9 cap) plus
@@ -32,7 +35,7 @@ import numpy as np
 
 from .errors import CacheError, ResourceLimitError, UsageError
 from .factored import is_prime_u64
-from .transform import autocorrelation, forward_real
+from .transform import as_ring, autocorrelation, forward_real, require_divisor, unit_phase
 
 logger = logging.getLogger(__name__)
 
@@ -117,12 +120,10 @@ class PrimeTable:
             self._primes = np.flatnonzero(self.is_prime).astype(np.int64)
         return self._primes
 
-    def ring_indicator(self, dtype=np.float64) -> np.ndarray:
-        """Prime indicator on Z/nZ in residue layout (slot 0 = value at n)."""
-        out = np.empty(self.n, dtype=dtype)
-        out[1:] = self.is_prime[1 : self.n]
-        out[0] = self.is_prime[self.n]
-        return out
+    def ring_indicator(self) -> np.ndarray:
+        """Prime indicator on Z/nZ in residue layout (slot 0 = value at n),
+        as float64."""
+        return as_ring(self.is_prime)
 
     def spectrum(self) -> np.ndarray:
         """Half spectrum F(P)(xi), 0 <= xi <= n//2, of the ring indicator:
@@ -232,11 +233,10 @@ def residue_profile(table: PrimeTable, Q: int, xi: int | None = None) -> Residue
     if xi is None:
         counts = np.bincount(classes, minlength=Q).astype(np.float64)
         return ResidueProfile(Q=Q, n=table.n, xi=None, values=counts)
-    if table.n % Q:
-        raise UsageError(f"twisted profiles require Q | n, got Q={Q}, n={table.n}")
+    require_divisor(table.n, Q, "twisted profiles")
     if not 0 <= xi < table.n:
         raise UsageError(f"frequency must satisfy 0 <= xi < n, got {xi}")
-    phases = np.exp((-2j * np.pi / table.n) * ((primes * xi) % table.n))
+    phases = unit_phase(table.n, primes * xi)
     values = np.bincount(classes, weights=phases.real, minlength=Q) + 1j * np.bincount(
         classes, weights=phases.imag, minlength=Q
     )
@@ -246,8 +246,7 @@ def residue_profile(table: PrimeTable, Q: int, xi: int | None = None) -> Residue
 def twisted_progression_count(table: PrimeTable, xi: int, Q: int, a: int) -> complex:
     """Twisted progression sum: primes x <= n with x = a (mod Q), each
     weighted by exp(-2*pi*i*x*xi/n).  Requires Q | n."""
-    if table.n % Q:
-        raise UsageError(f"twisted counts require Q | n, got Q={Q}, n={table.n}")
+    require_divisor(table.n, Q, "twisted counts")
     if not 0 <= a < Q:
         raise UsageError(f"residue must satisfy 0 <= a < Q, got {a}")
     if not 0 <= xi < table.n:
@@ -256,7 +255,7 @@ def twisted_progression_count(table: PrimeTable, xi: int, Q: int, a: int) -> com
     sel = primes[primes % Q == a]
     if sel.size == 0:
         return 0j
-    return complex(np.exp((-2j * np.pi / table.n) * ((sel * xi) % table.n)).sum())
+    return complex(unit_phase(table.n, sel * xi).sum())
 
 
 def pair_count_linear(table: PrimeTable, two_k: int) -> int:
@@ -277,12 +276,16 @@ def pair_count_linear(table: PrimeTable, two_k: int) -> int:
 
 def pair_count_circular(table: PrimeTable, two_k: int) -> int:
     """Circular pair count on Z/nZ = {1..n}: primes x with the shifted
-    point ((x + 2k - 1) mod n) + 1 also prime."""
+    point ((x + 2k - 1) mod n) + 1 also prime.  Two slice ANDs of the
+    bitmap, x <= n - 2k and the wrapped tail x > n - 2k, with no copy of
+    the ring: about 1 byte per entry of transient memory."""
     n = table.n
     if not 0 <= two_k < n or two_k % 2:
         raise UsageError(f"need even 0 <= 2k < n, got 2k={two_k}, n={n}")
-    ring = table.ring_indicator(dtype=bool)
-    return int(np.count_nonzero(ring & np.roll(ring, -two_k)))
+    ip = table.is_prime
+    unwrapped = np.count_nonzero(ip[1 : n - two_k + 1] & ip[1 + two_k : n + 1])
+    wrapped = np.count_nonzero(ip[n - two_k + 1 : n + 1] & ip[1 : two_k + 1])
+    return int(unwrapped + wrapped)
 
 
 def von_mangoldt_vector(n: int) -> np.ndarray:

@@ -20,7 +20,10 @@ irfft of its power (``PrimeTable.correlation``); ``decompose`` and
 ``half_spectrum_pair_value`` reads its power directly; and
 ``rho_identity_check`` and ``half_spectrum_residual`` take the samples
 F(n - m) as conj F(m).  The mod-Q transforms of residue profiles stay
-direct, being the independent side of those identities.
+direct, being the independent side of those identities.  The phase
+weights e_n(-k), the Q | n check and the 1e7 extent cap are the ones
+``transform`` defines (``unit_phase``, ``require_divisor``,
+``check_extents``).
 
 Conjugation note: for a complex twisted profile rho the subgroup inversion
 produces sum_a rho(a) * conj(rho(a + 2k)); the conjugate on the shifted
@@ -50,16 +53,15 @@ from .sieve import (
 from .transform import (
     as_ring,
     autocorrelation,
+    check_extents,
     forward_real,
     mirror_power,
-    phase_weights,
-    phases,
+    require_divisor,
     spectrum_at,
+    unit_phase,
 )
 
 logger = logging.getLogger(__name__)
-
-MAX_SPECTRAL_EXTENT = 10**7
 
 
 @dataclass(eq=False)
@@ -98,8 +100,7 @@ def _table_for(n: int, table: PrimeTable | None) -> PrimeTable:
         if table.n != n:
             raise UsageError(f"supplied table has extent {table.n}, expected {n}")
         return table
-    if n > MAX_SPECTRAL_EXTENT:
-        raise UsageError(f"spectral extent capped at 1e7, got {n}")
+    check_extents([n], "spectral extent", UsageError)
     return build_table(n)
 
 
@@ -134,8 +135,7 @@ def pair_count_via_spectrum(
     """
     if not 2 <= two_k < n:
         raise UsageError(f"need 2 <= 2k < n, got 2k={two_k}, n={n}")
-    if n > MAX_SPECTRAL_EXTENT:
-        raise UsageError(f"spectral pair count capped at n <= 1e7, got {n}")
+    check_extents([n], "spectral pair count", UsageError)
     t = _table_for(n, table)
     raw = float(t.correlation()[two_k])
     budget = tol * n
@@ -163,8 +163,7 @@ def rho_identity_check(
 
     Returns the deviation and raises if it exceeds tol * pi(n).
     """
-    if Q < 1 or n % Q:
-        raise UsageError(f"subgroup identity requires Q | n, got Q={Q}, n={n}")
+    require_divisor(n, Q, "subgroup identity")
     t = _table_for(n, table)
     coset = spectrum_at(t.spectrum(), n, np.arange(Q, dtype=np.int64) * (n // Q))
     rho = residue_profile(t, Q).values
@@ -181,8 +180,7 @@ def main_term_convolution(
     """(Q/n) * sum_r rho(r) * rho(r + 2k mod Q): the main term evaluated
     as a residue-count autocorrelation, independent of any length-n
     transform."""
-    if Q < 1 or n % Q:
-        raise UsageError(f"main-term convolution requires Q | n, got Q={Q}, n={n}")
+    require_divisor(n, Q, "main-term convolution")
     t = _table_for(n, table)
     rho = residue_profile(t, Q).values
     return float(Q / n * np.dot(rho, np.roll(rho, -(two_k % Q))))
@@ -196,7 +194,7 @@ def _full_power(table: PrimeTable) -> np.ndarray:
 def _coset_regroup(power: np.ndarray, Q: int, two_k: int) -> np.ndarray:
     """T(xi) for 0 <= xi < n/Q from the full power spectrum |F(P)|^2."""
     rows = power.reshape(Q, power.shape[0] // Q)
-    weights = phases(Q, two_k)
+    weights = unit_phase(Q, two_k * np.arange(Q, dtype=np.int64))
     # real and imaginary weights apart: a complex weight vector would cast
     # the whole real power array to a complex copy
     return weights.real @ rows + 1j * (weights.imag @ rows)
@@ -233,8 +231,7 @@ def decompose(
     identity is exact for any Q | n) but logged, since the main term only
     carries its asymptotic meaning for small Q.
     """
-    if Q < 1 or n % Q:
-        raise UsageError(f"decomposition requires Q | n, got Q={Q}, n={n}")
+    require_divisor(n, Q, "decomposition")
     if not is_primorial(Q):
         raise UsageError(f"Q must be a primorial, got {Q}")
     if not 2 <= two_k < n:
@@ -248,7 +245,9 @@ def decompose(
             "main-term-realness", abs(spectrum[0].imag), tol * n, f"n={n}, Q={Q}"
         )
     main_term = float(spectrum[0].real) / n
-    reconstructed = complex(np.dot(spectrum, phase_weights(n, two_k, n // Q)) / n)
+    reconstructed = complex(
+        np.dot(spectrum, unit_phase(n, two_k * np.arange(n // Q, dtype=np.int64))) / n
+    )
     sieved = pair_count_circular(t, two_k)
     residual = abs(reconstructed - sieved)
     if residual > tol * n:
@@ -281,8 +280,7 @@ def error_probe(
     and independently inverts |F_Q(rho_xi)|^2 at -2k; the two must agree
     within tol * pi(n)^2.
     """
-    if Q < 1 or n % Q:
-        raise UsageError(f"error probe requires Q | n, got Q={Q}, n={n}")
+    require_divisor(n, Q, "error probe")
     if not 0 < xi < n // Q:
         raise UsageError(f"need 0 < xi < n/Q, got xi={xi}")
     t = _table_for(n, table)
@@ -312,15 +310,14 @@ def error_spectrum_stats(
     |F(P)(xi)|^2 / n reaches n / log(n)^2 (the energy-constrained level
     with C = 1).  Purely informational; nothing here is asserted.
     """
-    if Q < 1 or n % Q:
-        raise UsageError(f"error spectrum requires Q | n, got Q={Q}, n={n}")
+    require_divisor(n, Q, "error spectrum")
     if Q >= n:
         raise UsageError(f"degenerate Q = n rejected, got Q={Q}, n={n}")
     t = _table_for(n, table)
     power = _full_power(t)
     spectrum = _coset_regroup(power, Q, two_k)
     tail = np.abs(spectrum[1:])
-    weights = phase_weights(n, two_k, n // Q)
+    weights = unit_phase(n, two_k * np.arange(n // Q, dtype=np.int64))
     offzero = complex(np.dot(spectrum[1:], weights[1:]) / n)
     phi_q = float(np.count_nonzero(np.gcd(np.arange(1, Q + 1, dtype=np.int64), Q) == 1))
     large = int(np.count_nonzero(power[1:] / n >= n / math.log(n) ** 2))
@@ -349,8 +346,9 @@ def psi_pair_direct(n: int, two_k: int) -> float:
 def psi_pair_via_spectrum(n: int, two_k: int, tol: float = 1e-6) -> float:
     """Von Mangoldt pair correlation through the spectrum, verified
     against the direct double sum within tol * n * log(n)^2."""
-    if n < 2 or n > MAX_SPECTRAL_EXTENT:
-        raise UsageError(f"need 2 <= n <= 1e7, got {n}")
+    if n < 2:
+        raise UsageError(f"need n >= 2, got {n}")
+    check_extents([n], "psi pair correlation", UsageError)
     if two_k % 2 or two_k < 0:
         raise UsageError(f"2k must be even and nonnegative, got {two_k}")
     ring = as_ring(von_mangoldt_vector(n))
@@ -375,7 +373,7 @@ def half_spectrum_residual(n: int, table: PrimeTable | None = None) -> float:
     values = t.spectrum()
     half = n // 2
     upper = spectrum_at(values, n, np.arange(half, n, dtype=np.int64))
-    expected = 2.0 * phase_weights(n, 2, half)
+    expected = 2.0 * unit_phase(n, 2 * np.arange(half, dtype=np.int64))
     return float(np.abs(upper + values[:half] - expected).max())
 
 
@@ -390,4 +388,5 @@ def half_spectrum_pair_value(
     t = _table_for(n, table)
     half = n // 2
     power = np.abs(t.spectrum()[:half]) ** 2
-    return complex(2.0 * np.dot(power, phase_weights(n, two_k, half)) / n)
+    weights = unit_phase(n, two_k * np.arange(half, dtype=np.int64))
+    return complex(2.0 * np.dot(power, weights) / n)

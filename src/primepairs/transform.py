@@ -10,6 +10,14 @@ Z/nZ is identified with {1,...,n}; arrays are stored in residue layout,
 where slot j holds the value at x = j for 1 <= j < n and slot 0 holds the
 value at x = n (the phase factors agree because exp(-2*pi*i*xi*n/n) = 1).
 
+Each convention the package builds on has its one home here, and the
+sieve and spectral modules call it instead of restating it:
+``unit_phase`` is the kernel e_n(-k) = exp(-2*pi*i*k/n); ``require_divisor``
+raises the UsageError when a subgroup identity is asked for Q that does
+not divide n (Fourier analysis on Z/QZ ties to Z/nZ only when Q | n);
+``check_extents`` enforces the one length cap, ``MAX_TRANSFORM_LENGTH``;
+and ``as_ring`` lays a function on {1..n} out by residue.
+
 The fast path delegates to numpy's pocketfft, which implements exactly
 this forward kernel with mixed-radix decomposition plus a Bluestein
 chirp-transform fallback for large prime factors, so arbitrary composite
@@ -41,8 +49,6 @@ from .errors import ResourceLimitError, UsageError
 FORWARD_CONVENTION = "forward = sum_x f(x) exp(-2*pi*i*xi*x/n); inverse carries 1/n"
 MAX_TRANSFORM_LENGTH = 10**7
 
-DIRECT_CONVOLUTION_LIMIT = 4096
-
 
 @dataclass(eq=False)
 class Spectrum:
@@ -53,52 +59,64 @@ class Spectrum:
     convention: str = FORWARD_CONVENTION
 
 
-def phases(n: int, multiplier: int) -> np.ndarray:
-    """The vector exp(-2*pi*i*multiplier*j/n) for j = 0..n-1, with the
-    angle reduced mod n in exact integer arithmetic first."""
-    return phase_weights(n, multiplier, n)
+def unit_phase(n: int, k) -> np.ndarray:
+    """The kernel e_n(-k) = exp(-2*pi*i*k/n) for an integer array k, with
+    k reduced mod n in exact integer arithmetic before the float angle."""
+    return np.exp((-2j * np.pi / n) * (np.asarray(k, dtype=np.int64) % n))
 
 
-def phase_weights(n: int, multiplier: int, count: int) -> np.ndarray:
-    """The first ``count`` entries of ``phases(n, multiplier)``: the
-    weights e_n(-multiplier * xi) for xi = 0..count-1."""
-    xi = np.arange(count, dtype=np.int64)
-    return np.exp((-2j * np.pi / n) * ((multiplier % n) * xi % n))
+def require_divisor(n: int, Q: int, what: str) -> None:
+    """Raise UsageError unless Q | n (with Q >= 1): the subgroup Z/QZ and
+    its cosets in Z/nZ exist only then.  ``what`` names the caller."""
+    if Q < 1 or n % Q:
+        raise UsageError(f"{what} requires Q | n, got Q={Q}, n={n}")
+
+
+def check_extents(extents, what: str = "transform length", error=ResourceLimitError) -> None:
+    """Raise ``error`` naming every extent in ``extents`` above
+    MAX_TRANSFORM_LENGTH, the package's one transform cap."""
+    over = sorted({int(m) for m in extents if m > MAX_TRANSFORM_LENGTH})
+    if over:
+        raise error(f"{what} capped at 1e7, got {', '.join(map(str, over))}")
 
 
 def as_ring(values_one_indexed: np.ndarray) -> np.ndarray:
     """Re-index a 1-indexed array of length n+1 (entry 0 ignored) into
-    residue layout of length n: slot 0 takes the value at x = n."""
+    residue layout of length n: slot 0 takes the value at x = n.
+
+    The ring is a floating vector ready for the transform (float64 for
+    bool or integer input, else the input's float or complex type),
+    filled straight from the input without an intermediate copy."""
     v = np.asarray(values_one_indexed)
     n = v.shape[0] - 1
     if n < 1:
         raise UsageError("need at least one sample on {1..n}")
-    out = np.empty(n, dtype=v.dtype)
+    out = np.empty(n, dtype=np.result_type(v.dtype, np.float64))
     out[1:] = v[1:n]
     out[0] = v[n]
     return out
 
 
-def forward(f: np.ndarray) -> Spectrum:
-    """Forward transform of a real or complex vector in residue layout."""
-    f = np.asarray(f)
+def _length(f: np.ndarray) -> int:
+    """Length of a vector about to be transformed, within the cap."""
     n = f.shape[0]
     if n < 1:
         raise UsageError("cannot transform an empty vector")
-    if n > MAX_TRANSFORM_LENGTH:
-        raise ResourceLimitError(f"transform length capped at 1e7, got {n}")
-    return Spectrum(n=n, values=np.fft.fft(f))
+    check_extents([n])
+    return n
+
+
+def forward(f: np.ndarray) -> Spectrum:
+    """Forward transform of a real or complex vector in residue layout."""
+    f = np.asarray(f)
+    return Spectrum(n=_length(f), values=np.fft.fft(f))
 
 
 def forward_real(f: np.ndarray) -> np.ndarray:
     """Half spectrum F(xi), 0 <= xi <= n//2, of a real vector in residue
     layout (one rfft); the rest is F(n - xi) = conj F(xi)."""
     f = np.asarray(f)
-    n = f.shape[0]
-    if n < 1:
-        raise UsageError("cannot transform an empty vector")
-    if n > MAX_TRANSFORM_LENGTH:
-        raise ResourceLimitError(f"transform length capped at 1e7, got {n}")
+    _length(f)
     return np.fft.rfft(f)
 
 
@@ -139,31 +157,6 @@ def inverse(spectrum: Spectrum) -> np.ndarray:
     return np.fft.ifft(spectrum.values)
 
 
-def cyclic_convolution(f: np.ndarray, g: np.ndarray, method: str = "auto") -> np.ndarray:
-    """Cyclic convolution (f * g)(x) = sum_y f(y) g(x - y) on Z/nZ.
-
-    ``method`` is "direct" (O(n^2), used automatically for n <= 4096),
-    "fft" (forward/inverse via the convolution theorem), or "auto".
-    """
-    f = np.asarray(f)
-    g = np.asarray(g)
-    if f.shape != g.shape or f.ndim != 1:
-        raise UsageError(f"convolution needs equal-length vectors, got {f.shape} and {g.shape}")
-    n = f.shape[0]
-    if method == "auto":
-        method = "direct" if n <= DIRECT_CONVOLUTION_LIMIT else "fft"
-    if method == "direct":
-        out = np.zeros(n, dtype=np.result_type(f.dtype, g.dtype, np.float64))
-        for y in range(n):
-            fy = f[y]
-            if fy != 0:
-                out += fy * np.roll(g, y)
-        return out
-    if method == "fft":
-        return inverse(Spectrum(n, forward(f).values * forward(g).values))
-    raise UsageError(f"unknown convolution method {method!r}")
-
-
 def plancherel_residual(f: np.ndarray) -> float:
     """Relative defect of the energy identity (1/n) sum |F(xi)|^2 =
     sum |f(x)|^2; zero input returns 0 exactly."""
@@ -172,15 +165,3 @@ def plancherel_residual(f: np.ndarray) -> float:
     spectral = float(np.sum(np.abs(forward(f).values) ** 2)) / f.shape[0]
     gap = abs(spectral - energy)
     return gap / energy if energy > 0 else gap
-
-
-def subgroup_slice(spectrum: Spectrum, Q: int, xi: int) -> np.ndarray:
-    """The length-Q coset sample r -> F(xi + r*n/Q); requires Q | n and
-    0 <= xi < n/Q."""
-    n = spectrum.n
-    if Q < 1 or n % Q:
-        raise UsageError(f"subgroup sampling requires Q | n, got Q={Q}, n={n}")
-    step = n // Q
-    if not 0 <= xi < step:
-        raise UsageError(f"offset must satisfy 0 <= xi < n/Q, got {xi}")
-    return spectrum.values[xi::step].copy()

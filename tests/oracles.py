@@ -135,14 +135,6 @@ def dft_direct(values: np.ndarray) -> np.ndarray:
     return kernel @ v
 
 
-def cyclic_convolution_naive(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    n = len(f)
-    out = np.zeros(n, dtype=np.complex128)
-    for x in range(n):
-        out[x] = sum(f[y] * g[(x - y) % n] for y in range(n))
-    return out
-
-
 # --- high-precision constants ----------------------------------------------
 
 def twin_constant_highprec(cutoff: int, dps: int = 30):

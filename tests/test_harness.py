@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from primepairs import UsageError
+from primepairs import ResourceLimitError, UsageError
 from primepairs import harness, sieve
 from primepairs.cli import main
 from primepairs.harness import (
@@ -351,9 +351,14 @@ class TestCacheAdmin:
         assert "purged" in cache_admin("purge", 10**4, tmp_path)
 
     def test_purge_missing_is_noop_with_warning(self, tmp_path, capsys):
-        status = cache_admin("purge", 555, tmp_path)
-        assert "no-op" in status
-        assert "warning" in capsys.readouterr().err
+        assert main(["sieve", "--action", "purge", "--n", "555", "--cache-dir", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert "no-op" in captured.out
+        assert "warning" in captured.err
+
+    def test_purge_missing_returns_without_printing(self, tmp_path, capsys):
+        assert cache_admin("purge", 555, tmp_path).startswith("no-op")
+        assert capsys.readouterr() == ("", "")
 
     def test_verify_hashes_the_table_once(self, tmp_path, fnv_calls):
         cache_admin("build", 3000, tmp_path)
@@ -430,6 +435,47 @@ class TestCli:
         assert "100,2,8,8,8" in printed
         assert out_file.exists()
         assert "n,two_k,linear,circular,spectral" in out_file.read_text()
+
+    def test_pairs_honours_spectral_pair_count_tolerance(self, capsys):
+        # the rounding residual at n = 1e6 is about 1e-12, far above 1e-30 * n
+        argv = ["pairs", "--n", "1000000", "--two-k", "4"]
+        assert main(argv + ["--tolerance", "spectral-pair-count=1e-30"]) == 2
+        assert "spectral-pair-count" in capsys.readouterr().err
+        assert main(argv) == 0
+
+    def test_format_only_on_pairs(self, tmp_path, capsys):
+        for verb in ("verify", "decompose", "constants", "spectrum", "sweep"):
+            argv = [verb, "--n", "30", "--two-k", "2", "--format", "json", "--out", str(tmp_path / verb)]
+            assert main(argv) == 1, verb
+            assert not (tmp_path / verb).exists()
+        out_file = tmp_path / "pairs.json"
+        argv = ["pairs", "--n", "100,120", "--two-k", "2,6", "--format", "json", "--out", str(out_file)]
+        assert main(argv) == 0
+        rows = json.loads(out_file.read_text())
+        assert rows[0] == {"n": 100, "two_k": 2, "linear": 8, "circular": 8, "spectral": 8}
+
+    def test_over_cap_extent_rejected_before_any_work(self, tmp_path, monkeypatch, capsys):
+        builds = []
+        monkeypatch.setattr(sieve, "build_table", lambda *a, **kw: builds.append(a))
+        out = tmp_path / "out"
+        # round_up_multiple(10**7, 6) = 10000002 is over the 1e7 transform cap
+        code = main(["verify", "--n", str(10**7), "--z", "5", "--out", str(out)])
+        assert code == 3
+        assert builds == []
+        assert not out.exists()
+        assert "10000002" in capsys.readouterr().err
+
+    def test_every_over_cap_extent_named_at_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sieve, "build_table", lambda *a, **kw: pytest.fail("sieved"))
+        config = small_config("identity-suite", tmp_path, n_values=[10**7], z_schedule=[5, 7, 11, 13])
+        with pytest.raises(ResourceLimitError, match="10000002, 10000020, 10000200, 10002300$"):
+            run(config)
+        config = small_config("decompose", tmp_path, n_values=[9699690, 10**7], z_schedule=[7])
+        with pytest.raises(ResourceLimitError, match="got 10000020$"):
+            run(config)
+        config = small_config("spectrum-export", tmp_path, n_values=[30, 10**7 + 1])
+        with pytest.raises(ResourceLimitError, match="got 10000001$"):
+            run(config)
 
     def test_constants_verb(self, tmp_path, capsys):
         code = main(

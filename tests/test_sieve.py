@@ -125,9 +125,10 @@ class TestPairCounts:
         assert pair_count_circular(table_100, 0) == table_100.pi(100)
 
     def test_circular_against_enumeration(self):
+        # every even shift, up to n = 2k + 2 and 2k = n - 1 for odd n
         for n in (10, 30, 97, 120):
             t = build_table(n)
-            for two_k in (0, 2, 6):
+            for two_k in range(0, n, 2):
                 assert pair_count_circular(t, two_k) == oracles.pair_count_circular_naive(
                     n, two_k
                 ), (n, two_k)
@@ -332,23 +333,35 @@ class TestMemoryModel:
     N = 10**6
 
     @classmethod
-    def _peak_per_entry(cls, fn, *args):
+    def _traced(cls, fn, *args):
+        """(result, traced peak bytes per entry) of one call."""
         tracemalloc.start()
         try:
             result = fn(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert result.n == cls.N
-        return peak / (cls.N + 1)
+        return result, peak / (cls.N + 1)
 
     def test_build_table(self):
-        assert self._peak_per_entry(build_table, self.N) < 1.5
+        table, per_entry = self._traced(build_table, self.N)
+        assert table.n == self.N
+        assert per_entry < 1.5
 
     def test_load_table(self, tmp_path):
         # saving hashes first, so the hash's power table is not counted
         path = save_table(build_table(self.N), tmp_path / "t.pspc")
-        assert self._peak_per_entry(load_table, path) < 2.5
+        table, per_entry = self._traced(load_table, path)
+        assert table.n == self.N
+        assert per_entry < 2.5
+
+    def test_pair_count_circular(self, table_1e6):
+        # slices of the bitmap: no ring copy, no roll
+        count, per_entry = self._traced(pair_count_circular, table_1e6, 6)
+        assert per_entry < 1.5
+        mask = oracles.sieve_numpy_independent(self.N)
+        ring = np.concatenate((mask[self.N :], mask[1 : self.N]))
+        assert count == np.count_nonzero(ring & np.roll(ring, -6))
 
 
 class TestFnv1a64:

@@ -9,20 +9,19 @@ from primepairs import (
     UsageError,
     as_ring,
     build_table,
-    cyclic_convolution,
     forward,
     inverse,
-    pair_count_circular,
-    phases,
     plancherel_residual,
-    subgroup_slice,
 )
 from primepairs.transform import (
+    MAX_TRANSFORM_LENGTH,
+    check_extents,
     forward_real,
     inverse_real,
     mirror_power,
-    phase_weights,
+    require_divisor,
     spectrum_at,
+    unit_phase,
 )
 
 import oracles
@@ -47,7 +46,7 @@ class TestForward:
         f[1] = 1.0
         values = forward(f).values
         assert np.allclose(np.abs(values), 1.0)
-        assert np.allclose(values, phases(n, 1))
+        assert np.allclose(values, unit_phase(n, np.arange(n)))
 
     def test_constant_function(self):
         n = 17
@@ -87,6 +86,7 @@ class TestInverse:
     def test_recovers_prime_indicator(self):
         t = build_table(6)
         ring = t.ring_indicator()
+        assert ring.dtype == np.float64
         back = inverse(forward(ring))
         assert np.allclose(back.real, ring, atol=1e-12)
         # primes 2, 3, 5 sit at their own slots
@@ -99,62 +99,6 @@ class TestInverse:
             values = forward(f).values
             sym_gap = np.abs(values[1:][::-1] - np.conj(values[1:])).max()
             assert sym_gap < 1e-8 * np.abs(f).sum()
-
-
-class TestConvolution:
-    def test_delta_is_identity(self):
-        n = 9
-        delta = np.zeros(n)
-        delta[0] = 1.0
-        g = _rng().normal(size=n)
-        assert np.allclose(cyclic_convolution(delta, delta)[0], 1.0)
-        assert np.allclose(cyclic_convolution(delta, g), g, atol=1e-12)
-
-    def test_reproduces_circular_pair_count(self):
-        n, two_k = 30, 2
-        t = build_table(n)
-        ring = t.ring_indicator()
-        reversed_ring = ring[(-np.arange(n)) % n]  # P(-x) in residue layout
-        correlation = cyclic_convolution(ring, reversed_ring)
-        value = correlation[(-two_k) % n]
-        assert value.real == pytest.approx(pair_count_circular(t, two_k), abs=1e-9)
-
-    def test_ones_against_sum(self):
-        g = _rng().normal(size=21)
-        out = cyclic_convolution(np.ones(21), g)
-        assert np.allclose(out, g.sum(), atol=1e-9)
-
-    def test_direct_and_fft_paths_agree(self):
-        rng = _rng()
-        for n in (8, 129, 1000):
-            f = rng.normal(size=n) + 1j * rng.normal(size=n)
-            g = rng.normal(size=n) + 1j * rng.normal(size=n)
-            direct = cyclic_convolution(f, g, method="direct")
-            fast = cyclic_convolution(f, g, method="fft")
-            scale = np.abs(direct).max()
-            assert np.abs(direct - fast).max() < 1e-8 * max(1.0, scale)
-
-    def test_matches_naive_double_loop(self):
-        rng = _rng()
-        f = rng.normal(size=17)
-        g = rng.normal(size=17)
-        assert np.allclose(
-            cyclic_convolution(f, g), oracles.cyclic_convolution_naive(f, g), atol=1e-9
-        )
-
-    def test_convolution_theorem(self):
-        rng = _rng()
-        for n in (12, 100, 4096):
-            f = rng.normal(size=n)
-            g = rng.normal(size=n)
-            lhs = forward(cyclic_convolution(f, g)).values
-            rhs = forward(f).values * forward(g).values
-            scale = np.abs(rhs).max()
-            assert np.abs(lhs - rhs).max() < 1e-8 * max(1.0, scale)
-
-    def test_length_mismatch(self):
-        with pytest.raises(UsageError):
-            cyclic_convolution(np.ones(3), np.ones(4))
 
 
 class TestPlancherel:
@@ -173,30 +117,6 @@ class TestPlancherel:
         assert plancherel_residual(f) < 1e-10
 
 
-class TestSubgroupSlice:
-    def test_whole_spectrum_when_q_equals_n(self):
-        values = forward(_rng().normal(size=30)).values
-        sliced = subgroup_slice(Spectrum(30, values), 30, 0)
-        assert np.array_equal(sliced, values)
-
-    def test_q_one_is_dc_sample(self):
-        spec = forward(_rng().normal(size=12))
-        assert subgroup_slice(spec, 1, 0) == pytest.approx(spec.values[:1])
-
-    def test_offsets_partition_spectrum(self):
-        n, Q = 60, 6
-        spec = forward(_rng().normal(size=n))
-        seen = np.concatenate([subgroup_slice(spec, Q, xi) for xi in range(n // Q)])
-        assert sorted(map(complex, seen), key=lambda z: (z.real, z.imag)) == sorted(
-            map(complex, spec.values), key=lambda z: (z.real, z.imag)
-        )
-
-    def test_rejects_non_divisor(self):
-        spec = forward(np.ones(10))
-        with pytest.raises(UsageError):
-            subgroup_slice(spec, 3, 0)
-
-
 class TestRingLayout:
     def test_slot_zero_takes_element_n(self):
         v = np.array([0.0, 10.0, 20.0, 30.0])  # values at x = 1, 2, 3
@@ -205,8 +125,40 @@ class TestRingLayout:
 
     def test_phases_reduce_angles_exactly(self):
         n = 48
-        assert np.allclose(phases(n, n + 3), phases(n, 3), atol=1e-15)
-        assert phases(n, 0) == pytest.approx(np.ones(n))
+        xi = np.arange(n)
+        assert np.allclose(unit_phase(n, (n + 3) * xi), unit_phase(n, 3 * xi), atol=1e-15)
+        assert unit_phase(n, 0 * xi) == pytest.approx(np.ones(n))
+        # the angle is formed from k mod n, so k and k + j*n give equal floats
+        k = np.array([-7, 0, 5, 47, 10**12 + 5], dtype=np.int64)
+        assert np.array_equal(unit_phase(n, k), unit_phase(n, k % n))
+
+    def test_boolean_and_integer_input_become_float64(self):
+        ring = as_ring(np.array([False, True, False, True]))
+        assert ring.dtype == np.float64
+        assert list(ring) == [1.0, 1.0, 0.0]
+        assert as_ring(np.arange(5)).dtype == np.float64
+        assert as_ring(np.arange(5) * 1j).dtype == np.complex128
+
+
+class TestConventions:
+    """The Q | n check and the transform cap, each defined once."""
+
+    @pytest.mark.parametrize("n, Q", [(30, 0), (30, -6), (30, 7), (1, 2)])
+    def test_non_divisor_rejected(self, n, Q):
+        with pytest.raises(UsageError, match="requires Q [|] n"):
+            require_divisor(n, Q, "subgroup identity")
+
+    @pytest.mark.parametrize("n, Q", [(30, 1), (30, 6), (30, 30)])
+    def test_divisor_accepted(self, n, Q):
+        require_divisor(n, Q, "subgroup identity")
+
+    def test_cap_names_every_extent_over_it(self):
+        check_extents([1, MAX_TRANSFORM_LENGTH])
+        over = [MAX_TRANSFORM_LENGTH + 20, MAX_TRANSFORM_LENGTH + 2, MAX_TRANSFORM_LENGTH + 2]
+        with pytest.raises(ResourceLimitError, match="got 10000002, 10000020$"):
+            check_extents(over + [30])
+        with pytest.raises(UsageError, match="spectral extent capped"):
+            check_extents(over, "spectral extent", UsageError)
 
 
 class TestRealSpectrum:
@@ -244,8 +196,3 @@ class TestRealSpectrum:
     def test_length_budget(self):
         with pytest.raises(ResourceLimitError):
             forward_real(np.zeros(10**7 + 1, dtype=np.float32))
-
-    def test_phase_weights_are_leading_phases(self):
-        for n, multiplier in ((48, 5), (49, 2), (30, 30 + 4)):
-            for count in (0, 1, n // 2, n):
-                assert np.array_equal(phase_weights(n, multiplier, count), phases(n, multiplier)[:count])
