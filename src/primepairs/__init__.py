@@ -32,7 +32,6 @@ from .factored import (
 )
 from .sieve import (
     PrimeTable,
-    ResidueProfile,
     build_table,
     load_table,
     pair_count_circular,
@@ -44,7 +43,6 @@ from .sieve import (
     von_mangoldt_vector,
 )
 from .transform import (
-    Spectrum,
     as_ring,
     forward,
     inverse,
@@ -94,7 +92,6 @@ __all__ = [
     "coprime_pair_count_bruteforce",
     "coprime_pair_count_inclusion_exclusion",
     "PrimeTable",
-    "ResidueProfile",
     "build_table",
     "save_table",
     "load_table",
@@ -104,7 +101,6 @@ __all__ = [
     "pair_count_linear",
     "pair_count_circular",
     "von_mangoldt_vector",
-    "Spectrum",
     "forward",
     "inverse",
     "plancherel_residual",

@@ -119,11 +119,10 @@ def _config_from_args(args: argparse.Namespace, mode: str) -> ExperimentConfig:
         raw["stamp"] = True
     if getattr(args, "function", None):
         raw["source_function"] = args.function
-    overrides = dict(raw.pop("tolerances", {}))
-    for pair in args.tolerance:
-        key, value = _tolerance_pair(pair)
-        overrides[key] = value
-    raw["tolerances"] = overrides
+    # a tolerances value that is no object is left for validate_config to report
+    overrides = raw.get("tolerances", {})
+    if isinstance(overrides, dict):
+        raw["tolerances"] = {**overrides, **dict(map(_tolerance_pair, args.tolerance))}
     try:
         config = ExperimentConfig(**raw)
     except TypeError as exc:

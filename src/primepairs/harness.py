@@ -50,7 +50,7 @@ MODES = ("identity-suite", "decompose", "constants", "spectrum-export", "hl-rati
 # Scale-factor tolerances; each identity documents the scale it multiplies.
 DEFAULT_TOLERANCES = {
     "spectral-pair-count": 1e-6,       # x n
-    "round-trip": 1e-8,                # x max(1, max|f|)
+    "round-trip": 1e-8,                # absolute: the 0/1 ring has max|f| = 1
     "plancherel": 1e-8,                # relative
     "twisted-plancherel": 1e-8,        # relative, per residue class
     "parity-half-spectrum": 1e-6,      # x pi(n)
@@ -86,30 +86,50 @@ CONFIG_KEYS = set(ExperimentConfig.__dataclass_fields__)
 def validate_config(config: ExperimentConfig) -> list[str]:
     """Collect every violation; an empty list means the config is valid."""
     problems = []
+
+    def typed(key, types, what, fallback):
+        value = getattr(config, key)
+        if isinstance(value, types):
+            return value
+        problems.append(f"{key} must be {what}, got {value!r}")
+        return fallback
+
     if config.mode not in MODES:
         problems.append(f"mode must be one of {list(MODES)}, got {config.mode!r}")
+    n_values, two_k_values, z_schedule = (
+        typed(key, (list, tuple), "a list", []) for key in ("n_values", "two_k_values", "z_schedule")
+    )
+    typed("output_dir", (str, Path), "a path", None)
+    typed("cache_dir", (str, Path, type(None)), "a path or null", None)
+    typed("stamp", bool, "true or false", None)
+    tolerances = typed("tolerances", dict, "an object", {})
     if not config.n_values:
         problems.append("n_values must not be empty")
     if not config.two_k_values:
         problems.append("two_k_values must not be empty")
-    for k in config.two_k_values:
+    for k in two_k_values:
         if not isinstance(k, int) or k < 2 or k % 2:
             problems.append(f"every 2k must be an even integer >= 2, got {k!r}")
-    if config.two_k_values and all(isinstance(k, int) for k in config.two_k_values):
-        floor = max(config.two_k_values) + 2
-        for n in config.n_values:
-            if not isinstance(n, int) or n < floor:
-                problems.append(f"every n must be an integer >= max(2k)+2 = {floor}, got {n!r}")
-    for z in config.z_schedule:
+    # the floor max(2k)+2 holds where pairs are counted at n; constants reads no n
+    floor = None
+    if config.mode == "spectrum-export":
+        floor, rule = 2, "2"
+    elif config.mode != "constants" and two_k_values and all(isinstance(k, int) for k in two_k_values):
+        floor = max(two_k_values) + 2
+        rule = f"max(2k)+2 = {floor}"
+    for n in n_values if floor else ():
+        if not isinstance(n, int) or n < floor:
+            problems.append(f"every n must be an integer >= {rule}, got {n!r}")
+    for z in z_schedule:
         if not isinstance(z, int) or z < 2:
             problems.append(f"every z must be an integer >= 2, got {z!r}")
     if config.out_format not in ("csv", "json"):
         problems.append(f"format must be csv or json, got {config.out_format!r}")
     if config.source_function not in ("prime", "mangoldt"):
         problems.append(f"source_function must be prime or mangoldt, got {config.source_function!r}")
-    if config.cutoff < 3:
-        problems.append(f"cutoff must be >= 3, got {config.cutoff}")
-    for key, value in config.tolerances.items():
+    if not isinstance(config.cutoff, int) or config.cutoff < 3:
+        problems.append(f"cutoff must be an integer >= 3, got {config.cutoff!r}")
+    for key, value in tolerances.items():
         if key not in DEFAULT_TOLERANCES:
             problems.append(f"unknown tolerance key {key!r} (known: {sorted(DEFAULT_TOLERANCES)})")
         else:
@@ -344,7 +364,7 @@ def _subgroup_rows(
     worst = 0.0
     for a in {0, 1, Q - 1}:
         masked = np.where(slots == a, sub_ring, 0.0)
-        energy = float(np.sum(np.abs(np.fft.fft(masked)) ** 2)) / adjusted
+        energy = float(np.sum(np.abs(forward(masked)) ** 2)) / adjusted
         count = pi_progression(sub_table, Q, a)
         worst = max(worst, abs(energy - count) / max(count, 1))
     record(
@@ -473,11 +493,10 @@ def _run_spectrum_export(config: ExperimentConfig, out: Path) -> RunResult:
             ring = _table(config, n).ring_indicator()
         else:
             ring = as_ring(von_mangoldt_vector(n))
-        spectrum = forward(ring)
         meta = _report_meta(config, n=n, source_function=config.source_function)
         csv_path, json_path = write_spectrum_export(
             out / f"spectrum_n{n}_{config.source_function}",
-            spectrum.values,
+            forward(ring),
             config.source_function,
             meta,
             stamp=config.stamp,
@@ -510,6 +529,7 @@ def _run_sweep(config: ExperimentConfig, out: Path) -> RunResult:
 
 def pairs_report(config: ExperimentConfig) -> list[tuple]:
     """Rows (n, 2k, linear, circular, spectral) with all three counts."""
+    check_extents(config.n_values, "pairs transform length")
     rows = []
     for n in config.n_values:
         table = _table(config, n)

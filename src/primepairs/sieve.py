@@ -2,13 +2,14 @@
 
 A PrimeTable is an immutable bitmap of primality on {1..n}; on top of it
 sit prime and progression counts, linear and circular pair counts,
-twisted progression sums, and the von Mangoldt weight vector.  The
-Z/nZ conventions these use are the ones ``transform`` defines: the ring
-layout (``as_ring``), the phase e_n(-k) (``unit_phase``) and the Q | n
-check (``require_divisor``).  Linear and circular pair counts AND slices
-of the bitmap and copy no ring.  Construction is a single blocking call;
-all queries afterwards are read-only and safe to use from concurrent
-callers.  A table fills a few derived arrays on first use (its primes,
+twisted progression sums (``residue_profile`` returns a plain length-Q
+array), and the von Mangoldt weight vector.  The Z/nZ conventions these
+use are the ones ``transform`` defines: the ring layout (``as_ring``),
+the phase e_n(-k) (``unit_phase``), the Q | n check (``require_divisor``)
+and the transform (``forward_real``, the table's half spectrum).  Linear
+and circular pair counts AND slices of the bitmap and copy no ring.
+Construction is a single blocking call; all queries afterwards are
+read-only and safe to use from concurrent callers.  A table fills a few derived arrays on first use (its primes,
 checksum, half spectrum and circular pair correlation); concurrent first
 calls each compute the same array and either result may be kept.
 
@@ -153,21 +154,6 @@ class PrimeTable:
         return self._checksum
 
 
-@dataclass(eq=False)
-class ResidueProfile:
-    """Per-residue prime counts modulo Q up to extent n.
-
-    ``values[a]`` is the plain count pi(n, Q, a) when ``xi`` is None, or
-    the complex twisted sum of exp(-2*pi*i*x*xi/n) over primes x = a mod Q
-    when ``xi`` is a frequency in [0, n).
-    """
-
-    Q: int
-    n: int
-    xi: int | None
-    values: np.ndarray
-
-
 def build_table(n: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> PrimeTable:
     """Sieve primality on {1..n} with a segmented Eratosthenes pass.
 
@@ -220,27 +206,27 @@ def pi_progression(table: PrimeTable, q: int, a: int) -> int:
     return int(np.count_nonzero(table.is_prime[start :: q]))
 
 
-def residue_profile(table: PrimeTable, Q: int, xi: int | None = None) -> ResidueProfile:
+def residue_profile(table: PrimeTable, Q: int, xi: int | None = None) -> np.ndarray:
     """All per-residue counts mod Q in one pass over the sieved primes.
 
-    With ``xi`` given, accumulates the twisted sums instead; requires
-    Q | n in that case so that frequencies factor cleanly over residues.
+    Entry a is the plain count pi(n, Q, a) as a float when ``xi`` is None,
+    or the complex twisted sum of exp(-2*pi*i*x*xi/n) over primes
+    x = a (mod Q) when ``xi`` is a frequency in [0, n); the twisted sums
+    require Q | n so that frequencies factor cleanly over residues.
     """
     if Q < 1 or Q > table.n:
         raise UsageError(f"need 1 <= Q <= n, got Q={Q}, n={table.n}")
     primes = table.primes()
     classes = primes % Q
     if xi is None:
-        counts = np.bincount(classes, minlength=Q).astype(np.float64)
-        return ResidueProfile(Q=Q, n=table.n, xi=None, values=counts)
+        return np.bincount(classes, minlength=Q).astype(np.float64)
     require_divisor(table.n, Q, "twisted profiles")
     if not 0 <= xi < table.n:
         raise UsageError(f"frequency must satisfy 0 <= xi < n, got {xi}")
     phases = unit_phase(table.n, primes * xi)
-    values = np.bincount(classes, weights=phases.real, minlength=Q) + 1j * np.bincount(
+    return np.bincount(classes, weights=phases.real, minlength=Q) + 1j * np.bincount(
         classes, weights=phases.imag, minlength=Q
     )
-    return ResidueProfile(Q=Q, n=table.n, xi=xi, values=values)
 
 
 def twisted_progression_count(table: PrimeTable, xi: int, Q: int, a: int) -> complex:

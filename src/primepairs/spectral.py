@@ -19,11 +19,11 @@ irfft of its power (``PrimeTable.correlation``); ``decompose`` and
 ``error_spectrum_stats`` regroup its power mirrored to length n;
 ``half_spectrum_pair_value`` reads its power directly; and
 ``rho_identity_check`` and ``half_spectrum_residual`` take the samples
-F(n - m) as conj F(m).  The mod-Q transforms of residue profiles stay
-direct, being the independent side of those identities.  The phase
-weights e_n(-k), the Q | n check and the 1e7 extent cap are the ones
-``transform`` defines (``unit_phase``, ``require_divisor``,
-``check_extents``).
+F(n - m) as conj F(m).  The length-Q transforms of residue profiles, the
+independent side of those identities, are ``transform.forward`` and
+``inverse`` calls like every other.  The phase weights e_n(-k), the Q | n
+check and the 1e7 extent cap are the ones ``transform`` defines
+(``unit_phase``, ``require_divisor``, ``check_extents``).
 
 Conjugation note: for a complex twisted profile rho the subgroup inversion
 produces sum_a rho(a) * conj(rho(a + 2k)); the conjugate on the shifted
@@ -54,7 +54,9 @@ from .transform import (
     as_ring,
     autocorrelation,
     check_extents,
+    forward,
     forward_real,
+    inverse,
     mirror_power,
     require_divisor,
     spectrum_at,
@@ -166,8 +168,8 @@ def rho_identity_check(
     require_divisor(n, Q, "subgroup identity")
     t = _table_for(n, table)
     coset = spectrum_at(t.spectrum(), n, np.arange(Q, dtype=np.int64) * (n // Q))
-    rho = residue_profile(t, Q).values
-    deviation = float(np.abs(coset - np.fft.fft(rho)).max())
+    rho = residue_profile(t, Q)
+    deviation = float(np.abs(coset - forward(rho)).max())
     budget = tol * max(t.pi(n), 1)
     if deviation > budget:
         raise IdentityError("subgroup-restriction", deviation, budget, f"n={n}, Q={Q}")
@@ -182,7 +184,7 @@ def main_term_convolution(
     transform."""
     require_divisor(n, Q, "main-term convolution")
     t = _table_for(n, table)
-    rho = residue_profile(t, Q).values
+    rho = residue_profile(t, Q)
     return float(Q / n * np.dot(rho, np.roll(rho, -(two_k % Q))))
 
 
@@ -284,10 +286,9 @@ def error_probe(
     if not 0 < xi < n // Q:
         raise UsageError(f"need 0 < xi < n/Q, got xi={xi}")
     t = _table_for(n, table)
-    rho = residue_profile(t, Q, xi=xi).values
+    rho = residue_profile(t, Q, xi=xi)
     correlation = complex(np.sum(rho * np.conj(np.roll(rho, -(two_k % Q)))))
-    transformed = np.fft.fft(rho)
-    inverted = complex(np.fft.ifft(np.abs(transformed) ** 2)[(-two_k) % Q])
+    inverted = complex(inverse(np.abs(forward(rho)) ** 2)[(-two_k) % Q])
     budget = tol * max(t.pi(n), 1) ** 2
     gap = abs(correlation - inverted)
     if gap > budget:

@@ -18,6 +18,9 @@ not divide n (Fourier analysis on Z/QZ ties to Z/nZ only when Q | n);
 ``check_extents`` enforces the one length cap, ``MAX_TRANSFORM_LENGTH``;
 and ``as_ring`` lays a function on {1..n} out by residue.
 
+Every transform in the package is a call here, on plain arrays: this is
+the only module that names ``numpy.fft``, and each call checks its length.
+
 The fast path delegates to numpy's pocketfft, which implements exactly
 this forward kernel with mixed-radix decomposition plus a Bluestein
 chirp-transform fallback for large prime factors, so arbitrary composite
@@ -35,12 +38,10 @@ table reads it: ``inverse_real`` inverts it (the round trip),
 shift at once, ``spectrum_at`` samples F at any frequency, and
 ``mirror_power`` extends |F|^2 to all of Z/nZ.
 ``forward``, ``inverse`` and ``plancherel_residual`` stay full complex
-transforms: they are the direct routes the identities are checked by.
+transforms, at length n or Q: the direct routes the identities are checked by.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,15 +49,6 @@ from .errors import ResourceLimitError, UsageError
 
 FORWARD_CONVENTION = "forward = sum_x f(x) exp(-2*pi*i*xi*x/n); inverse carries 1/n"
 MAX_TRANSFORM_LENGTH = 10**7
-
-
-@dataclass(eq=False)
-class Spectrum:
-    """Length-n complex spectrum under the package-wide convention."""
-
-    n: int
-    values: np.ndarray
-    convention: str = FORWARD_CONVENTION
 
 
 def unit_phase(n: int, k) -> np.ndarray:
@@ -106,10 +98,12 @@ def _length(f: np.ndarray) -> int:
     return n
 
 
-def forward(f: np.ndarray) -> Spectrum:
-    """Forward transform of a real or complex vector in residue layout."""
+def forward(f: np.ndarray) -> np.ndarray:
+    """Forward transform of a real or complex vector in residue layout,
+    as the complex array F(xi), 0 <= xi < n."""
     f = np.asarray(f)
-    return Spectrum(n=_length(f), values=np.fft.fft(f))
+    _length(f)
+    return np.fft.fft(f)
 
 
 def forward_real(f: np.ndarray) -> np.ndarray:
@@ -150,11 +144,12 @@ def mirror_power(power: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate((power, power[(n - 1) // 2 : 0 : -1]))
 
 
-def inverse(spectrum: Spectrum) -> np.ndarray:
-    """Inverse transform (with the 1/n factor), returning a complex vector."""
-    if spectrum.values.shape[0] != spectrum.n:
-        raise UsageError("spectrum length disagrees with its declared n")
-    return np.fft.ifft(spectrum.values)
+def inverse(spectrum: np.ndarray) -> np.ndarray:
+    """Inverse transform (with the 1/n factor) of a length-n spectrum,
+    returning a complex vector."""
+    spectrum = np.asarray(spectrum)
+    _length(spectrum)
+    return np.fft.ifft(spectrum)
 
 
 def plancherel_residual(f: np.ndarray) -> float:
@@ -162,6 +157,6 @@ def plancherel_residual(f: np.ndarray) -> float:
     sum |f(x)|^2; zero input returns 0 exactly."""
     f = np.asarray(f)
     energy = float(np.sum(np.abs(f) ** 2))
-    spectral = float(np.sum(np.abs(forward(f).values) ** 2)) / f.shape[0]
+    spectral = float(np.sum(np.abs(forward(f)) ** 2)) / f.shape[0]
     gap = abs(spectral - energy)
     return gap / energy if energy > 0 else gap

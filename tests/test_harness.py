@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -20,6 +21,7 @@ from primepairs.harness import (
 )
 from primepairs.reports import csv_body, render_csv
 from primepairs.sieve import fnv1a64
+from primepairs.spectral import error_probe
 
 
 def small_config(mode, tmp_path, **kw):
@@ -153,12 +155,18 @@ class TestTransformBudget:
     )
 
     @pytest.fixture
-    def calls(self, monkeypatch):
+    def callers(self):
+        """The module that made each numpy.fft call in the test, in order."""
+        return []
+
+    @pytest.fixture
+    def calls(self, monkeypatch, callers):
         """(entry point, input copy) of every numpy.fft call in the test."""
         seen = []
         for name in self.FFT_ENTRY_POINTS:
             def counted(a, *args, _name=name, _original=getattr(np.fft, name), **kwargs):
                 seen.append((_name, np.array(a)))
+                callers.append(sys._getframe(1).f_globals["__name__"])
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
@@ -210,6 +218,14 @@ class TestTransformBudget:
         # mod-Q transform of the residue counts and three class masks
         budget = len(extents) + 5 * len(n_values) + 4 * len(n_values) * len(z_values)
         assert len(calls) <= budget
+
+    def test_every_transform_goes_through_transform_module(self, tmp_path, calls, callers, table_9240):
+        argv = ["verify", "--n", "2310,1001", "--z", "5,7,11", "--two-k", "2,4,6", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        error_probe(9240, 30, 2, 77, table_9240)
+        # the class masks, the mod-Q transforms and error_probe's fft/ifft
+        assert {name for name, _ in calls} >= {"fft", "ifft", "rfft", "irfft"}
+        assert set(callers) == {"primepairs.transform"}
 
 
 class TestModeOutputs:
@@ -503,6 +519,42 @@ class TestCli:
         assert code == 0
         sidecar = json.loads((tmp_path / "spectrum_n60_mangoldt.json").read_text())
         assert sidecar["source_function"] == "mangoldt"
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"n_values": 5},
+            {"z_schedule": 7},
+            {"two_k_values": 4},
+            {"cutoff": "x"},
+            {"tolerances": 5},
+            {"output_dir": 5},
+            {"cache_dir": 7},
+            {"stamp": "no"},
+        ],
+    )
+    def test_malformed_config_file_is_a_usage_error(self, tmp_path, capsys, raw):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(raw))
+        assert main(["verify", "--config", str(config), "--tolerance", "plancherel=1e-8"]) == 1
+        err = capsys.readouterr().err
+        assert "usage error: invalid config" in err
+        assert f"{next(iter(raw))} must be" in err
+
+    def test_pairs_over_cap_rejected_before_any_work(self, monkeypatch, capsys):
+        monkeypatch.setattr(sieve, "build_table", lambda *a, **kw: pytest.fail("sieved"))
+        assert main(["pairs", "--n", str(2 * 10**7), "--two-k", "2"]) == 3
+        assert "20000000" in capsys.readouterr().err
+
+    def test_n_floor_only_where_pairs_are_counted(self, tmp_path, capsys):
+        assert main(["spectrum", "--n", "5", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "spectrum_n5_prime.csv").read_text().splitlines()
+        assert len([line for line in lines if not line.startswith("#")]) == 1 + 5
+        assert main(["spectrum", "--n", "1", "--out", str(tmp_path)]) == 1
+        assert main(["constants", "--n", "3", "--two-k", "2", "--cutoff", "1000", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["sweep", "--n", "5", "--two-k", "4", "--out", str(tmp_path)]) == 1
+        assert "max(2k)+2 = 6" in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -97,7 +97,7 @@ class TestProgressionCounts:
         for Q in (3, 30, 2310):
             profile = residue_profile(table_9240, Q)
             for a in range(0, Q, max(1, Q // 37)):
-                assert profile.values[a] == pi_progression(table_9240, Q, a)
+                assert profile[a] == pi_progression(table_9240, Q, a)
 
     def test_rejects_bad_residue(self, table_100):
         with pytest.raises(UsageError):
@@ -189,11 +189,11 @@ class TestTwistedCounts:
         profile = residue_profile(table_9240, 30, xi=77)
         for a in (0, 1, 7, 29):
             single = twisted_progression_count(table_9240, 77, 30, a)
-            assert profile.values[a] == pytest.approx(single, abs=1e-9)
+            assert profile[a] == pytest.approx(single, abs=1e-9)
 
     def test_twisted_profile_at_zero_equals_untwisted(self, table_9240):
-        plain = residue_profile(table_9240, 30).values
-        twisted = residue_profile(table_9240, 30, xi=0).values
+        plain = residue_profile(table_9240, 30)
+        twisted = residue_profile(table_9240, 30, xi=0)
         assert np.allclose(twisted, plain, atol=1e-9)
         assert plain.sum() == table_9240.pi(table_9240.n)
 
