@@ -21,7 +21,7 @@ from . import __version__
 from .constants import hl_constant, li2, singular_series_product
 from .errors import UsageError
 from .factored import primorial
-from .reports import write_csv, write_json, write_spectrum_export
+from .reports import complex_rows, write_csv, write_json, write_spectrum_export
 from .sieve import (
     PrimeTable,
     build_table,
@@ -43,7 +43,14 @@ from .spectral import (
     pair_count_via_spectrum,
     rho_identity_check,
 )
-from .transform import as_ring, check_extents, forward, inverse_real, plancherel_residual
+from .transform import (
+    as_ring,
+    check_extents,
+    forward,
+    inverse_real,
+    plancherel_residual,
+    residue_columns,
+)
 
 MODES = ("identity-suite", "decompose", "constants", "spectrum-export", "hl-ratio-sweep")
 
@@ -105,7 +112,8 @@ def validate_config(config: ExperimentConfig) -> list[str]:
     tolerances = typed("tolerances", dict, "an object", {})
     if not config.n_values:
         problems.append("n_values must not be empty")
-    if not config.two_k_values:
+    # every mode but spectrum-export reads 2k
+    if not config.two_k_values and config.mode != "spectrum-export":
         problems.append("two_k_values must not be empty")
     for k in two_k_values:
         if not isinstance(k, int) or k < 2 or k % 2:
@@ -358,13 +366,14 @@ def _subgroup_rows(
     )
     # twisted energy identity on a few residue classes: the class-masked
     # spectrum is the twisted progression sum, so its mean power equals
-    # the plain class count; each mask keeps its own direct transform
-    sub_ring = sub_table.ring_indicator()
-    slots = np.arange(adjusted, dtype=np.int64) % Q
+    # the plain class count.  That spectrum is e_n(-xi a) times the
+    # length-n/Q transform of residue column a, so (1/m) sum |DFT_m|^2 is
+    # its mean power exactly; each class keeps its own direct transform
+    # of the masked data, independent of the cached spectrum
+    columns = residue_columns(sub_table.ring_indicator(), Q)
     worst = 0.0
-    for a in {0, 1, Q - 1}:
-        masked = np.where(slots == a, sub_ring, 0.0)
-        energy = float(np.sum(np.abs(forward(masked)) ** 2)) / adjusted
+    for a in {0, 1 % Q, Q - 1}:  # Q = 1 has the one class 0
+        energy = float(np.sum(np.abs(forward(columns[:, a])) ** 2)) / columns.shape[0]
         count = pi_progression(sub_table, Q, a)
         worst = max(worst, abs(energy - count) / max(count, 1))
     record(
@@ -440,16 +449,12 @@ def _run_decompose(config: ExperimentConfig, out: Path) -> RunResult:
                     "pair_count_linear": pair_count_linear(table, two_k),
                 }
                 files.append(write_json(out / f"{stem}.json", payload))
-                rows = (
-                    (xi, t.real, t.imag, abs(t))
-                    for xi, t in enumerate(report.error_spectrum)
-                )
                 files.append(
                     write_csv(
                         out / f"{stem}.csv",
                         meta,
                         ["xi", "re_T", "im_T", "abs_T"],
-                        rows,
+                        complex_rows(report.error_spectrum),
                         stamp=config.stamp,
                     )
                 )

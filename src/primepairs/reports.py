@@ -29,21 +29,54 @@ def fmt_value(x) -> str:
     return str(x)
 
 
-def render_csv(meta: dict, columns: list[str], rows, stamp: bool = False) -> str:
+CSV_BLOCK_ROWS = 1 << 16
+
+
+def _header(meta: dict, columns: list[str], stamp: bool) -> str:
     lines = [f"# {key}={fmt_value(meta[key])}" for key in sorted(meta)]
     if stamp:
         lines.append(f"# timestamp={datetime.now(timezone.utc).isoformat()}")
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(fmt_value(cell) for cell in row))
     return "\n".join(lines) + "\n"
 
 
+def _body(rows):
+    """The text of each row: a tuple of cells is rendered with fmt_value;
+    a str is text already rendered (whole lines, each ending in LF)."""
+    for row in rows:
+        yield row if isinstance(row, str) else ",".join(fmt_value(cell) for cell in row) + "\n"
+
+
+def complex_rows(values: np.ndarray, square: bool = False):
+    """CSV rows (xi, re, im, |v|) of a complex vector, or (xi, re, im,
+    |v|^2) with ``square``, rendered CSV_BLOCK_ROWS lines at a time.  Each
+    line is built from Python scalars (``tolist``) with repr and Python's
+    abs(complex), which give the text fmt_value gives the numpy scalars
+    cell by cell; only one block of text is held at once.  Python's abs
+    and ** raise OverflowError past the float range, where numpy gives
+    inf; the values the package writes stay far inside that range."""
+    for start in range(0, values.shape[0], CSV_BLOCK_ROWS):
+        yield "".join(
+            f"{xi},{v.real!r},{v.imag!r},{(abs(v) ** 2 if square else abs(v))!r}\n"
+            for xi, v in enumerate(values[start : start + CSV_BLOCK_ROWS].tolist(), start)
+        )
+
+
+def render_csv(meta: dict, columns: list[str], rows, stamp: bool = False) -> str:
+    """The whole CSV text.  ``rows`` yields tuples of cells, or text
+    already rendered such as the blocks of ``complex_rows``."""
+    return _header(meta, columns, stamp) + "".join(_body(rows))
+
+
 def write_csv(path: str | Path, meta: dict, columns: list[str], rows, stamp: bool = False) -> Path:
+    """Write the CSV of ``render_csv`` piece by piece, never holding the
+    whole text."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(render_csv(meta, columns, rows, stamp=stamp))
+        fh.write(_header(meta, columns, stamp))
+        for text in _body(rows):
+            fh.write(text)
     return path
 
 
@@ -70,12 +103,9 @@ def write_spectrum_export(
     from .transform import FORWARD_CONVENTION
 
     base = Path(base)
-    rows = (
-        (xi, v.real, v.imag, abs(v) ** 2)
-        for xi, v in enumerate(values)
-    )
     csv_path = write_csv(
-        base.with_suffix(".csv"), meta, ["xi", "re", "im", "abs2"], rows, stamp=stamp
+        base.with_suffix(".csv"), meta, ["xi", "re", "im", "abs2"],
+        complex_rows(values, square=True), stamp=stamp,
     )
     digest = fnv1a64(csv_path.read_bytes())
     sidecar = {

@@ -16,7 +16,13 @@ sieve and spectral modules call it instead of restating it:
 raises the UsageError when a subgroup identity is asked for Q that does
 not divide n (Fourier analysis on Z/QZ ties to Z/nZ only when Q | n);
 ``check_extents`` enforces the one length cap, ``MAX_TRANSFORM_LENGTH``;
-and ``as_ring`` lays a function on {1..n} out by residue.
+``as_ring`` lays a function on {1..n} out by residue; and
+``residue_columns`` reads the subgroup side off a ring.  With Q | n and
+m = n/Q, the Cooley-Tukey index map x = a + j*Q (0 <= a < Q, 0 <= j < m)
+views the ring as an (m, Q) array whose column a is the class
+x = a (mod Q), because slot 0 holds x = n = 0 (mod Q).  A vector masked
+to that class has the spectrum e_n(-xi*a) * DFT_m(column a)(xi mod m), so
+one length-m transform of the column carries the class's whole energy.
 
 Every transform in the package is a call here, on plain arrays: this is
 the only module that names ``numpy.fft``, and each call checks its length.
@@ -38,7 +44,8 @@ table reads it: ``inverse_real`` inverts it (the round trip),
 shift at once, ``spectrum_at`` samples F at any frequency, and
 ``mirror_power`` extends |F|^2 to all of Z/nZ.
 ``forward``, ``inverse`` and ``plancherel_residual`` stay full complex
-transforms, at length n or Q: the direct routes the identities are checked by.
+transforms, at length n, Q or n/Q: the direct routes the identities are
+checked by.
 """
 
 from __future__ import annotations
@@ -87,6 +94,16 @@ def as_ring(values_one_indexed: np.ndarray) -> np.ndarray:
     out[1:] = v[1:n]
     out[0] = v[n]
     return out
+
+
+def residue_columns(ring: np.ndarray, Q: int) -> np.ndarray:
+    """The ring of length n viewed, without a copy, as an (n/Q, Q) array
+    whose column a holds x = a, a + Q, ... (mod n): the class a mod Q in
+    residue layout.  Requires Q | n."""
+    ring = np.asarray(ring)
+    n = ring.shape[0]
+    require_divisor(n, Q, "residue columns")
+    return ring.reshape(n // Q, Q)
 
 
 def _length(f: np.ndarray) -> int:

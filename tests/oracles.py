@@ -135,6 +135,16 @@ def dft_direct(values: np.ndarray) -> np.ndarray:
     return kernel @ v
 
 
+def class_energy_masked(ring: np.ndarray, Q: int, a: int) -> float:
+    """Mean power (1/n) sum |F(xi)|^2 of the ring masked to the class
+    x = a (mod Q), slot j holding x = j (slot 0 holding x = n = 0 mod Q),
+    through one full-length complex transform of the masked copy."""
+    ring = np.asarray(ring, dtype=np.float64)
+    n = ring.shape[0]
+    masked = np.where(np.arange(n, dtype=np.int64) % Q == a, ring, 0.0)
+    return float(np.sum(np.abs(np.fft.fft(masked)) ** 2)) / n
+
+
 # --- high-precision constants ----------------------------------------------
 
 def twin_constant_highprec(cutoff: int, dps: int = 30):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from primepairs import ResourceLimitError, UsageError
-from primepairs import harness, sieve
+from primepairs import harness, reports, sieve
 from primepairs.cli import main
 from primepairs.harness import (
     ExperimentConfig,
@@ -19,7 +19,8 @@ from primepairs.harness import (
     run,
     validate_config,
 )
-from primepairs.reports import csv_body, render_csv
+from primepairs.factored import primorial
+from primepairs.reports import complex_rows, csv_body, render_csv
 from primepairs.sieve import fnv1a64
 from primepairs.spectral import error_probe
 
@@ -119,6 +120,14 @@ class TestIdentitySuite:
         assert payload["all_passed"] is False
         assert payload["failing_identities"] == ["spectral-pair-count"]
 
+    def test_twisted_plancherel_at_q_one(self, tmp_path):
+        """z = 2 gives Q = 1, whose one residue class is all of Z/nZ."""
+        result = run(small_config("identity-suite", tmp_path, n_values=[120], z_schedule=[2]))
+        assert result.exit_code == 0
+        rows = json.loads((tmp_path / "identity_suite.json").read_text())["results"]
+        twisted = [row for row in rows if row["identity"] == "twisted-plancherel"]
+        assert [(row["Q"], row["passed"]) for row in twisted] == [(1, True)]
+
     def test_odd_extent_adjusted_for_parity_check(self, tmp_path):
         result = run(small_config("identity-suite", tmp_path, n_values=[31]))
         assert result.exit_code == 0
@@ -213,9 +222,20 @@ class TestTransformBudget:
         assert ring_transforms("rfft") == Counter(extents)
         # the energy identity's independent full transform, once per n
         assert ring_transforms("fft") == Counter(n_values)
+        # every complex fft by length: that Plancherel one per n, and per
+        # (n, z) the length-Q transform of the residue counts and three
+        # residue-column transforms of length n/Q at the adjusted extent
+        # (at Q = n = 2310 the residue counts are the ring itself)
+        lengths = Counter(n_values)
+        for n in n_values:
+            for z in z_values:
+                Q = primorial(z).value
+                lengths[Q] += 1
+                lengths[round_up_multiple(n, Q) // Q] += 3
+        assert Counter(a.shape[0] for fn, a in calls if fn == "fft") == lengths
         # per n: correlation and round-trip irffts, the Plancherel fft and
         # one rfft plus one irfft of the von Mangoldt ring; per (n, z): the
-        # mod-Q transform of the residue counts and three class masks
+        # mod-Q transform of the residue counts and three column transforms
         budget = len(extents) + 5 * len(n_values) + 4 * len(n_values) * len(z_values)
         assert len(calls) <= budget
 
@@ -358,6 +378,24 @@ class TestReproducibility:
     def test_render_csv_uses_lf_and_dot_decimal(self):
         text = render_csv({"k": 1.5}, ["a"], [(0.1,)])
         assert text == "# k=1.5\na\n0.1\n"
+
+    @pytest.mark.parametrize("square", [False, True])
+    def test_complex_rows_match_cell_rendering(self, monkeypatch, square):
+        """Block-rendered rows equal the cell-by-cell text of numpy
+        scalars, across block boundaries, signed zeros, extreme exponents
+        and non-finite parts."""
+        monkeypatch.setattr(reports, "CSV_BLOCK_ROWS", 7)
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=40) * 10.0 ** rng.integers(-150, 150, 40) + 1j * rng.normal(size=40)
+        values[:6] = [0.0, -0.0 + 0j, complex(-0.0, -0.0), 5e-324j, np.inf, complex(3, np.nan)]
+        cells = (
+            (xi, v.real, v.imag, abs(v) ** 2 if square else abs(v))
+            for xi, v in enumerate(values)
+        )
+        expected = render_csv({}, ["xi", "re", "im", "abs"], cells)
+        assert render_csv({}, ["xi", "re", "im", "abs"], complex_rows(values, square)) == expected
+        assert expected.splitlines()[3].startswith("2,-0.0,-0.0,0.0")
+        assert expected.splitlines()[5].endswith(",inf")
 
 
 class TestCacheAdmin:
@@ -555,6 +593,15 @@ class TestCli:
         capsys.readouterr()
         assert main(["sweep", "--n", "5", "--two-k", "4", "--out", str(tmp_path)]) == 1
         assert "max(2k)+2 = 6" in capsys.readouterr().err
+
+    def test_empty_two_k_only_where_2k_is_read(self, tmp_path, capsys):
+        config = tmp_path / "e.json"
+        config.write_text(json.dumps({"two_k_values": []}))
+        assert main(["spectrum", "--n", "30", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "spectrum_n30_prime.csv").exists()
+        capsys.readouterr()
+        assert main(["verify", "--config", str(config), "--out", str(tmp_path)]) == 1
+        assert "two_k_values must not be empty" in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -19,6 +19,7 @@ from primepairs.transform import (
     inverse_real,
     mirror_power,
     require_divisor,
+    residue_columns,
     spectrum_at,
     unit_phase,
 )
@@ -141,6 +142,61 @@ class TestRingLayout:
         assert list(ring) == [1.0, 1.0, 0.0]
         assert as_ring(np.arange(5)).dtype == np.float64
         assert as_ring(np.arange(5) * 1j).dtype == np.complex128
+
+
+# primorial moduli; the tests take n = Q * m, so Q = 1 and Q = n (m = 1)
+# both arise, with m odd and even
+PRIMORIALS = (1, 2, 6, 30, 210, 2310)
+
+
+class TestResidueColumns:
+    """The (n/Q, Q) view of a ring whose column a is the class a mod Q."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        Q=st.sampled_from(PRIMORIALS),
+        m=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(Q=1, m=1, seed=0)  # Q = n = 1
+    @example(Q=30, m=1, seed=0)  # Q = n
+    @example(Q=1, m=37, seed=0)  # Q = 1, odd m
+    @example(Q=6, m=14, seed=0)  # even m
+    def test_columns_are_the_classes(self, Q, m, seed):
+        n = Q * m
+        ring = np.random.default_rng(seed).random(n)
+        view = residue_columns(ring, Q)
+        assert view.shape == (m, Q)
+        assert np.shares_memory(view, ring)
+        slots = np.arange(n) % Q
+        for a in range(Q):
+            assert np.array_equal(view[:, a], ring[slots == a]), a
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        # one full transform per class: Q = 2310 only at Q = n, kept small
+        Q=st.sampled_from(PRIMORIALS[:-1]),
+        m=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(Q=2310, m=1, seed=0)  # Q = n
+    def test_column_energy_is_the_masked_energy(self, Q, m, seed):
+        """(1/m) sum |DFT_m(column a)|^2 equals the mean power of the 0/1
+        ring masked to class a, taken by a full length-n transform, and
+        both equal the count of ones in the class."""
+        n = Q * m
+        ring = np.random.default_rng(seed).integers(0, 2, n).astype(np.float64)
+        view = residue_columns(ring, Q)
+        for a in range(Q):
+            column = float(np.sum(np.abs(forward(view[:, a])) ** 2)) / m
+            masked = oracles.class_energy_masked(ring, Q, a)
+            assert column == pytest.approx(masked, rel=1e-12, abs=1e-12), a
+            assert masked == pytest.approx(np.count_nonzero(view[:, a]), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("n, Q", [(30, 7), (30, 4), (12, 0), (2, 6)])
+    def test_non_divisor_rejected(self, n, Q):
+        with pytest.raises(UsageError, match="requires Q [|] n"):
+            residue_columns(np.zeros(n), Q)
 
 
 class TestConventions:
