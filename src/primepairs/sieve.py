@@ -7,19 +7,33 @@ array), and the von Mangoldt weight vector.  The Z/nZ conventions these
 use are the ones ``transform`` defines: the ring layout (``as_ring``),
 the phase e_n(-k) (``unit_phase``), the Q | n check (``require_divisor``)
 and the transform (``forward_real``, the table's half spectrum).  Linear
-and circular pair counts AND slices of the bitmap and copy no ring.
+and circular pair counts AND slices of the bitmap block by block and
+copy no ring.
 Construction is a single blocking call; all queries afterwards are
-read-only and safe to use from concurrent callers.  A table fills a few derived arrays on first use (its primes,
-checksum, half spectrum and circular pair correlation); concurrent first
-calls each compute the same array and either result may be kept.
+read-only and safe to use from concurrent callers.  A table fills a few
+derived arrays on first use (its primes, checksum, half spectrum and
+circular pair correlation); concurrent first calls each compute the same
+array and either result may be kept.
+
+The sieve works on odd slots only, slot i standing for 2i + 1, one
+segment of SEGMENT_LENGTH slots (2 * SEGMENT_LENGTH integers) at a time.
+Each segment starts as a wheel row of period 15015 slots (30030
+integers) that already strikes the multiples of 3, 5, 7, 11 and 13, so
+only the base primes from 17 up to sqrt(n) are struck.  A segment is
+sieved in the first half of its own stretch of the bitmap and then
+spread onto the odd entries of that stretch; even entries stay False
+apart from 2.
 
 Memory model: the bitmap is the whole table, 1 byte per entry, so a
-table of extent n needs about n+1 bytes (about 1 GB at the 1e9 cap) plus
-transient sieving buffers.  It keeps no prefix counts: pi(x) counts the
-bitmap, about 10 ms at 1e8, and callers ask for it a handful of times per
-extent.  Builds that would exceed the configured byte budget are rejected
-up front.  The cached spectrum and correlation, when asked for, cost 8
-more bytes per entry each.
+table of extent n needs about n+1 bytes (about 1 GB at the 1e9 cap).
+Sieving adds no buffer beyond the base primes up to sqrt(n), loading a
+cache adds the file (n/8 bytes), and pair counts AND the bitmap
+_COUNT_BLOCK entries at a time into one 64 KiB buffer: none of them
+holds a second n-byte array.  The table keeps no prefix counts: pi(x)
+counts the bitmap, about 10 ms at 1e8, and callers ask for it a handful
+of times per extent.  Builds that would exceed the configured byte
+budget are rejected up front.  The cached spectrum and correlation, when
+asked for, cost 8 more bytes per entry each.
 """
 
 from __future__ import annotations
@@ -42,7 +56,11 @@ logger = logging.getLogger(__name__)
 
 MAX_TABLE_EXTENT = 10**9
 DEFAULT_MEMORY_BUDGET = 6 * 2**30  # bytes
-SEGMENT_LENGTH = 1 << 20
+SEGMENT_LENGTH = 1 << 20  # odd slots per sieve segment
+
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL_PERIOD = math.prod(_WHEEL_PRIMES)  # in odd slots: 30030 integers
+_COUNT_BLOCK = 1 << 16  # bitmap entries per AND in the pair counts
 
 CACHE_MAGIC = b"PSPC1"
 
@@ -155,7 +173,17 @@ class PrimeTable:
 
 
 def build_table(n: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> PrimeTable:
-    """Sieve primality on {1..n} with a segmented Eratosthenes pass.
+    """Sieve primality on {1..n} with a segmented Eratosthenes pass over
+    odd slots (slot i stands for 2i + 1).
+
+    A segment of SEGMENT_LENGTH slots covers entries [2 lo, 2 hi) of the
+    bitmap.  It is sieved contiguously in the first half of that stretch:
+    pre-filled from the wheel row, which has struck the multiples of 3, 5,
+    7, 11 and 13, then struck by the base primes 17 <= p <= sqrt(n) from
+    p^2 on.  ``_spread_odd`` then moves slot j to entry 2j + 1 and clears
+    the even entries.  Afterwards 1 is cleared and 2 and the wheel primes
+    are set back to prime.  Nothing beyond the n+1 byte bitmap and the
+    base primes is allocated.
 
     Rejects n outside [2, 1e9] and builds whose bitmap would exceed
     ``memory_budget`` bytes.
@@ -171,17 +199,59 @@ def build_table(n: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> PrimeTabl
             f"over the budget of {memory_budget}"
         )
     is_prime = np.zeros(n + 1, dtype=bool)
-    is_prime[2:] = True
-    root = math.isqrt(n)
-    base = _simple_sieve(root)
-    for lo in range(0, n + 1, SEGMENT_LENGTH):
-        hi = min(lo + SEGMENT_LENGTH, n + 1)
-        for p in base:
-            p = int(p)
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start < hi:
-                is_prime[start:hi:p] = False
+    slots = (n + 1) // 2  # odd integers 1, 3, ..., up to n
+    base = _simple_sieve(math.isqrt(n))
+    base = base[base > _WHEEL_PRIMES[-1]]
+    first = (base * base - 1) // 2  # slot of p^2, ascending in p
+    residue = (base - 1) // 2  # slots of odd multiples of p are = residue (mod p)
+    for lo in range(0, slots, SEGMENT_LENGTH):
+        hi = min(lo + SEGMENT_LENGTH, slots)
+        stretch = is_prime[2 * lo : 2 * hi]
+        segment = stretch[: hi - lo]
+        _fill_wheel(segment, lo)
+        live = int(np.searchsorted(first, hi))  # primes with p^2 before hi
+        starts = np.maximum(first[:live], lo + (residue[:live] - lo) % base[:live]) - lo
+        for p, start in zip(base[:live].tolist(), starts.tolist()):
+            segment[start::p] = False
+        _spread_odd(stretch, hi - lo)
+    is_prime[1] = False  # slot 0 is prime to the wheel
+    for p in (2, *_WHEEL_PRIMES):
+        if p <= n:
+            is_prime[p] = True
     return PrimeTable(n=n, is_prime=is_prime)
+
+
+def _spread_odd(stretch: np.ndarray, length: int) -> None:
+    """Move entry j < length of ``stretch`` to entry 2j + 1, in place, and
+    clear the even entries below ``length``.
+
+    Chunks [top // 2, top) go from the top down: a chunk's first target,
+    2 (top // 2) + 1 >= top, lies past its own sources and above every
+    source still to be read, so numpy sees disjoint views and copies no
+    buffer.
+    """
+    odd = stretch[1::2]
+    top = length
+    while top > 0:
+        bottom = top // 2
+        odd[bottom:top] = stretch[bottom:top]
+        top = bottom
+    stretch[:length:2] = False
+
+
+def _fill_wheel(segment: np.ndarray, lo: int) -> None:
+    """Fill ``segment``, which holds odd slots lo, lo+1, ..., with the wheel
+    row: True where 2i + 1 is prime to 3*5*7*11*13.  The first period is
+    struck in place, then the filled prefix is doubled until the segment
+    is full."""
+    filled = min(_WHEEL_PERIOD, segment.size)
+    segment[:filled] = True
+    for p in _WHEEL_PRIMES:
+        segment[((p - 1) // 2 - lo) % p : filled : p] = False
+    while filled < segment.size:
+        step = min(filled, segment.size - filled)
+        segment[filled : filled + step] = segment[:step]
+        filled += step
 
 
 def _simple_sieve(limit: int) -> np.ndarray:
@@ -253,7 +323,7 @@ def pair_count_linear(table: PrimeTable, two_k: int) -> int:
     if two_k == 0:
         return table.pi(n)
     ip = table.is_prime
-    core = int(np.count_nonzero(ip[1 : n - two_k + 1] & ip[1 + two_k : n + 1]))
+    core = _and_count(ip, 1, 1 + two_k, n - two_k)
     boundary = sum(
         1 for p in range(n - two_k + 1, n + 1) if ip[p] and is_prime_u64(p + two_k)
     )
@@ -263,15 +333,26 @@ def pair_count_linear(table: PrimeTable, two_k: int) -> int:
 def pair_count_circular(table: PrimeTable, two_k: int) -> int:
     """Circular pair count on Z/nZ = {1..n}: primes x with the shifted
     point ((x + 2k - 1) mod n) + 1 also prime.  Two slice ANDs of the
-    bitmap, x <= n - 2k and the wrapped tail x > n - 2k, with no copy of
-    the ring: about 1 byte per entry of transient memory."""
+    bitmap, x <= n - 2k and the wrapped tail x > n - 2k, counted blockwise
+    with no copy of the ring."""
     n = table.n
     if not 0 <= two_k < n or two_k % 2:
         raise UsageError(f"need even 0 <= 2k < n, got 2k={two_k}, n={n}")
     ip = table.is_prime
-    unwrapped = np.count_nonzero(ip[1 : n - two_k + 1] & ip[1 + two_k : n + 1])
-    wrapped = np.count_nonzero(ip[n - two_k + 1 : n + 1] & ip[1 : two_k + 1])
-    return int(unwrapped + wrapped)
+    return _and_count(ip, 1, 1 + two_k, n - two_k) + _and_count(ip, n - two_k + 1, 1, two_k)
+
+
+def _and_count(ip: np.ndarray, a: int, b: int, length: int) -> int:
+    """Number of j < length with ip[a + j] and ip[b + j] both set, ANDed
+    _COUNT_BLOCK entries at a time into one reused buffer."""
+    buffer = np.empty(min(length, _COUNT_BLOCK), dtype=bool)
+    total = 0
+    for lo in range(0, length, _COUNT_BLOCK):
+        hi = min(lo + _COUNT_BLOCK, length)
+        block = buffer[: hi - lo]
+        np.logical_and(ip[a + lo : a + hi], ip[b + lo : b + hi], out=block)
+        total += int(np.count_nonzero(block))
+    return total
 
 
 def von_mangoldt_vector(n: int) -> np.ndarray:
@@ -339,14 +420,17 @@ def load_table(path: str | Path) -> PrimeTable:
     end = header + (n + 7) // 8
     if len(blob) != end + 8:
         raise CacheError(f"{path}: payload length mismatch for extent {n}")
-    # hash and unpack views of the blob: no copy of the payload
-    payload = memoryview(blob)[header:end]
     digest = int.from_bytes(blob[end:], "little")
-    if fnv1a64(payload) != digest:
+    if fnv1a64(memoryview(blob)[header:end]) != digest:
         raise CacheError(f"{path}: checksum mismatch, cache is corrupt")
-    is_prime = np.empty(n + 1, dtype=bool)
+    # unpack the payload with the header's last byte in front, straight
+    # into the table: that byte's lowest bit lands at index 0 (cleared
+    # below), entry x of the bitmap at index x, and its 7 other bits stay
+    # in front of the view
+    framed = np.frombuffer(blob, dtype=np.uint8, count=end - header + 1, offset=header - 1)
+    bits = np.unpackbits(framed, count=n + 8)
+    is_prime = bits[7 : n + 8].view(bool)
     is_prime[0] = False
-    is_prime[1:] = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=n).view(bool)
     return PrimeTable(n=n, is_prime=is_prime, _checksum=digest)
 
 

@@ -1,6 +1,9 @@
 import logging
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from primepairs import (
     von_mangoldt_vector,
 )
 from primepairs import sieve
-from primepairs.sieve import FNV_BLOCK, fnv1a64, load_or_build
+from primepairs.sieve import FNV_BLOCK, SEGMENT_LENGTH, fnv1a64, load_or_build
 
 import oracles
 
@@ -41,11 +44,41 @@ class TestBuildTable:
         assert np.array_equal(t.is_prime, oracles.sieve_numpy_independent(50000))
 
     def test_bitmap_spans_segments(self):
-        # extent just past one segment boundary exercises the segmented path
-        n = (1 << 20) + 137
+        # a segment holds SEGMENT_LENGTH odd slots, 2 * SEGMENT_LENGTH
+        # integers: an extent just past that exercises the segmented path
+        n = 2 * SEGMENT_LENGTH + 137
         t = build_table(n)
         ref = oracles.sieve_numpy_independent(n)
         assert np.array_equal(t.is_prime, ref)
+
+    # tiny extents around the wheel primes and the first base prime 17,
+    # and one and two wheel periods (15015 odd slots, 30030 integers)
+    @pytest.mark.parametrize(
+        "n", [*range(2, 20), *range(15013, 15018), *range(30028, 30033)]
+    )
+    def test_bitmap_at_wheel_edges(self, n):
+        assert np.array_equal(build_table(n).is_prime, oracles.sieve_numpy_independent(n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 70000))
+    def test_bitmap_matches_independent_sieve(self, n):
+        assert np.array_equal(build_table(n).is_prime, oracles.sieve_numpy_independent(n))
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(1, 2), st.integers(-3, 3))
+    def test_bitmap_at_segment_boundaries(self, k, offset):
+        n = 2 * k * SEGMENT_LENGTH + offset
+        assert np.array_equal(build_table(n).is_prime, oracles.sieve_numpy_independent(n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 7, 64, 15014, 15016, 20000]), st.integers(1, 3), st.integers(-3, 3))
+    def test_bitmap_with_short_segments(self, segment, k, offset):
+        # segments shorter than, near and longer than one wheel period, so
+        # segments start at many wheel phases and end mid-period
+        n = max(2, 2 * k * segment + offset)
+        with mock.patch.object(sieve, "SEGMENT_LENGTH", segment):
+            t = build_table(n)
+        assert np.array_equal(t.is_prime, oracles.sieve_numpy_independent(n))
 
     def test_random_samples_against_miller_rabin(self, table_1e6):
         rng = np.random.default_rng(2024)
@@ -212,6 +245,23 @@ class TestCache:
         assert [loaded.pi(x) for x in range(t.n + 1)] == [t.pi(x) for x in range(t.n + 1)]
         assert loaded.checksum() == t.checksum()
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 624), st.integers(0, 7))
+    def test_roundtrip_property(self, eighths, remainder):
+        n = max(2, 8 * eighths + remainder)
+        built = build_table(n)
+        with tempfile.TemporaryDirectory() as folder:
+            path = save_table(built, Path(folder) / "t.pspc")
+            blob = path.read_bytes()
+            loaded = load_table(path)
+        payload = blob[13 : 13 + (n + 7) // 8]
+        assert loaded.n == n
+        assert loaded.is_prime.dtype == bool
+        assert np.array_equal(loaded.is_prime, built.is_prime)
+        assert loaded.is_prime[0] == False  # noqa: E712
+        assert not np.unpackbits(np.frombuffer(payload, dtype=np.uint8))[n:].any()
+        assert loaded.checksum() == built.checksum() == oracles.fnv1a64_reference(payload)
+
     def test_corrupt_payload_detected(self, tmp_path):
         path = save_table(build_table(5000), tmp_path / "t.pspc")
         blob = bytearray(path.read_bytes())
@@ -328,7 +378,8 @@ class TestCache:
 
 class TestMemoryModel:
     """Traced peak bytes per entry at n = 1e6.  The table is its 1-byte
-    bitmap; loading holds the file, one unpacked copy and the table."""
+    bitmap; building adds one segment buffer, loading adds only the file
+    (1/8 byte per entry), and pair counts AND the bitmap in small blocks."""
 
     N = 10**6
 
@@ -353,15 +404,21 @@ class TestMemoryModel:
         path = save_table(build_table(self.N), tmp_path / "t.pspc")
         table, per_entry = self._traced(load_table, path)
         assert table.n == self.N
-        assert per_entry < 2.5
+        assert per_entry < 1.5
 
     def test_pair_count_circular(self, table_1e6):
-        # slices of the bitmap: no ring copy, no roll
+        # blockwise ANDs of bitmap slices: no ring copy, no roll, no
+        # n-byte temporary
         count, per_entry = self._traced(pair_count_circular, table_1e6, 6)
-        assert per_entry < 1.5
+        assert per_entry < 0.1
         mask = oracles.sieve_numpy_independent(self.N)
         ring = np.concatenate((mask[self.N :], mask[1 : self.N]))
         assert count == np.count_nonzero(ring & np.roll(ring, -6))
+
+    def test_pair_count_linear(self, table_1e6):
+        count, per_entry = self._traced(pair_count_linear, table_1e6, 6)
+        assert per_entry < 0.1
+        assert count == oracles.PAIR_COUNTS_1E6[6]
 
 
 class TestFnv1a64:
