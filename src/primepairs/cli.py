@@ -2,7 +2,7 @@
 
 Verbs: sieve (cache admin), verify (identity suite), pairs (pair counts by
 all methods), decompose, constants, spectrum, sweep.  Exit codes:
-0 success, 1 usage error, 2 identity violation, 3 resource limit.
+0 success, 1 usage error, 2 identity violation or cache error, 3 resource limit.
 """
 
 from __future__ import annotations

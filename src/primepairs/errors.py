@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all primepairs modules.
 
 Exit-code mapping used by the CLI: UsageError -> 1, IdentityError -> 2,
-ResourceLimitError -> 3.
+CacheError -> 2, ResourceLimitError -> 3.
 """
 
 

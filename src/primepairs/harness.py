@@ -562,7 +562,7 @@ def cache_admin(action: str, n: int, cache_dir: str | Path) -> str:
         save_table(build_table(n), path)
         return f"built {path}"
     if action == "verify":
-        table = load_table(path)
+        table = load_table(path, n)
         return f"OK {path} (n={table.n}, checksum fnv1a64:{table.checksum():016x})"
     if action == "purge":
         if path.exists():

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .sieve import fnv1a64
+from .sieve import FNV_OFFSET, fnv1a64
 
 
 def fmt_value(x) -> str:
@@ -68,15 +69,20 @@ def render_csv(meta: dict, columns: list[str], rows, stamp: bool = False) -> str
     return _header(meta, columns, stamp) + "".join(_body(rows))
 
 
-def write_csv(path: str | Path, meta: dict, columns: list[str], rows, stamp: bool = False) -> Path:
+def write_csv(
+    path: str | Path, meta: dict, columns: list[str], rows, stamp: bool = False, on_write=None
+) -> Path:
     """Write the CSV of ``render_csv`` piece by piece, never holding the
-    whole text."""
+    whole text.  ``on_write``, when given, is called with the ASCII bytes
+    of each piece as it is written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(_header(meta, columns, stamp))
-        for text in _body(rows):
-            fh.write(text)
+    with open(path, "wb") as fh:
+        for text in chain((_header(meta, columns, stamp),), _body(rows)):
+            piece = text.encode("ascii")
+            if on_write is not None:
+                on_write(piece)
+            fh.write(piece)
     return path
 
 
@@ -99,15 +105,21 @@ def write_spectrum_export(
 ) -> tuple[Path, Path]:
     """Spectrum CSV with columns (xi, re, im, abs2) plus a JSON sidecar
     recording n, the transform convention, the source function, and an
-    FNV-1a checksum of the full CSV bytes."""
+    FNV-1a checksum of the full CSV bytes, folded in block by block as
+    the CSV is written (the file is not read back)."""
     from .transform import FORWARD_CONVENTION
 
     base = Path(base)
+    digest = FNV_OFFSET
+
+    def fold(piece: bytes) -> None:
+        nonlocal digest
+        digest = fnv1a64(piece, digest)
+
     csv_path = write_csv(
         base.with_suffix(".csv"), meta, ["xi", "re", "im", "abs2"],
-        complex_rows(values, square=True), stamp=stamp,
+        complex_rows(values, square=True), stamp=stamp, on_write=fold,
     )
-    digest = fnv1a64(csv_path.read_bytes())
     sidecar = {
         "n": int(values.shape[0]),
         "convention": FORWARD_CONVENTION,

@@ -29,7 +29,10 @@ table of extent n needs about n+1 bytes (about 1 GB at the 1e9 cap).
 Sieving adds no buffer beyond the base primes up to sqrt(n), loading a
 cache adds the file (n/8 bytes), and pair counts AND the bitmap
 _COUNT_BLOCK entries at a time into one 64 KiB buffer: none of them
-holds a second n-byte array.  The table keeps no prefix counts: pi(x)
+holds a second n-byte array.  The FNV-1a checksum of a save or load
+holds about 1.2 MiB of scratch whatever n is (its 128 KiB low-byte
+chain buffers and a 512 KiB int64 fold buffer), beside its cached
+512 KiB table of powers of P.  The table keeps no prefix counts: pi(x)
 counts the bitmap, about 10 ms at 1e8, and callers ask for it a handful
 of times per extent.  Builds that would exceed the configured byte
 budget are rejected up front.  The cached spectrum and correlation, when
@@ -64,11 +67,17 @@ _COUNT_BLOCK = 1 << 16  # bitmap entries per AND in the pair counts
 
 CACHE_MAGIC = b"PSPC1"
 
-_FNV_OFFSET = 0xCBF29CE484222325
+FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _FNV_PRIME_LOW = np.uint8(_FNV_PRIME & 0xFF)
 _U64 = (1 << 64) - 1
-FNV_BLOCK = 1 << 16
+FNV_BLOCK = 1 << 16  # bytes per high-part fold (one np.dot)
+FNV_CHAIN = 1 << 17  # bytes per low-byte chain
+# the word rounds shift and subtract by numpy scalars, which keep uint64
+# under the promotion rules of both numpy 1.x and 2.x (NEP 50)
+_WORD_SHIFTS = tuple(np.uint64(1 << r) for r in range(6))
+_WORD_TOP = np.uint64(63)
+_WORD_ZERO = np.uint64(0)
 
 
 @lru_cache(maxsize=1)
@@ -80,9 +89,10 @@ def _fnv_powers() -> np.ndarray:
     return powers
 
 
-def fnv1a64(data: bytes) -> int:
+def fnv1a64(data: bytes, state: int = FNV_OFFSET) -> int:
     """64-bit FNV-1a hash of a byte string: h <- ((h XOR b) * P) mod 2^64
-    per byte b, computed exactly in numpy blocks of FNV_BLOCK bytes.
+    per byte b, from h = ``state`` (the offset basis by default), so that
+    fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b).  Computed exactly in numpy.
 
     XOR with a byte changes only the low byte s = h mod 256 of h, so
     h XOR b = h + d with d = (s XOR b) - s, and over a block of C bytes
@@ -90,22 +100,57 @@ def fnv1a64(data: bytes) -> int:
     alone, s' = ((s XOR b) * 0xB3) mod 256.  As P is odd, bit k of s' is
     bit k of s XOR bit k of (((s mod 2^k) XOR b) * 0xB3), so bit k of every
     s in the block is a prefix XOR once bits 0..k-1 are known.
+
+    The low bytes run FNV_CHAIN bytes at a time, keeping x = s XOR b in
+    one buffer.  Each bit plane's prefix XOR runs on packed little-endian
+    64-bit words: six shift-XOR rounds within each word, then the XOR of
+    the parities of all earlier words flips a word whole.  The high part
+    is folded FNV_BLOCK bytes at a time, one np.dot of d against the
+    powers of P.  Scratch memory is about 1.2 MiB whatever the length.
     """
+    h = int(state)
+    if not 0 <= h <= _U64:
+        raise UsageError(f"FNV-1a state must be a 64-bit unsigned value, got {state}")
     payload = np.frombuffer(data, dtype=np.uint8)
-    h = _FNV_OFFSET
-    for lo in range(0, payload.size, FNV_BLOCK):
-        b = payload[lo : lo + FNV_BLOCK]
-        s = np.zeros(b.size, dtype=np.uint8)  # low byte of h before each byte
-        flips = np.empty(b.size, dtype=bool)
+    chain = min(payload.size, FNV_CHAIN)
+    block = min(chain, FNV_BLOCK)
+    x = np.empty(chain, dtype=np.uint8)
+    # one bit plane padded to whole words, then one block of d as int16
+    plane = np.empty(max(-(-chain // 64) * 64, 2 * block), dtype=np.uint8)
+    diff = np.empty(block, dtype=np.int64)
+    powers = _fnv_powers()
+    for lo in range(0, payload.size, FNV_CHAIN):
+        b = payload[lo : lo + FNV_CHAIN]
+        c = b.size
+        xs = x[:c]
+        xs[...] = b  # s holds no bits yet
+        # the bits past c only reach later bits of the prefix XOR
+        padded = plane[: -(-c // 64) * 64]
         for k in range(8):
             bit = np.uint8(1 << k)
-            flips[0] = h & (1 << k)
-            np.not_equal((s[:-1] ^ b[:-1]) * _FNV_PRIME_LOW & bit, np.uint8(0), out=flips[1:])
-            np.logical_xor.accumulate(flips, out=flips)
-            s |= flips.view(np.uint8) * bit
-        d = ((s ^ b).astype(np.int64) - s).view(np.uint64)
-        high = int((d * _fnv_powers()[FNV_BLOCK - b.size :]).sum(dtype=np.uint64))
-        h = (h * pow(_FNV_PRIME, b.size, 1 << 64) + high) & _U64
+            # flip i + 1 is bit k of x_i * 0xB3 while x holds bits 0..k-1 of
+            # s; flip 0 is bit k of the incoming state
+            plane[0] = h & (1 << k)
+            np.multiply(xs[:-1], _FNV_PRIME_LOW, out=plane[1:c])
+            np.bitwise_and(plane[1:c], bit, out=plane[1:c])
+            words = np.packbits(padded, bitorder="little").view("<u8")
+            for shift in _WORD_SHIFTS:
+                words ^= words << shift
+            carry = words >> _WORD_TOP
+            np.bitwise_xor.accumulate(carry, out=carry)
+            words[1:] ^= _WORD_ZERO - carry[:-1]
+            s_bits = np.unpackbits(words.view(np.uint8), count=c, bitorder="little")
+            np.multiply(s_bits, bit, out=s_bits)
+            np.bitwise_xor(xs, s_bits, out=xs)
+        s = np.bitwise_xor(xs, b, out=s_bits)
+        for start in range(0, c, FNV_BLOCK):
+            m = min(FNV_BLOCK, c - start)
+            d = diff[:m]
+            d16 = plane.view(np.int16)[:m]
+            np.subtract(xs[start : start + m], s[start : start + m], out=d16, dtype=np.int16)
+            np.copyto(d, d16)
+            high = int(np.dot(d.view(np.uint64), powers[FNV_BLOCK - m :]))
+            h = (h * pow(_FNV_PRIME, m, 1 << 64) + high) & _U64
     return h
 
 
@@ -405,10 +450,14 @@ def save_table(table: PrimeTable, path: str | Path) -> Path:
     return path
 
 
-def load_table(path: str | Path) -> PrimeTable:
+def load_table(path: str | Path, n: int | None = None) -> PrimeTable:
     """Read a binary cache written by save_table, verifying structure and
     checksum; raises CacheError on any mismatch.  The verified digest is
-    the loaded table's checksum()."""
+    the loaded table's checksum().
+
+    The checksum covers the payload only, not the header's extent, so a
+    caller that expects extent ``n`` passes it: a header naming another
+    extent is rejected before the payload is hashed."""
     path = Path(path)
     if not path.exists():
         raise CacheError(f"no cache file at {path}")
@@ -416,7 +465,10 @@ def load_table(path: str | Path) -> PrimeTable:
     header = len(CACHE_MAGIC) + 8
     if len(blob) < header + 8 or blob[: len(CACHE_MAGIC)] != CACHE_MAGIC:
         raise CacheError(f"{path} is not a prime-table cache (bad magic or truncated)")
-    n = int.from_bytes(blob[len(CACHE_MAGIC) : header], "little")
+    extent = int.from_bytes(blob[len(CACHE_MAGIC) : header], "little")
+    if n is not None and extent != n:
+        raise CacheError(f"{path}: extent mismatch, header holds n={extent}, expected n={n}")
+    n = extent
     end = header + (n + 7) // 8
     if len(blob) != end + 8:
         raise CacheError(f"{path}: payload length mismatch for extent {n}")
@@ -441,13 +493,14 @@ def cache_path(cache_dir: str | Path, n: int) -> Path:
 def load_or_build(n: int, cache_dir: str | Path | None = None) -> PrimeTable:
     """Fetch a table from the cache directory when a valid file exists,
     otherwise build it (and write the cache when a directory is given).
-    Corrupt caches are logged as a warning and rebuilt in place."""
+    Corrupt caches, including a file whose header names another extent,
+    are logged as a warning and rebuilt in place."""
     if cache_dir is None:
         return build_table(n)
     path = cache_path(cache_dir, n)
     if path.exists():
         try:
-            return load_table(path)
+            return load_table(path, n)
         except CacheError as exc:
             logger.warning("rebuilding corrupt prime-table cache %s: %s", path, exc)
             os.remove(path)

@@ -24,6 +24,8 @@ from primepairs.reports import complex_rows, csv_body, render_csv
 from primepairs.sieve import fnv1a64
 from primepairs.spectral import error_probe
 
+import oracles
+
 
 def small_config(mode, tmp_path, **kw):
     defaults = dict(
@@ -277,6 +279,22 @@ class TestModeOutputs:
             [7, 30, pytest.approx(45 / 32)],
         ]
 
+    def test_spectrum_export_digest_folds_written_blocks(self, tmp_path, monkeypatch):
+        # many row blocks and a stamped header; the CSV is never read back
+        monkeypatch.setattr(reports, "CSV_BLOCK_ROWS", 7)
+        values = np.fft.fft(np.arange(50.0))
+        monkeypatch.setattr(
+            reports.Path, "read_bytes", lambda self: pytest.fail(f"{self} was read back")
+        )
+        csv_path, json_path = reports.write_spectrum_export(
+            tmp_path / "sp", values, "prime", {"n": 50}, stamp=True
+        )
+        monkeypatch.undo()
+        data = csv_path.read_bytes()
+        sidecar = json.loads(json_path.read_text())
+        assert sidecar["checksum"] == f"fnv1a64:{oracles.fnv1a64_reference(data):016x}"
+        assert data.count(b"\n") == 2 + 1 + 50  # comments, columns, rows
+
     def test_spectrum_export_checksum_covers_csv_bytes(self, tmp_path):
         result = run(
             small_config("spectrum-export", tmp_path, n_values=[120], two_k_values=[2])
@@ -480,6 +498,15 @@ class TestCli:
     def test_cache_error_exit_2(self, tmp_path, capsys):
         code = main(["sieve", "--action", "verify", "--n", "77", "--cache-dir", str(tmp_path)])
         assert code == 2
+
+    def test_verify_wrong_extent_exit_2(self, tmp_path, capsys):
+        # a file renamed onto another extent's cache name keeps a valid
+        # payload and checksum; only its header's extent gives it away
+        cache_admin("build", 997, tmp_path)
+        (tmp_path / "primetable_997.pspc").rename(tmp_path / "primetable_1000.pspc")
+        code = main(["sieve", "--action", "verify", "--n", "1000", "--cache-dir", str(tmp_path)])
+        assert code == 2
+        assert "extent mismatch" in capsys.readouterr().err
 
     def test_pairs_verb_prints_and_writes(self, tmp_path, capsys):
         out_file = tmp_path / "pairs.csv"

@@ -26,7 +26,7 @@ from primepairs import (
     von_mangoldt_vector,
 )
 from primepairs import sieve
-from primepairs.sieve import FNV_BLOCK, SEGMENT_LENGTH, fnv1a64, load_or_build
+from primepairs.sieve import FNV_BLOCK, FNV_CHAIN, SEGMENT_LENGTH, fnv1a64, load_or_build
 
 import oracles
 
@@ -349,10 +349,22 @@ class TestCache:
         assert np.array_equal(rebuilt.is_prime, first.is_prime)
         assert load_table(path).n == 4000
 
-    def test_fnv_reference_value(self):
-        # standard FNV-1a 64-bit test vector
-        assert fnv1a64(b"") == 0xCBF29CE484222325
-        assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+    def test_load_or_build_rebuilds_wrong_extent(self, tmp_path, caplog):
+        # n = 997 keeps the payload length of n = 1000 and the payload's
+        # digest, so only the extent check tells the files apart
+        path = save_table(build_table(1000), tmp_path / "primetable_1000.pspc")
+        blob = bytearray(path.read_bytes())
+        blob[5:13] = (997).to_bytes(8, "little")
+        path.write_bytes(bytes(blob))
+        assert load_table(path).n == 997
+        with caplog.at_level(logging.WARNING, logger="primepairs.sieve"):
+            table = load_or_build(1000, tmp_path)
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "extent mismatch" in warnings[0]
+        assert table.n == 1000
+        assert table.pi(1000) == 168
+        assert load_table(path, 1000).n == 1000
 
     def test_load_or_build_logs_truncated_cache(self, tmp_path, caplog):
         path = save_table(build_table(6000), tmp_path / "primetable_6000.pspc")
@@ -429,12 +441,39 @@ class TestFnv1a64:
     def test_matches_reference(self, data, kind):
         assert fnv1a64(kind(data)) == oracles.fnv1a64_reference(data)
 
+    # fold blocks, low-byte chains, and every partial packed word: lengths
+    # 1..63 mod 64 (so 1..7 mod 8) end a chain inside a 64-bit word
     @pytest.mark.parametrize(
-        "length", [0, 1, FNV_BLOCK - 1, FNV_BLOCK, FNV_BLOCK + 1, 3 * FNV_BLOCK + 5]
+        "length",
+        [0, 1, FNV_BLOCK - 1, FNV_BLOCK, FNV_BLOCK + 1, 3 * FNV_BLOCK + 5]
+        + [FNV_CHAIN - 1, FNV_CHAIN, FNV_CHAIN + 1]
+        + [3 * 64 + r for r in range(1, 64)],
     )
     def test_block_boundaries(self, length):
         data = np.random.default_rng(length).integers(0, 256, length, dtype=np.uint8).tobytes()
         assert fnv1a64(data) == oracles.fnv1a64_reference(data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.binary(max_size=3000), st.lists(st.integers(0, 3000), max_size=4))
+    def test_chained_state(self, data, cuts):
+        # fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b), split at any points
+        bounds = [0, *sorted(min(cut, len(data)) for cut in cuts), len(data)]
+        state = sieve.FNV_OFFSET
+        for lo, hi in zip(bounds, bounds[1:]):
+            state = fnv1a64(data[lo:hi], state)
+        assert state == fnv1a64(data) == oracles.fnv1a64_reference(data)
+
+    def test_chained_state_across_chains(self):
+        # the second call starts mid-stream and crosses a chain boundary
+        length = 2 * FNV_CHAIN + 99
+        data = np.random.default_rng(7).integers(0, 256, length, dtype=np.uint8).tobytes()
+        cut = FNV_CHAIN // 2 + 3
+        assert fnv1a64(data[cut:], fnv1a64(data[:cut])) == oracles.fnv1a64_reference(data)
+
+    @pytest.mark.parametrize("state", [-1, 1 << 64])
+    def test_state_out_of_range(self, state):
+        with pytest.raises(UsageError):
+            fnv1a64(b"a", state)
 
     @pytest.mark.parametrize("fill", [0x00, 0xFF])
     def test_constant_runs(self, fill):
