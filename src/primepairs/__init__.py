@@ -67,6 +67,7 @@ from .spectral import (
     half_spectrum_residual,
     main_term_convolution,
     pair_count_via_spectrum,
+    pair_counts_via_spectrum,
     psi_pair_direct,
     psi_pair_via_spectrum,
     rho_identity_check,
@@ -115,6 +116,7 @@ __all__ = [
     "DecompositionReport",
     "ErrorProbe",
     "pair_count_via_spectrum",
+    "pair_counts_via_spectrum",
     "rho_identity_check",
     "main_term_convolution",
     "decompose",

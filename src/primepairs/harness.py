@@ -35,12 +35,15 @@ from .sieve import (
     von_mangoldt_vector,
 )
 from .spectral import (
+    column_pair_counts,
     correlation_direct,
     correlation_via_spectrum,
     decompose,
+    decompose_length,
     half_spectrum_residual,
     main_term_convolution,
-    pair_count_via_spectrum,
+    pair_count_modulus,
+    pair_counts_via_spectrum,
     rho_identity_check,
 )
 from .transform import (
@@ -206,8 +209,10 @@ def run(config: ExperimentConfig) -> RunResult:
 
 
 def _transform_extents(config: ExperimentConfig) -> list[int]:
-    """Every extent the mode will transform, so that one over the cap is
-    rejected before any table is sieved or any report written."""
+    """Every length the mode will transform, so that one over the cap is
+    rejected before any table is sieved or any report written: the
+    extents themselves, except that decompose past the cap transforms
+    residue columns of length n/Q (``decompose_length``)."""
     if config.mode == "identity-suite":
         extents = [m for n in config.n_values for m in (n, n + n % 2)]
         for z in config.z_schedule:
@@ -215,10 +220,9 @@ def _transform_extents(config: ExperimentConfig) -> list[int]:
             extents += [round_up_multiple(n, Q) for n in config.n_values]
         return extents
     if config.mode == "decompose":
+        moduli = [primorial(z).value for z in config.z_schedule]
         return [
-            round_up_multiple(n, primorial(z).value)
-            for z in config.z_schedule
-            for n in config.n_values
+            decompose_length(round_up_multiple(n, Q), Q) for Q in moduli for n in config.n_values
         ]
     if config.mode == "spectrum-export":
         return list(config.n_values)
@@ -235,9 +239,9 @@ def _table(config: ExperimentConfig, n: int) -> PrimeTable:
 
 class _ExtentTable:
     """The prime table of one extent at a time: asking for another extent
-    releases the held table, with its cached spectrum and correlation,
-    before the next is loaded, so consecutive requests for one extent
-    share a single sieve and a single transform."""
+    releases the held table, with its cached spectrum, before the next is
+    loaded, so consecutive requests for one extent share a single sieve
+    and a single transform."""
 
     def __init__(self, config: ExperimentConfig) -> None:
         self._config = config
@@ -300,12 +304,14 @@ def _run_identity_suite(config: ExperimentConfig, out: Path) -> RunResult:
 def _extent_rows(config: ExperimentConfig, record, table: PrimeTable) -> None:
     """Spectral pair counts, round trip and Plancherel at one extent."""
     n = table.n
-    ring = table.ring_indicator()
-    correlation = table.correlation()
+    # every shift from one batched transform of the length-n/Q columns
+    raw = column_pair_counts(table, pair_count_modulus(n), config.two_k_values)
     spec_tol = _tol(config, "spectral-pair-count")
-    for two_k in config.two_k_values:
+    for two_k, value in zip(config.two_k_values, raw):
         sieved = pair_count_circular(table, two_k)
-        record("spectral-pair-count", n, None, two_k, abs(correlation[two_k] - sieved), spec_tol * n)
+        record("spectral-pair-count", n, None, two_k, abs(value - sieved), spec_tol * n)
+
+    ring = table.ring_indicator()
 
     round_trip = float(np.abs(inverse_real(table.spectrum(), n) - ring).max())
     record("round-trip", n, None, None, round_trip, _tol(config, "round-trip"))
@@ -533,22 +539,22 @@ def _run_sweep(config: ExperimentConfig, out: Path) -> RunResult:
 
 
 def pairs_report(config: ExperimentConfig) -> list[tuple]:
-    """Rows (n, 2k, linear, circular, spectral) with all three counts."""
-    check_extents(config.n_values, "pairs transform length")
+    """Rows (n, 2k, linear, circular, spectral) with all three counts.  The
+    spectral counts transform residue columns of length n/Q, Q from
+    ``pair_count_modulus``, so the cap applies to n/Q; it is checked for
+    every n before any table is sieved."""
+    check_extents(
+        [n // pair_count_modulus(n) for n in config.n_values], "pairs transform length"
+    )
     rows = []
     for n in config.n_values:
         table = _table(config, n)
-        for two_k in config.two_k_values:
+        spectral = pair_counts_via_spectrum(
+            n, config.two_k_values, table, tol=_tol(config, "spectral-pair-count")
+        )
+        for two_k, count in zip(config.two_k_values, spectral):
             rows.append(
-                (
-                    n,
-                    two_k,
-                    pair_count_linear(table, two_k),
-                    pair_count_circular(table, two_k),
-                    pair_count_via_spectrum(
-                        n, two_k, table, tol=_tol(config, "spectral-pair-count")
-                    ),
-                )
+                (n, two_k, pair_count_linear(table, two_k), pair_count_circular(table, two_k), count)
             )
     return rows
 

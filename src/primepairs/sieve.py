@@ -11,9 +11,9 @@ and circular pair counts AND slices of the bitmap block by block and
 copy no ring.
 Construction is a single blocking call; all queries afterwards are
 read-only and safe to use from concurrent callers.  A table fills a few
-derived arrays on first use (its primes, checksum, half spectrum and
-circular pair correlation); concurrent first calls each compute the same
-array and either result may be kept.
+derived arrays on first use (its primes, checksum and half spectrum);
+concurrent first calls each compute the same array and either result may
+be kept.
 
 The sieve works on odd slots only, slot i standing for 2i + 1, one
 segment of SEGMENT_LENGTH slots (2 * SEGMENT_LENGTH integers) at a time.
@@ -35,8 +35,10 @@ chain buffers and a 512 KiB int64 fold buffer), beside its cached
 512 KiB table of powers of P.  The table keeps no prefix counts: pi(x)
 counts the bitmap, about 10 ms at 1e8, and callers ask for it a handful
 of times per extent.  Builds that would exceed the configured byte
-budget are rejected up front.  The cached spectrum and correlation, when
-asked for, cost 8 more bytes per entry each.
+budget are rejected up front.  The cached half spectrum, when asked for,
+costs 8 more bytes per entry (n/2 + 1 complex bins).  Spectral pair
+counts read residue columns of the bitmap instead (``spectral``), so they
+add no array of length n.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ import numpy as np
 
 from .errors import CacheError, ResourceLimitError, UsageError
 from .factored import is_prime_u64
-from .transform import as_ring, autocorrelation, forward_real, require_divisor, unit_phase
+from .transform import as_ring, forward_real, require_divisor, unit_phase
 
 logger = logging.getLogger(__name__)
 
@@ -170,7 +172,6 @@ class PrimeTable:
     _primes: np.ndarray | None = field(default=None, repr=False)
     _checksum: int | None = field(default=None, repr=False)
     _spectrum: np.ndarray | None = field(default=None, repr=False)
-    _correlation: np.ndarray | None = field(default=None, repr=False)
 
     def pi(self, x: int) -> int:
         """Number of primes <= x."""
@@ -195,16 +196,6 @@ class PrimeTable:
         if self._spectrum is None:
             self._spectrum = forward_real(self.ring_indicator())
         return self._spectrum
-
-    def correlation(self) -> np.ndarray:
-        """Circular pair correlation for every shift m at once: entry m is
-        (1/n) sum_xi |F(P)(xi)|^2 e_n(-m xi), the number of primes x with
-        x + m mod n also prime, as floats carrying transform rounding.
-        One irfft of the cached power (Wiener-Khinchin), computed once,
-        then cached."""
-        if self._correlation is None:
-            self._correlation = autocorrelation(self.spectrum(), self.n)
-        return self._correlation
 
     def bitmap_payload(self) -> bytes:
         """Packed bits of is_prime[1..n], MSB-first within each byte."""

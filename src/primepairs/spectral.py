@@ -12,10 +12,25 @@ instruments.  Every identity here is exact in exact arithmetic; the
 functions verify their stated floating-point residuals and raise
 IdentityError (naming the identity) when a residual exceeds tolerance.
 
-Every identity on a PrimeTable reads the table's one cached real spectrum
-(``PrimeTable.spectrum``, an rfft of the ring indicator) instead of
-transforming again: circular pair counts for all shifts come from one
-irfft of its power (``PrimeTable.correlation``); ``decompose`` and
+Residue columns tie the two sides without any length-n transform.  With
+m = n/Q, column a of the ring is the class x = a (mod Q) (the Cooley-Tukey
+index map x = a + j*Q), C_a is its length-m DFT, and a + 2k = b + t*Q with
+0 <= b < Q.  Then, exactly,
+
+    S(xi) = sum_a e_m(-t*xi) * C_a(xi) * conj(C_b(xi)),
+    T(xi) = Q * e_n(+2k*xi) * S(xi),
+    circular pair count = (1/m) * sum_{xi in Z/mZ} S(xi).
+
+``column_pair_spectra`` computes S for several shifts from one batched
+rfft of the prime-holding columns, gathered block by block from the bool
+bitmap.  The spectral pair count (``pair_counts_via_spectrum``, and the
+identity suite's rows) always takes this route, with Q from
+``pair_count_modulus``; ``decompose`` takes it when n is over the 1e7
+transform cap, since only the length m is transformed.
+
+Up to the cap, the other identities on a PrimeTable read the table's one
+cached real spectrum (``PrimeTable.spectrum``, an rfft of the ring
+indicator) instead of transforming again: ``decompose`` and
 ``error_spectrum_stats`` regroup its power mirrored to length n;
 ``half_spectrum_pair_value`` reads its power directly; and
 ``rho_identity_check`` and ``half_spectrum_residual`` take the samples
@@ -37,12 +52,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .constants import hl_constant, li2
 from .errors import IdentityError, UsageError
-from .factored import is_prime_u64, _as_factored
+from .factored import _as_factored, factorize, is_prime_u64
 from .sieve import (
     PrimeTable,
     build_table,
@@ -51,6 +68,7 @@ from .sieve import (
     von_mangoldt_vector,
 )
 from .transform import (
+    MAX_TRANSFORM_LENGTH,
     as_ring,
     autocorrelation,
     check_extents,
@@ -64,6 +82,11 @@ from .transform import (
 )
 
 logger = logging.getLogger(__name__)
+
+# bytes of one block of column spectra, (m//2 + 1) * 16 bytes per column
+COLUMN_BLOCK_BYTES = 64 << 20
+# c in the transform error model ||dC||_2 <= c * eps * log2(m) * ||C||_2
+FFT_ERROR_GROWTH = 16
 
 
 @dataclass(eq=False)
@@ -97,12 +120,14 @@ class ErrorProbe:
     magnitude: float
 
 
-def _table_for(n: int, table: PrimeTable | None) -> PrimeTable:
+def _table_for(n: int, table: PrimeTable | None, length: int | None = None) -> PrimeTable:
+    """The supplied table of extent n, or a new one once the transform
+    length (n unless given) is known to be within the cap."""
     if table is not None:
         if table.n != n:
             raise UsageError(f"supplied table has extent {table.n}, expected {n}")
         return table
-    check_extents([n], "spectral extent", UsageError)
+    check_extents([n if length is None else length], "spectral extent", UsageError)
     return build_table(n)
 
 
@@ -126,35 +151,193 @@ def pair_correlation_via_spectrum(ring: np.ndarray, two_k: int) -> complex:
     return complex(correlation_via_spectrum(ring)[two_k % ring.shape[0]])
 
 
+@lru_cache(maxsize=256)
+def pair_count_modulus(n: int) -> int:
+    """The Q | n that the spectral pair count groups Z/nZ by: among the
+    divisors Q <= sqrt(n), the one with the smallest phi(Q)/Q, so that the
+    fewest residue columns hold primes, and the largest such Q on a tie,
+    so that the columns are shortest.  Q = 1 for prime n."""
+    # each divisor with its phi(Q)/Q, the product of (p - 1)/p over its primes
+    density = {1: Fraction(1)}
+    for p, e in factorize(n).factors:
+        density = {
+            d * p**j: ratio * Fraction(p - 1, p) if j else ratio
+            for d, ratio in density.items()
+            for j in range(e + 1)
+        }
+    return min((d for d in density if d * d <= n), key=lambda d: (density[d], -d))
+
+
+def column_pair_spectra(table: PrimeTable, Q: int, shifts):
+    """Yield, for each shift 2k in ``shifts`` (any 2k >= 0) in turn, the
+    half accumulator S(xi), 0 <= xi <= m//2 with m = n/Q:
+
+        S(xi) = sum_a e_m(-t*xi) * C_a(xi) * conj(C_b(xi)),
+
+    where C_a is the length-m DFT of residue column a and
+    a + 2k = b + t*Q with 0 <= b < Q.  The rest is S(m - xi) = conj S(xi).
+
+    Only the classes a that hold a prime are read.  Their columns are
+    gathered from the bool bitmap, viewed as (m, Q) without a copy, in
+    blocks of as many classes as fit COLUMN_BLOCK_BYTES of spectra, and
+    each block is one batched rfft through ``transform``.  The blocks live
+    at once are a block of classes a and the blocks that hold their
+    partners b: for shifts below the span of a block, two.  So the memory
+    is the n + 1 byte table plus chunk * (m//2 + 1) * 16 bytes per live
+    block of chunk classes, and, while a block is transformed, its real
+    input of about the same size.
+
+    t takes two values per shift, so each shift keeps two accumulators and
+    two phase vectors.  Shifts go in groups whose accumulators fit
+    COLUMN_BLOCK_BYTES; when every class fits one block, which it does at
+    the sizes ``pair_count_modulus`` picks up to 2e7, one transform serves
+    every shift of a group.
+    """
+    n = table.n
+    require_divisor(n, Q, "residue-column pair spectra")
+    m = n // Q
+    check_extents([m], "residue-column length")
+    half = m // 2 + 1
+    # the bitmap as residue columns, except that slot 0 holds x = n, not 0:
+    # a prime only when n is, and then Q = 1 or Q = n
+    bits = table.is_prime[:n].reshape(m, Q)
+    holding = bits.any(axis=0)
+    holding[0] |= table.is_prime[n]
+    classes = np.flatnonzero(holding)
+    position = np.full(Q, -1, dtype=np.int64)
+    position[classes] = np.arange(classes.size)
+    chunk = max(1, COLUMN_BLOCK_BYTES // (half * 16))
+
+    def block_spectra(block: int) -> np.ndarray:
+        # np.take reads each row of the view once; the transposed copy puts
+        # each column's m entries in a row, where the rfft reads them
+        picked = np.take(bits, classes[block * chunk : (block + 1) * chunk], axis=1)
+        columns = np.ascontiguousarray(picked.T)
+        if block == 0 and classes[0] == 0:
+            columns[0, 0] = table.is_prime[n]
+        return forward_real(columns)
+
+    shifts = list(shifts)
+    group = max(1, COLUMN_BLOCK_BYTES // (2 * half * 16))
+    xi = np.arange(half, dtype=np.int64)
+    product = np.empty(half, dtype=complex)
+    for first in range(0, len(shifts), group):
+        batch = shifts[first : first + group]
+        # every pair (a, b) of prime-holding classes, by the position of a,
+        # with its accumulator: two per shift, for t = 2k // Q and t + 1
+        a_pos, b_pos, slot = [], [], []
+        for s, two_k in enumerate(batch):
+            shifted = classes + two_k
+            partner = position[shifted % Q]
+            kept = np.flatnonzero(partner >= 0)
+            a_pos.append(kept)
+            b_pos.append(partner[kept])
+            slot.append(2 * s + shifted[kept] // Q - two_k // Q)
+        order = np.argsort(np.concatenate(a_pos), kind="stable")
+        a_pos, b_pos, slot = (np.concatenate(v)[order] for v in (a_pos, b_pos, slot))
+
+        acc = np.zeros((2 * len(batch), half), dtype=complex)
+        live: dict[int, np.ndarray] = {}
+        bounds = np.searchsorted(a_pos, np.arange(0, classes.size + chunk, chunk))
+        for block, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if lo == hi:
+                continue
+            needed = {block, *(b_pos[lo:hi] // chunk).tolist()}
+            live = {k: v for k, v in live.items() if k in needed}
+            for k in sorted(needed - live.keys()):
+                live[k] = block_spectra(k)
+            for a, b, j in zip(a_pos[lo:hi].tolist(), b_pos[lo:hi].tolist(), slot[lo:hi].tolist()):
+                np.conjugate(live[b // chunk][b % chunk], out=product)
+                product *= live[a // chunk][a % chunk]
+                acc[j] += product
+        for s, two_k in enumerate(batch):
+            t = two_k // Q
+            yield unit_phase(m, t * xi) * acc[2 * s] + unit_phase(m, (t + 1) * xi) * acc[2 * s + 1]
+
+
+def column_pair_counts(table: PrimeTable, Q: int, shifts) -> list[float]:
+    """(1/m) * sum over all xi in Z/mZ of S(xi) for each shift: the
+    circular pair counts as floats carrying transform rounding, each
+    folded from its half accumulator as soon as it is formed."""
+    m = table.n // Q
+    counts = []
+    for half in column_pair_spectra(table, Q, shifts):
+        total = 2.0 * float(half.real.sum()) - half[0].real
+        if m % 2 == 0:
+            total -= half[-1].real  # the Nyquist bin has no mirror
+        counts.append(float(total) / m)
+    return counts
+
+
+def pair_count_rounding_budget(primes: int, Q: int, m: int) -> float:
+    """Bound on the rounding error of a column pair count over
+    ``primes`` primes, with Q classes of length m.
+
+    By Parseval ||C_a||_2^2 = m * pi_a, pi_a the primes of class a.  A
+    length-m transform errs by ||dC_a||_2 <= c * eps * log2(m) * ||C_a||_2
+    (c = FFT_ERROR_GROWTH; about 5 for radix 2, and Bluestein's three
+    transforms and chirp need more), so the transform error of
+    (1/m) sum_xi C_a conj C_b is at most 2c eps log2(m) sqrt(pi_a pi_b),
+    and by Cauchy-Schwarz at most 2c eps log2(m) * primes over all a.  The
+    products, phases and sums over at most Q classes and m frequencies
+    add at most (Q + m + 4) eps times (1/m) sum |C_a| |C_b| <= primes.
+    """
+    eps = float(np.finfo(np.float64).eps)
+    return eps * primes * (2 * FFT_ERROR_GROWTH * math.log2(max(m, 2)) + Q + m + 4)
+
+
+def pair_counts_via_spectrum(
+    n: int, shifts, table: PrimeTable | None = None, tol: float = 1e-6
+) -> list[int]:
+    """Circular prime-pair counts for every shift in ``shifts``, evaluated
+    through the residue-column spectra with Q = pair_count_modulus(n): one
+    batched transform of length-n/Q columns serves every shift.
+
+    Each raw count must lie within a certified rounding budget of an
+    integer: ``pair_count_rounding_budget``, tightened to tol * n when that
+    is smaller (a tolerance never loosens it).  A model budget of 0.5 or
+    more would not certify the rounding, so it raises before any count is
+    rounded.  Each rounded count is checked for exact agreement with the
+    sieve's circular count before it is returned.
+    """
+    for two_k in shifts:
+        if not 2 <= two_k < n:
+            raise UsageError(f"need 2 <= 2k < n, got 2k={two_k}, n={n}")
+    Q = pair_count_modulus(n)
+    m = n // Q
+    check_extents([m], "spectral pair count", UsageError)
+    t = _table_for(n, table, m)
+    model = pair_count_rounding_budget(t.pi(n), Q, m)
+    if model >= 0.5:
+        raise IdentityError(
+            "spectral-pair-count", model, 0.5, f"rounding budget cannot certify, n={n}"
+        )
+    budget = min(model, tol * n)
+    counts = []
+    for two_k, raw in zip(shifts, column_pair_counts(t, Q, shifts)):
+        nearest = round(raw)
+        if abs(raw - nearest) > budget:
+            raise IdentityError(
+                "spectral-pair-count", abs(raw - nearest), budget, f"rounding, n={n}, 2k={two_k}"
+            )
+        sieved = pair_count_circular(t, two_k)
+        if nearest != sieved:
+            raise IdentityError(
+                "spectral-pair-count",
+                abs(nearest - sieved),
+                0.0,
+                f"spectral {nearest} vs sieve {sieved}, n={n}, 2k={two_k}",
+            )
+        counts.append(int(nearest))
+    return counts
+
+
 def pair_count_via_spectrum(
     n: int, two_k: int, table: PrimeTable | None = None, tol: float = 1e-6
 ) -> int:
-    """Circular prime-pair count evaluated through the spectrum.
-
-    Reads the table's cached correlation (one irfft for all shifts),
-    asserts the value is integral to within tol * n, rounds, and checks
-    exact agreement with the sieve's circular count before returning it.
-    """
-    if not 2 <= two_k < n:
-        raise UsageError(f"need 2 <= 2k < n, got 2k={two_k}, n={n}")
-    check_extents([n], "spectral pair count", UsageError)
-    t = _table_for(n, table)
-    raw = float(t.correlation()[two_k])
-    budget = tol * n
-    nearest = round(raw)
-    if abs(raw - nearest) > budget:
-        raise IdentityError(
-            "spectral-pair-count", abs(raw - nearest), budget, f"rounding, n={n}"
-        )
-    sieved = pair_count_circular(t, two_k)
-    if nearest != sieved:
-        raise IdentityError(
-            "spectral-pair-count",
-            abs(nearest - sieved),
-            0.0,
-            f"spectral {nearest} vs sieve {sieved}, n={n}, 2k={two_k}",
-        )
-    return int(nearest)
+    """Circular prime-pair count for one shift through the spectrum:
+    ``pair_counts_via_spectrum`` with the one shift."""
+    return pair_counts_via_spectrum(n, [two_k], table, tol)[0]
 
 
 def rho_identity_check(
@@ -202,6 +385,23 @@ def _coset_regroup(power: np.ndarray, Q: int, two_k: int) -> np.ndarray:
     return weights.real @ rows + 1j * (weights.imag @ rows)
 
 
+def _column_error_spectrum(table: PrimeTable, Q: int, two_k: int) -> np.ndarray:
+    """T(xi) for 0 <= xi < n/Q from the residue-column kernel:
+    T(xi) = Q * e_n(+2k*xi) * S(xi), with no transform of length n."""
+    n = table.n
+    m = n // Q
+    (half,) = column_pair_spectra(table, Q, [two_k])
+    xi = np.arange(m, dtype=np.int64)
+    return Q * spectrum_at(half, m, xi) * unit_phase(n, -two_k * xi)
+
+
+def decompose_length(n: int, Q: int) -> int:
+    """The transform length ``decompose`` needs at extent n: n itself up
+    to the transform cap (the full-length route, whose T the reports
+    carry there), and past it the length n/Q of the residue columns."""
+    return n if n <= MAX_TRANSFORM_LENGTH else n // Q
+
+
 def is_primorial(Q) -> bool:
     """True when Q is a product of the first consecutive primes (1 counts,
     as the empty product)."""
@@ -231,7 +431,9 @@ def decompose(
 
     Requires Q | n with Q a primorial.  Q > sqrt(n) is allowed (the
     identity is exact for any Q | n) but logged, since the main term only
-    carries its asymptotic meaning for small Q.
+    carries its asymptotic meaning for small Q.  Up to the transform cap T
+    is regrouped from the table's full-length power spectrum; past it,
+    from the residue-column kernel, which transforms length n/Q only.
     """
     require_divisor(n, Q, "decomposition")
     if not is_primorial(Q):
@@ -240,8 +442,12 @@ def decompose(
         raise UsageError(f"need 2 <= 2k < n, got 2k={two_k}")
     if Q * Q > n:
         logger.warning("decompose called with Q=%d above sqrt(n=%d); identity still exact", Q, n)
-    t = _table_for(n, table)
-    spectrum = _coset_regroup(_full_power(t), Q, two_k)
+    length = decompose_length(n, Q)
+    t = _table_for(n, table, length)
+    if length == n:
+        spectrum = _coset_regroup(_full_power(t), Q, two_k)
+    else:
+        spectrum = _column_error_spectrum(t, Q, two_k)
     if abs(spectrum[0].imag) > tol * n:
         raise IdentityError(
             "main-term-realness", abs(spectrum[0].imag), tol * n, f"n={n}, Q={Q}"

@@ -23,6 +23,9 @@ views the ring as an (m, Q) array whose column a is the class
 x = a (mod Q), because slot 0 holds x = n = 0 (mod Q).  A vector masked
 to that class has the spectrum e_n(-xi*a) * DFT_m(column a)(xi mod m), so
 one length-m transform of the column carries the class's whole energy.
+``forward_real`` transforms a batch of such columns, one per row, in one
+call; the spectral pair counts gather theirs straight from a table's
+bool bitmap.
 
 Every transform in the package is a call here, on plain arrays: this is
 the only module that names ``numpy.fft``, and each call checks its length.
@@ -38,11 +41,14 @@ that model.
 Real input has a Hermitian spectrum, F(n - xi) = conj F(xi), so its whole
 spectrum is fixed by the half 0 <= xi <= n//2 that ``forward_real`` (one
 rfft) returns.  A PrimeTable caches that half spectrum of its ring
-indicator (``PrimeTable.spectrum``), and every spectral identity on a
-table reads it: ``inverse_real`` inverts it (the round trip),
-``autocorrelation`` turns it into the circular correlation of every
-shift at once, ``spectrum_at`` samples F at any frequency, and
-``mirror_power`` extends |F|^2 to all of Z/nZ.
+indicator (``PrimeTable.spectrum``), and the length-n identities on a
+table read it: ``inverse_real`` inverts it (the round trip),
+``spectrum_at`` samples F at any frequency, and ``mirror_power`` extends
+|F|^2 to all of Z/nZ.  ``autocorrelation`` turns the half spectrum of any
+real weight vector into its circular correlation for every shift at
+once; its one user is ``spectral.correlation_via_spectrum``, which the
+von Mangoldt (psi) identity runs on its ring.  The prime pair counts
+read residue columns instead.
 ``forward``, ``inverse`` and ``plancherel_residual`` stay full complex
 transforms, at length n, Q or n/Q: the direct routes the identities are
 checked by.
@@ -107,8 +113,9 @@ def residue_columns(ring: np.ndarray, Q: int) -> np.ndarray:
 
 
 def _length(f: np.ndarray) -> int:
-    """Length of a vector about to be transformed, within the cap."""
-    n = f.shape[0]
+    """Length of the vector, or of each row of a batch, about to be
+    transformed, within the cap."""
+    n = f.shape[-1]
     if n < 1:
         raise UsageError("cannot transform an empty vector")
     check_extents([n])
@@ -125,7 +132,8 @@ def forward(f: np.ndarray) -> np.ndarray:
 
 def forward_real(f: np.ndarray) -> np.ndarray:
     """Half spectrum F(xi), 0 <= xi <= n//2, of a real vector in residue
-    layout (one rfft); the rest is F(n - xi) = conj F(xi)."""
+    layout (one rfft); the rest is F(n - xi) = conj F(xi).  A 2-d ``f``
+    is a batch whose rows are transformed in the one call."""
     f = np.asarray(f)
     _length(f)
     return np.fft.rfft(f)

@@ -21,7 +21,7 @@ from primepairs.harness import (
 )
 from primepairs.factored import primorial
 from primepairs.reports import complex_rows, csv_body, render_csv
-from primepairs.sieve import fnv1a64
+from primepairs.sieve import build_table, fnv1a64, pair_count_circular
 from primepairs.spectral import error_probe
 
 import oracles
@@ -183,11 +183,12 @@ class TestTransformBudget:
             monkeypatch.setattr(np.fft, name, counted)
         return seen
 
-    def test_pairs_one_rfft_and_one_irfft_per_extent(self, calls, capsys):
+    def test_pairs_one_batched_column_rfft_per_extent(self, calls, capsys):
+        # every shift from one rfft of the prime-holding residue columns:
+        # 1001 = 7 * 143 takes Q = 7 (classes 1..6 and 0, which holds 7)
+        # and 2310 takes Q = 30 (the 8 units and 2, 3, 5), length n/Q each
         assert main(["pairs", "--n", "1001,2310", "--two-k", "2,4,6"]) == 0
-        assert [(name, a.shape[0]) for name, a in calls] == [
-            ("rfft", 1001), ("irfft", 1001 // 2 + 1), ("rfft", 2310), ("irfft", 2310 // 2 + 1)
-        ]
+        assert [(name, a.shape) for name, a in calls] == [("rfft", (7, 143)), ("rfft", (11, 77))]
 
     def test_one_ring_transform_per_extent(self, tmp_path, monkeypatch, calls):
         built = {}
@@ -235,9 +236,10 @@ class TestTransformBudget:
                 lengths[Q] += 1
                 lengths[round_up_multiple(n, Q) // Q] += 3
         assert Counter(a.shape[0] for fn, a in calls if fn == "fft") == lengths
-        # per n: correlation and round-trip irffts, the Plancherel fft and
-        # one rfft plus one irfft of the von Mangoldt ring; per (n, z): the
-        # mod-Q transform of the residue counts and three column transforms
+        # per n: the batched column rfft of the pair counts, the
+        # round-trip irfft, the Plancherel fft and one rfft plus one irfft
+        # of the von Mangoldt ring; per (n, z): the mod-Q transform of the
+        # residue counts and three column transforms
         budget = len(extents) + 5 * len(n_values) + 4 * len(n_values) * len(z_values)
         assert len(calls) <= budget
 
@@ -518,8 +520,9 @@ class TestCli:
         assert "n,two_k,linear,circular,spectral" in out_file.read_text()
 
     def test_pairs_honours_spectral_pair_count_tolerance(self, capsys):
-        # the rounding residual at n = 1e6 is about 1e-12, far above 1e-30 * n
-        argv = ["pairs", "--n", "1000000", "--two-k", "4"]
+        # the rounding residual at n = 1e6, 2k = 2 is about 4e-12, far
+        # above 1e-30 * n (at 2k = 4 the column sum lands on 8144 exactly)
+        argv = ["pairs", "--n", "1000000", "--two-k", "2"]
         assert main(argv + ["--tolerance", "spectral-pair-count=1e-30"]) == 2
         assert "spectral-pair-count" in capsys.readouterr().err
         assert main(argv) == 0
@@ -551,8 +554,10 @@ class TestCli:
         config = small_config("identity-suite", tmp_path, n_values=[10**7], z_schedule=[5, 7, 11, 13])
         with pytest.raises(ResourceLimitError, match="10000002, 10000020, 10000200, 10002300$"):
             run(config)
-        config = small_config("decompose", tmp_path, n_values=[9699690, 10**7], z_schedule=[7])
-        with pytest.raises(ResourceLimitError, match="got 10000020$"):
+        # past the cap decompose transforms columns of length n/Q, so
+        # 10000020 (m = 333334) runs and 300000030 (m = 10000001) does not
+        config = small_config("decompose", tmp_path, n_values=[10**7, 300000030], z_schedule=[7])
+        with pytest.raises(ResourceLimitError, match="got 10000001$"):
             run(config)
         config = small_config("spectrum-export", tmp_path, n_values=[30, 10**7 + 1])
         with pytest.raises(ResourceLimitError, match="got 10000001$"):
@@ -607,9 +612,30 @@ class TestCli:
         assert f"{next(iter(raw))} must be" in err
 
     def test_pairs_over_cap_rejected_before_any_work(self, monkeypatch, capsys):
+        # the prime 10000019 has no divisor but 1 to group by, so its
+        # columns are the whole ring, over the cap
         monkeypatch.setattr(sieve, "build_table", lambda *a, **kw: pytest.fail("sieved"))
-        assert main(["pairs", "--n", str(2 * 10**7), "--two-k", "2"]) == 3
-        assert "20000000" in capsys.readouterr().err
+        assert main(["pairs", "--n", "10000019", "--two-k", "2"]) == 3
+        assert "10000019" in capsys.readouterr().err
+
+    def test_pairs_past_the_cap(self, capsys):
+        # 2e7 groups by Q = 4000, so its columns have length 5000
+        assert main(["pairs", "--n", str(2 * 10**7), "--two-k", "2,4,210"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[1] for row in rows] == ["2", "4", "210"]
+        table = build_table(2 * 10**7)
+        for _, two_k, _, circular, spectral in rows:
+            assert int(spectral) == int(circular) == pair_count_circular(table, int(two_k))
+
+    def test_decompose_past_the_cap(self, tmp_path, capsys):
+        # 10000020 = 30 * 333334: the report holds n/Q rows of T
+        argv = ["decompose", "--n", "10000020", "--z", "7", "--two-k", "2", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        report = json.loads((tmp_path / "decompose_n10000020_Q30_k2.json").read_text())
+        assert report["pair_count_circular"] == pair_count_circular(build_table(10000020), 2)
+        assert report["reconstruction_residual"] < 1e-6
+        rows = (tmp_path / "decompose_n10000020_Q30_k2.csv").read_text().splitlines()
+        assert len([line for line in rows if not line.startswith("#")]) == 1 + 333334
 
     def test_n_floor_only_where_pairs_are_counted(self, tmp_path, capsys):
         assert main(["spectrum", "--n", "5", "--out", str(tmp_path)]) == 0

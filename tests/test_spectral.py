@@ -1,4 +1,7 @@
+import contextlib
 import math
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,8 +27,17 @@ from primepairs import (
     twisted_progression_count,
     von_mangoldt_vector,
 )
-from primepairs.spectral import is_primorial, pair_correlation_via_spectrum
-from primepairs.transform import as_ring, forward, unit_phase
+from primepairs import IdentityError, spectral
+from primepairs.spectral import (
+    column_pair_counts,
+    column_pair_spectra,
+    is_primorial,
+    pair_correlation_via_spectrum,
+    pair_count_modulus,
+    pair_count_rounding_budget,
+    pair_counts_via_spectrum,
+)
+from primepairs.transform import as_ring, forward, mirror_power, unit_phase
 
 import oracles
 
@@ -291,8 +303,8 @@ class TestHermitianPaths:
     def test_pair_count_every_even_shift(self, n):
         t = build_table(n)
         # the last shift is 2k = n - 2 for even n
-        for two_k in range(2, n, 2):
-            assert pair_count_via_spectrum(n, two_k, t) == pair_count_circular(t, two_k)
+        shifts = list(range(2, n, 2))
+        assert pair_counts_via_spectrum(n, shifts, t) == [pair_count_circular(t, k) for k in shifts]
 
     @given(n=EXTENTS, k=st.integers(min_value=0, max_value=600))
     @example(n=1155, k=0)
@@ -331,6 +343,175 @@ class TestHermitianPaths:
             assert rho_identity_check(n, Q, t) <= budget
 
 
+def _full_route_T(t, Q, two_k):
+    """T(xi), 0 <= xi < n/Q, regrouped from the full-length power."""
+    power = np.abs(forward(t.ring_indicator())) ** 2
+    weights = unit_phase(Q, two_k * np.arange(Q))
+    return weights @ power.reshape(Q, t.n // Q)
+
+
+def _column_route_T(half, n, Q, two_k):
+    """T(xi) = Q e_n(+2k xi) S(xi) from the half accumulator S, mirrored
+    by S(m - xi) = conj S(xi)."""
+    m = n // Q
+    full = np.concatenate((half, np.conj(half[1 : m - half.shape[0] + 1][::-1])))
+    return Q * full * unit_phase(n, -two_k * np.arange(m))
+
+
+def _classes_per_block(block, m):
+    """Blocks of ``block`` column spectra of length m // 2 + 1 (and shift
+    groups of block // 2), so that small tables span many blocks; None
+    keeps the default."""
+    if block is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(spectral, "COLUMN_BLOCK_BYTES", block * (m // 2 + 1) * 16)
+
+
+class TestColumnKernel:
+    """The residue-column kernel against the sieve and against the
+    full-length coset regroup, at prime n (Q = 1), Q = n, primorial and
+    non-primorial Q, 2k < Q and 2k >= Q, n = 2k + 2, and blocks of a few
+    classes, so that partners cross blocks and wrap to the first one."""
+
+    @given(
+        n=st.integers(min_value=4, max_value=1500),
+        pick=st.integers(min_value=0, max_value=10**6),
+        k=st.integers(min_value=0, max_value=10**6),
+        block=st.sampled_from([None, 1, 2, 3, 7]),
+    )
+    @example(n=1009, pick=0, k=0, block=None)  # prime n: Q = 1
+    @example(n=1009, pick=1, k=3, block=1)  # prime n: Q = n, columns of length 1
+    @example(n=2310, pick=31, k=104, block=3)  # Q = 2310 = n
+    @example(n=2310, pick=24, k=1153, block=2)  # Q = 210, n = 2k + 2
+    @example(n=1200, pick=9, k=20, block=2)  # Q = 15, 2k = 42 >= Q
+    @example(n=1200, pick=10, k=6, block=1)  # Q = 16, 2k = 14 < Q
+    @example(n=30, pick=7, k=13, block=None)  # Q = 30 = n, 2k = 28
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sieve_and_full_route(self, n, pick, k, block):
+        t = build_table(n)
+        divisors = _divisors(n)
+        Q = divisors[pick % len(divisors)]
+        two_k = 2 + 2 * (k % ((n - 1) // 2))  # every even shift 2 <= 2k < n
+        shifts = [two_k, 2] if two_k != 2 else [2]
+        with _classes_per_block(block, n // Q):
+            spectra = list(column_pair_spectra(t, Q, shifts))
+        counts = column_pair_counts(t, Q, shifts)
+        budget = pair_count_rounding_budget(t.pi(n), Q, n // Q)
+        for shift, half, raw in zip(shifts, spectra, counts):
+            assert half.shape == (n // Q // 2 + 1,)
+            assert abs(raw - pair_count_circular(t, shift)) <= budget
+            expected = _full_route_T(t, Q, shift)
+            got = _column_route_T(half, n, Q, shift)
+            # relative, except where T vanishes (no pairs at all)
+            scale = max(np.abs(expected).max(), 1.0)
+            assert np.abs(got - expected).max() <= 1e-12 * scale
+            # S itself: the regrouped T turned back by Q e_n(+2k xi)
+            xi = np.arange(half.shape[0])
+            s_full = expected[: half.shape[0]] * unit_phase(n, shift * xi) / Q
+            assert np.abs(half - s_full).max() <= 1e-12 * scale / Q
+
+    def test_small_blocks_agree_with_one_block(self, monkeypatch):
+        # when every class fits one block, one batched transform serves
+        # every shift; any block size gives the same accumulators
+        t = build_table(9240)
+        shifts = [2, 4, 30, 210, 2310, 9238]
+        batches = []
+        original = spectral.forward_real
+
+        def counted(f):
+            batches.append(f.shape)
+            return original(f)
+
+        monkeypatch.setattr(spectral, "forward_real", counted)
+        whole = list(column_pair_spectra(t, 210, shifts))
+        # the 48 units mod 210 and the classes of 2, 3, 5 and 7
+        assert batches == [(52, 9240 // 210)]
+        for block in (1, 4, 13):
+            with _classes_per_block(block, 9240 // 210):
+                for a, b in zip(whole, column_pair_spectra(t, 210, shifts), strict=True):
+                    assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
+        assert list(column_pair_spectra(t, 210, [])) == []
+
+    def test_cross_check_at_primorial_19(self):
+        n = 9699690  # 2*3*5*7*11*13*17*19
+        t = build_table(n)
+        power = mirror_power(np.abs(t.spectrum()) ** 2, n)
+        for Q, two_k in ((30, 2), (210, 6), (210, 420)):
+            m = n // Q
+            expected = spectral._coset_regroup(power, Q, two_k)
+            got = spectral._column_error_spectrum(t, Q, two_k)
+            scale = np.abs(expected).max()
+            assert np.abs(got - expected).max() <= 1e-12 * scale
+            (raw,) = column_pair_counts(t, Q, [two_k])
+            assert abs(raw - pair_count_circular(t, two_k)) <= pair_count_rounding_budget(
+                t.pi(n), Q, m
+            )
+            # error_probe's direct twisted sums use neither FFT route
+            for xi in (1, 12345, m - 1):
+                probe = error_probe(n, Q, two_k, xi, t)
+                assert abs(Q * probe.correlation - got[xi]) <= 1e-9 * scale
+
+    def test_modulus_choice(self):
+        assert pair_count_modulus(10**7) == 2500
+        assert pair_count_modulus(10**6) == 1000
+        assert pair_count_modulus(2 * 10**7) == 4000
+        assert pair_count_modulus(10000030) == 10
+        assert pair_count_modulus(9699690) == 2310
+        assert pair_count_modulus(10000019) == 1
+        assert pair_count_modulus(4) == 2
+        assert pair_count_modulus(64) == 8  # 2, 4 and 8 tie: the largest
+        # smallest phi(Q)/Q among Q <= sqrt(n), largest on a tie, by brute force
+        for n in range(2, 400):
+            best = min(
+                (q for q in _divisors(n) if q * q <= n),
+                key=lambda q: (Fraction(oracles.phi_naive(q), q), -q),
+            )
+            assert pair_count_modulus(n) == best, n
+
+
+class TestPairCountBudget:
+    def test_budget_certifies_measured_residuals(self, table_1e6):
+        raw = column_pair_counts(table_1e6, 1000, [2, 4, 6, 12])
+        budget = pair_count_rounding_budget(table_1e6.pi(10**6), 1000, 1000)
+        assert budget < 1e-6
+        for two_k, value in zip((2, 4, 6, 12), raw):
+            assert abs(value - pair_count_circular(table_1e6, two_k)) <= budget
+
+    def test_budget_of_half_or_more_raises_before_rounding(self, monkeypatch):
+        monkeypatch.setattr(spectral, "FFT_ERROR_GROWTH", 1e18)
+        with pytest.raises(IdentityError, match="cannot certify"):
+            pair_count_via_spectrum(120, 2)
+
+    def test_tolerance_tightens_never_loosens(self, monkeypatch):
+        n = 30030
+        t = build_table(n)
+        exact = column_pair_counts(t, 30, [2])[0]
+        model = pair_count_rounding_budget(t.pi(n), 30, n // 30)
+
+        def shifted(offset):
+            monkeypatch.setattr(spectral, "column_pair_counts", lambda *a: [exact + offset])
+
+        # an error inside the model passes at the default and fails a
+        # tighter tolerance
+        shifted(model / 2)
+        assert pair_count_via_spectrum(n, 2, t) == pair_count_circular(t, 2)
+        with pytest.raises(IdentityError, match="rounding"):
+            pair_count_via_spectrum(n, 2, t, tol=model / 4 / n)
+        # an error past the model fails even under a tolerance of n
+        shifted(0.25)
+        for tol in (1e-6, 1.0):
+            with pytest.raises(IdentityError, match="rounding"):
+                pair_count_via_spectrum(n, 2, t, tol=tol)
+
+    def test_counts_for_several_shifts(self, table_10k):
+        shifts = [2, 4, 6, 210, 9998]
+        assert pair_counts_via_spectrum(10**4, shifts, table_10k) == [
+            pair_count_circular(table_10k, k) for k in shifts
+        ]
+        with pytest.raises(UsageError):
+            pair_counts_via_spectrum(10**4, [2, 10**4], table_10k)
+
+
 class TestIsPrimorial:
     def test_accepts_primorials(self):
         for q in (1, 2, 6, 30, 210, 2310, 30030):
@@ -350,9 +531,29 @@ class TestUpperExtent:
         assert pair_count_via_spectrum(10**7, 2, t) == oracles.PAIR_COUNT_TWIN_1E7
         assert pair_count_linear(t, 2) == oracles.PAIR_COUNT_TWIN_1E7
 
-    def test_extent_above_ceiling_rejected(self):
-        with pytest.raises(UsageError):
-            pair_count_via_spectrum(10**7 + 30, 2)
+    @pytest.mark.parametrize("n", [10000030, 2 * 10**7])
+    def test_pair_count_past_the_cap(self, n):
+        # 10000030 = 10 * 1000003 groups by Q = 10, 2e7 by Q = 4000: both
+        # transform columns within the cap
+        t = build_table(n)
+        shifts = [2, 4, 210]
+        assert pair_counts_via_spectrum(n, shifts, t) == [pair_count_circular(t, k) for k in shifts]
+
+    def test_decompose_past_the_cap(self):
+        # 10000020 = 30 * 333334: T from length-333334 columns
+        n, Q = 10000020, 30
+        t = build_table(n)
+        report = decompose(n, Q, 2, t)
+        assert report.error_spectrum.shape == (n // Q,)
+        assert report.pair_count_circular == pair_count_circular(t, 2)
+        assert report.reconstruction_residual < 1e-6
+        assert report.main_term == pytest.approx(main_term_convolution(n, Q, 2, t), rel=1e-9)
+
+    def test_extent_above_ceiling_rejected(self, monkeypatch):
+        # the cap holds the column length n/Q: the prime 10000019 has Q = 1
+        monkeypatch.setattr(spectral, "build_table", lambda *a, **kw: pytest.fail("sieved"))
+        with pytest.raises(UsageError, match="10000019"):
+            pair_count_via_spectrum(10000019, 2)
 
 
 class TestConcurrency:
