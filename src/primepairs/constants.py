@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ResourceLimitError, UsageError
 from .factored import FactoredInteger, _as_factored, euler_phi, coprime_pair_count_formula
-from .sieve import _simple_sieve
+from .sieve import build_table
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -43,7 +43,7 @@ def _primes_below(cutoff: int) -> np.ndarray:
         raise UsageError(f"cutoff must be >= 3, got {cutoff}")
     if cutoff > 10**8:
         raise ResourceLimitError(f"constant cutoff capped at 1e8, got {cutoff}")
-    out = _simple_sieve(cutoff - 1)
+    out = build_table(cutoff - 1).primes()
     out.setflags(write=False)
     return out
 

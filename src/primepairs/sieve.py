@@ -19,15 +19,18 @@ The sieve works on odd slots only, slot i standing for 2i + 1, one
 segment of SEGMENT_LENGTH slots (2 * SEGMENT_LENGTH integers) at a time.
 Each segment starts as a wheel row of period 15015 slots (30030
 integers) that already strikes the multiples of 3, 5, 7, 11 and 13, so
-only the base primes from 17 up to sqrt(n) are struck.  A segment is
-sieved in the first half of its own stretch of the bitmap and then
-spread onto the odd entries of that stretch; even entries stay False
-apart from 2.
+only the base primes from 17 up to sqrt(n) are struck; they come from
+a table of extent isqrt(n) built by this same sieve, the package's only
+one (``von_mangoldt_vector`` and the constants' prime list read it too).
+A segment is sieved in the first half of its own stretch of the bitmap
+and then spread onto the odd entries of that stretch; even entries stay
+False apart from 2.
 
 Memory model: the bitmap is the whole table, 1 byte per entry, so a
 table of extent n needs about n+1 bytes (about 1 GB at the 1e9 cap).
-Sieving adds no buffer beyond the base primes up to sqrt(n), loading a
-cache adds the file (n/8 bytes), and pair counts AND the bitmap
+Sieving adds no buffer beyond the base primes up to sqrt(n) and their
+own table of isqrt(n) + 1 bytes, loading a cache adds the file (n/8
+bytes), and pair counts AND the bitmap
 _COUNT_BLOCK entries at a time into one 64 KiB buffer: none of them
 holds a second n-byte array.  The FNV-1a checksum of a save or load
 holds about 1.2 MiB of scratch whatever n is (its 128 KiB low-byte
@@ -65,6 +68,7 @@ SEGMENT_LENGTH = 1 << 20  # odd slots per sieve segment
 
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)
 _WHEEL_PERIOD = math.prod(_WHEEL_PRIMES)  # in odd slots: 30030 integers
+_FIRST_BASE_PRIME = 17  # the least prime the wheel leaves to the sieve
 _COUNT_BLOCK = 1 << 16  # bitmap entries per AND in the pair counts
 
 CACHE_MAGIC = b"PSPC1"
@@ -216,10 +220,11 @@ def build_table(n: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> PrimeTabl
     bitmap.  It is sieved contiguously in the first half of that stretch:
     pre-filled from the wheel row, which has struck the multiples of 3, 5,
     7, 11 and 13, then struck by the base primes 17 <= p <= sqrt(n) from
-    p^2 on.  ``_spread_odd`` then moves slot j to entry 2j + 1 and clears
-    the even entries.  Afterwards 1 is cleared and 2 and the wheel primes
-    are set back to prime.  Nothing beyond the n+1 byte bitmap and the
-    base primes is allocated.
+    p^2 on, the primes of ``build_table(isqrt(n))`` (none below 17^2,
+    where the wheel has struck every composite).  ``_spread_odd`` then
+    moves slot j to entry 2j + 1 and clears the even entries.  Afterwards
+    1 is cleared and 2 and the wheel primes are set back to prime.
+    Nothing beyond the n+1 byte bitmap and the base primes is allocated.
 
     Rejects n outside [2, 1e9] and builds whose bitmap would exceed
     ``memory_budget`` bytes.
@@ -236,8 +241,11 @@ def build_table(n: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> PrimeTabl
         )
     is_prime = np.zeros(n + 1, dtype=bool)
     slots = (n + 1) // 2  # odd integers 1, 3, ..., up to n
-    base = _simple_sieve(math.isqrt(n))
-    base = base[base > _WHEEL_PRIMES[-1]]
+    root = math.isqrt(n)
+    base = np.empty(0, dtype=np.int64)
+    if root >= _FIRST_BASE_PRIME:
+        base = build_table(root, memory_budget).primes()
+        base = base[base >= _FIRST_BASE_PRIME]
     first = (base * base - 1) // 2  # slot of p^2, ascending in p
     residue = (base - 1) // 2  # slots of odd multiples of p are = residue (mod p)
     for lo in range(0, slots, SEGMENT_LENGTH):
@@ -288,18 +296,6 @@ def _fill_wheel(segment: np.ndarray, lo: int) -> None:
         step = min(filled, segment.size - filled)
         segment[filled : filled + step] = segment[:step]
         filled += step
-
-
-def _simple_sieve(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array, by one unsegmented mask."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
 
 
 def pi_progression(table: PrimeTable, q: int, a: int) -> int:
@@ -393,13 +389,16 @@ def _and_count(ip: np.ndarray, a: int, b: int, length: int) -> int:
 
 def von_mangoldt_vector(n: int) -> np.ndarray:
     """Von Mangoldt weights Lambda(x) for 1 <= x <= n, natural log, as a
-    float64 array of length n+1 (index 0 unused)."""
+    float64 array of length n+1 (index 0 unused), from the primes of
+    ``build_table(n)``."""
     if n < 1:
         raise UsageError(f"need n >= 1, got {n}")
     if n > 10**8:
         raise ResourceLimitError(f"von Mangoldt vector capped at n <= 1e8, got {n}")
     lam = np.zeros(n + 1)
-    primes = _simple_sieve(n)
+    if n == 1:
+        return lam
+    primes = build_table(n).primes()
     lam[primes] = np.log(primes.astype(np.float64))
     for p in primes[primes <= math.isqrt(n)]:
         p = int(p)

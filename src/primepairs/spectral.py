@@ -22,11 +22,14 @@ index map x = a + j*Q), C_a is its length-m DFT, and a + 2k = b + t*Q with
     circular pair count = (1/m) * sum_{xi in Z/mZ} S(xi).
 
 ``column_pair_spectra`` computes S for several shifts from one batched
-rfft of the prime-holding columns, gathered block by block from the bool
-bitmap.  The spectral pair count (``pair_counts_via_spectrum``, and the
-identity suite's rows) always takes this route, with Q from
-``pair_count_modulus``; ``decompose`` takes it when n is over the 1e7
-transform cap, since only the length m is transformed.
+rfft of the columns that hold a nonzero weight, gathered block by block
+from a 1-indexed weight vector: the bool bitmap for prime pairs, the von
+Mangoldt weights for psi pairs.  It is the one spectral correlation
+route.  The spectral pair count (``pair_counts_via_spectrum``), the psi
+pair correlation (``psi_pair_via_spectrum``) and the identity suite's
+rows for both always take it, with Q from ``pair_count_modulus``;
+``decompose`` takes it when n is over the 1e7 transform cap, since only
+the length m is transformed.
 
 Up to the cap, the other identities on a PrimeTable read the table's one
 cached real spectrum (``PrimeTable.spectrum``, an rfft of the ring
@@ -70,7 +73,6 @@ from .sieve import (
 from .transform import (
     MAX_TRANSFORM_LENGTH,
     as_ring,
-    autocorrelation,
     check_extents,
     forward,
     forward_real,
@@ -127,28 +129,14 @@ def _table_for(n: int, table: PrimeTable | None, length: int | None = None) -> P
         if table.n != n:
             raise UsageError(f"supplied table has extent {table.n}, expected {n}")
         return table
-    check_extents([n if length is None else length], "spectral extent", UsageError)
+    check_extents([n if length is None else length], "spectral extent")
     return build_table(n)
-
-
-def correlation_via_spectrum(ring: np.ndarray) -> np.ndarray:
-    """(1/n) * sum_xi |F(ring)(xi)|^2 * exp(-2*pi*i*m*xi/n) for every shift
-    m at once, for any real weight vector in residue layout: one rfft and
-    one irfft (Wiener-Khinchin).  |F|^2 is even, so entry m also equals
-    the sum with exp(+2*pi*i*m*xi/n)."""
-    return autocorrelation(forward_real(ring), ring.shape[0])
 
 
 def correlation_direct(ring: np.ndarray, two_k: int) -> float:
     """sum_x ring(x) * ring(x + 2k mod n): the direct side of the
     correlation identities."""
     return float(np.dot(ring, np.roll(ring, -(two_k % ring.shape[0]))))
-
-
-def pair_correlation_via_spectrum(ring: np.ndarray, two_k: int) -> complex:
-    """(1/n) * sum_xi |F(ring)(xi)|^2 * exp(-2*pi*i*2k*xi/n) for any real
-    weight vector in residue layout; the spectral side of the identities."""
-    return complex(correlation_via_spectrum(ring)[two_k % ring.shape[0]])
 
 
 @lru_cache(maxsize=256)
@@ -168,24 +156,27 @@ def pair_count_modulus(n: int) -> int:
     return min((d for d in density if d * d <= n), key=lambda d: (density[d], -d))
 
 
-def column_pair_spectra(table: PrimeTable, Q: int, shifts):
+def column_pair_spectra(weights: np.ndarray, Q: int, shifts):
     """Yield, for each shift 2k in ``shifts`` (any 2k >= 0) in turn, the
     half accumulator S(xi), 0 <= xi <= m//2 with m = n/Q:
 
         S(xi) = sum_a e_m(-t*xi) * C_a(xi) * conj(C_b(xi)),
 
-    where C_a is the length-m DFT of residue column a and
-    a + 2k = b + t*Q with 0 <= b < Q.  The rest is S(m - xi) = conj S(xi).
+    where C_a is the length-m DFT of residue column a of the real weights
+    f, and a + 2k = b + t*Q with 0 <= b < Q.  Then (1/m) sum_xi S(xi) is
+    sum_x f(x) * f(x + 2k mod n), and S(m - xi) = conj S(xi).
 
-    Only the classes a that hold a prime are read.  Their columns are
-    gathered from the bool bitmap, viewed as (m, Q) without a copy, in
-    blocks of as many classes as fit COLUMN_BLOCK_BYTES of spectra, and
-    each block is one batched rfft through ``transform``.  The blocks live
-    at once are a block of classes a and the blocks that hold their
-    partners b: for shifts below the span of a block, two.  So the memory
-    is the n + 1 byte table plus chunk * (m//2 + 1) * 16 bytes per live
-    block of chunk classes, and, while a block is transformed, its real
-    input of about the same size.
+    ``weights`` is 1-indexed, of length n + 1 (entry 0 unused, entry x
+    the weight at x): ``PrimeTable.is_prime`` for prime pairs,
+    ``von_mangoldt_vector(n)`` for psi pairs.  Only the classes a that
+    hold a nonzero weight are read.  Their columns are gathered from the
+    weights, viewed as (m, Q) without a copy, in blocks of as many classes
+    as fit COLUMN_BLOCK_BYTES of spectra, and each block is one batched
+    rfft through ``transform``.  The blocks live at once are a block of
+    classes a and the blocks that hold their partners b: for shifts below
+    the span of a block, two.  So the memory is the weights plus
+    chunk * (m//2 + 1) * 16 bytes per live block of chunk classes, and,
+    while a block is transformed, its real input of about the same size.
 
     t takes two values per shift, so each shift keeps two accumulators and
     two phase vectors.  Shifts go in groups whose accumulators fit
@@ -193,16 +184,15 @@ def column_pair_spectra(table: PrimeTable, Q: int, shifts):
     the sizes ``pair_count_modulus`` picks up to 2e7, one transform serves
     every shift of a group.
     """
-    n = table.n
+    n = weights.shape[0] - 1
     require_divisor(n, Q, "residue-column pair spectra")
     m = n // Q
     check_extents([m], "residue-column length")
     half = m // 2 + 1
-    # the bitmap as residue columns, except that slot 0 holds x = n, not 0:
-    # a prime only when n is, and then Q = 1 or Q = n
-    bits = table.is_prime[:n].reshape(m, Q)
-    holding = bits.any(axis=0)
-    holding[0] |= table.is_prime[n]
+    # the weights as residue columns, except that slot 0 holds x = n, not 0
+    values = weights[:n].reshape(m, Q)
+    holding = values.any(axis=0)
+    holding[0] |= bool(weights[n])
     classes = np.flatnonzero(holding)
     position = np.full(Q, -1, dtype=np.int64)
     position[classes] = np.arange(classes.size)
@@ -211,10 +201,10 @@ def column_pair_spectra(table: PrimeTable, Q: int, shifts):
     def block_spectra(block: int) -> np.ndarray:
         # np.take reads each row of the view once; the transposed copy puts
         # each column's m entries in a row, where the rfft reads them
-        picked = np.take(bits, classes[block * chunk : (block + 1) * chunk], axis=1)
+        picked = np.take(values, classes[block * chunk : (block + 1) * chunk], axis=1)
         columns = np.ascontiguousarray(picked.T)
         if block == 0 and classes[0] == 0:
-            columns[0, 0] = table.is_prime[n]
+            columns[0, 0] = weights[n]
         return forward_real(columns)
 
     shifts = list(shifts)
@@ -223,7 +213,7 @@ def column_pair_spectra(table: PrimeTable, Q: int, shifts):
     product = np.empty(half, dtype=complex)
     for first in range(0, len(shifts), group):
         batch = shifts[first : first + group]
-        # every pair (a, b) of prime-holding classes, by the position of a,
+        # every pair (a, b) of weight-holding classes, by the position of a,
         # with its accumulator: two per shift, for t = 2k // Q and t + 1
         a_pos, b_pos, slot = [], [], []
         for s, two_k in enumerate(batch):
@@ -255,13 +245,15 @@ def column_pair_spectra(table: PrimeTable, Q: int, shifts):
             yield unit_phase(m, t * xi) * acc[2 * s] + unit_phase(m, (t + 1) * xi) * acc[2 * s + 1]
 
 
-def column_pair_counts(table: PrimeTable, Q: int, shifts) -> list[float]:
+def column_pair_counts(weights: np.ndarray, Q: int, shifts) -> list[float]:
     """(1/m) * sum over all xi in Z/mZ of S(xi) for each shift: the
-    circular pair counts as floats carrying transform rounding, each
-    folded from its half accumulator as soon as it is formed."""
-    m = table.n // Q
+    circular correlations sum_x f(x) * f(x + 2k mod n) of the 1-indexed
+    ``weights`` as floats carrying transform rounding (for the prime
+    bitmap, the circular pair counts), each folded from its half
+    accumulator as soon as it is formed."""
+    m = (weights.shape[0] - 1) // Q
     counts = []
-    for half in column_pair_spectra(table, Q, shifts):
+    for half in column_pair_spectra(weights, Q, shifts):
         total = 2.0 * float(half.real.sum()) - half[0].real
         if m % 2 == 0:
             total -= half[-1].real  # the Nyquist bin has no mirror
@@ -305,7 +297,7 @@ def pair_counts_via_spectrum(
             raise UsageError(f"need 2 <= 2k < n, got 2k={two_k}, n={n}")
     Q = pair_count_modulus(n)
     m = n // Q
-    check_extents([m], "spectral pair count", UsageError)
+    check_extents([m], "spectral pair count")
     t = _table_for(n, table, m)
     model = pair_count_rounding_budget(t.pi(n), Q, m)
     if model >= 0.5:
@@ -314,7 +306,7 @@ def pair_counts_via_spectrum(
         )
     budget = min(model, tol * n)
     counts = []
-    for two_k, raw in zip(shifts, column_pair_counts(t, Q, shifts)):
+    for two_k, raw in zip(shifts, column_pair_counts(t.is_prime, Q, shifts)):
         nearest = round(raw)
         if abs(raw - nearest) > budget:
             raise IdentityError(
@@ -390,7 +382,7 @@ def _column_error_spectrum(table: PrimeTable, Q: int, two_k: int) -> np.ndarray:
     T(xi) = Q * e_n(+2k*xi) * S(xi), with no transform of length n."""
     n = table.n
     m = n // Q
-    (half,) = column_pair_spectra(table, Q, [two_k])
+    (half,) = column_pair_spectra(table.is_prime, Q, [two_k])
     xi = np.arange(m, dtype=np.int64)
     return Q * spectrum_at(half, m, xi) * unit_phase(n, -two_k * xi)
 
@@ -551,17 +543,21 @@ def psi_pair_direct(n: int, two_k: int) -> float:
 
 
 def psi_pair_via_spectrum(n: int, two_k: int, tol: float = 1e-6) -> float:
-    """Von Mangoldt pair correlation through the spectrum, verified
-    against the direct double sum within tol * n * log(n)^2."""
+    """Von Mangoldt pair correlation through the residue-column spectra
+    (``column_pair_counts`` on the von Mangoldt weights, Q from
+    ``pair_count_modulus``), verified against the direct double sum
+    within tol * n * log(n)^2.  The cap applies to the column length
+    n/Q."""
     if n < 2:
         raise UsageError(f"need n >= 2, got {n}")
-    check_extents([n], "psi pair correlation", UsageError)
+    Q = pair_count_modulus(n)
+    check_extents([n // Q], "psi pair correlation")
     if two_k % 2 or two_k < 0:
         raise UsageError(f"2k must be even and nonnegative, got {two_k}")
-    ring = as_ring(von_mangoldt_vector(n))
-    raw = float(correlation_via_spectrum(ring)[two_k % n])
+    weights = von_mangoldt_vector(n)
+    (raw,) = column_pair_counts(weights, Q, [two_k])
     budget = tol * n * math.log(n) ** 2
-    gap = abs(raw - correlation_direct(ring, two_k))
+    gap = abs(raw - correlation_direct(as_ring(weights), two_k))
     if gap > budget:
         raise IdentityError("psi-spectral-identity", gap, budget, f"n={n}, 2k={two_k}")
     return raw

@@ -15,7 +15,8 @@ sieve and spectral modules call it instead of restating it:
 ``unit_phase`` is the kernel e_n(-k) = exp(-2*pi*i*k/n); ``require_divisor``
 raises the UsageError when a subgroup identity is asked for Q that does
 not divide n (Fourier analysis on Z/QZ ties to Z/nZ only when Q | n);
-``check_extents`` enforces the one length cap, ``MAX_TRANSFORM_LENGTH``;
+``check_extents`` enforces the one length cap, ``MAX_TRANSFORM_LENGTH``,
+raising ResourceLimitError for every caller;
 ``as_ring`` lays a function on {1..n} out by residue; and
 ``residue_columns`` reads the subgroup side off a ring.  With Q | n and
 m = n/Q, the Cooley-Tukey index map x = a + j*Q (0 <= a < Q, 0 <= j < m)
@@ -24,8 +25,8 @@ x = a (mod Q), because slot 0 holds x = n = 0 (mod Q).  A vector masked
 to that class has the spectrum e_n(-xi*a) * DFT_m(column a)(xi mod m), so
 one length-m transform of the column carries the class's whole energy.
 ``forward_real`` transforms a batch of such columns, one per row, in one
-call; the spectral pair counts gather theirs straight from a table's
-bool bitmap.
+call; the spectral correlations (prime pairs and von Mangoldt pairs)
+gather theirs straight from a 1-indexed weight vector.
 
 Every transform in the package is a call here, on plain arrays: this is
 the only module that names ``numpy.fft``, and each call checks its length.
@@ -44,11 +45,8 @@ rfft) returns.  A PrimeTable caches that half spectrum of its ring
 indicator (``PrimeTable.spectrum``), and the length-n identities on a
 table read it: ``inverse_real`` inverts it (the round trip),
 ``spectrum_at`` samples F at any frequency, and ``mirror_power`` extends
-|F|^2 to all of Z/nZ.  ``autocorrelation`` turns the half spectrum of any
-real weight vector into its circular correlation for every shift at
-once; its one user is ``spectral.correlation_via_spectrum``, which the
-von Mangoldt (psi) identity runs on its ring.  The prime pair counts
-read residue columns instead.
+|F|^2 to all of Z/nZ.  No correlation is computed at length n: the
+prime and von Mangoldt pair correlations read residue columns instead.
 ``forward``, ``inverse`` and ``plancherel_residual`` stay full complex
 transforms, at length n, Q or n/Q: the direct routes the identities are
 checked by.
@@ -77,12 +75,12 @@ def require_divisor(n: int, Q: int, what: str) -> None:
         raise UsageError(f"{what} requires Q | n, got Q={Q}, n={n}")
 
 
-def check_extents(extents, what: str = "transform length", error=ResourceLimitError) -> None:
-    """Raise ``error`` naming every extent in ``extents`` above
+def check_extents(extents, what: str = "transform length") -> None:
+    """Raise ResourceLimitError naming every extent in ``extents`` above
     MAX_TRANSFORM_LENGTH, the package's one transform cap."""
     over = sorted({int(m) for m in extents if m > MAX_TRANSFORM_LENGTH})
     if over:
-        raise error(f"{what} capped at 1e7, got {', '.join(map(str, over))}")
+        raise ResourceLimitError(f"{what} capped at 1e7, got {', '.join(map(str, over))}")
 
 
 def as_ring(values_one_indexed: np.ndarray) -> np.ndarray:
@@ -145,12 +143,6 @@ def inverse_real(half: np.ndarray, n: int) -> np.ndarray:
     if half.shape[0] != n // 2 + 1:
         raise UsageError(f"half spectrum of length {half.shape[0]} does not fit n={n}")
     return np.fft.irfft(half, n)
-
-
-def autocorrelation(half: np.ndarray, n: int) -> np.ndarray:
-    """sum_x f(x) * f(x + m mod n) for every shift m at once, from the half
-    spectrum of a real f: one irfft of |F|^2 (Wiener-Khinchin)."""
-    return inverse_real(np.abs(half) ** 2, n)
 
 
 def spectrum_at(half: np.ndarray, n: int, xi: np.ndarray) -> np.ndarray:

@@ -89,6 +89,20 @@ def primes_upto_naive(n: int) -> list[int]:
     return [m for m in range(2, n + 1) if is_prime_naive(m)]
 
 
+def von_mangoldt_naive(n: int) -> list[float]:
+    """Lambda(x) for 0 <= x <= n (entry 0 unused and zero): log p when x
+    is a power of the prime p, its least trial divisor, else 0."""
+    lam = [0.0] * (n + 1)
+    for x in range(2, n + 1):
+        p = next((d for d in range(2, math.isqrt(x) + 1) if x % d == 0), x)
+        m = x
+        while m % p == 0:
+            m //= p
+        if m == 1:
+            lam[x] = math.log(p)
+    return lam
+
+
 def pair_count_linear_naive(n: int, two_k: int) -> int:
     return sum(1 for p in primes_upto_naive(n) if is_prime_naive(p + two_k))
 
@@ -133,6 +147,19 @@ def dft_direct(values: np.ndarray) -> np.ndarray:
     idx = np.arange(n, dtype=np.int64)
     kernel = np.exp((-2j * np.pi / n) * ((idx[:, None] * idx[None, :]) % n))
     return kernel @ v
+
+
+def pair_correlation_via_spectrum(ring: np.ndarray, two_k: int) -> complex:
+    """(1/n) * sum_xi |F(ring)(xi)|^2 * exp(-2*pi*i*2k*xi/n) for a real
+    weight vector in residue layout, from one full-length complex
+    transform and exactly reduced integer angles: the Wiener-Khinchin
+    side of the correlation identities, against which the library's
+    residue-column kernel is checked."""
+    ring = np.asarray(ring, dtype=np.float64)
+    n = ring.shape[0]
+    power = np.abs(np.fft.fft(ring)) ** 2
+    xi = np.arange(n, dtype=np.int64)
+    return complex(np.dot(power, np.exp((-2j * np.pi / n) * ((two_k * xi) % n))) / n)
 
 
 def class_energy_masked(ring: np.ndarray, Q: int, a: int) -> float:

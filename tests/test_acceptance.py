@@ -49,7 +49,6 @@ from primepairs import (
     twisted_progression_count,
 )
 from primepairs.sieve import PrimeTable
-from primepairs.spectral import pair_correlation_via_spectrum
 
 import oracles
 
@@ -73,7 +72,7 @@ def test_criterion_01_exact_spectral_identity(table_1e6):
         for two_k in (2, 4, 6, 12):
             spectral = pair_count_via_spectrum(n, two_k, t)
             sieved = pair_count_circular(t, two_k)
-            raw = pair_correlation_via_spectrum(t.ring_indicator(), two_k)
+            raw = oracles.pair_correlation_via_spectrum(t.ring_indicator(), two_k)
             residual = abs(raw - spectral)
             if spectral != sieved or residual >= 1e-6 * n:
                 failures.append((n, two_k, spectral, sieved, residual))

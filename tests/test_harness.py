@@ -22,7 +22,7 @@ from primepairs.harness import (
 from primepairs.factored import primorial
 from primepairs.reports import complex_rows, csv_body, render_csv
 from primepairs.sieve import build_table, fnv1a64, pair_count_circular
-from primepairs.spectral import error_probe
+from primepairs.spectral import error_probe, pair_count_modulus, pair_count_rounding_budget
 
 import oracles
 
@@ -122,6 +122,23 @@ class TestIdentitySuite:
         assert payload["all_passed"] is False
         assert payload["failing_identities"] == ["spectral-pair-count"]
 
+    @pytest.mark.parametrize("tol", [1e-6, 1e-17])
+    def test_spectral_pair_count_tolerance_is_the_rounding_budget(self, tmp_path, tol):
+        # the rows hold the bound pair_counts_via_spectrum rounds against,
+        # tightened to tol * n when that is smaller: at n = 30030 the model
+        # is far below 1e-6 * n, and 1e-17 * n is below the model
+        n = 30030
+        config = small_config(
+            "identity-suite", tmp_path, n_values=[n], tolerances={"spectral-pair-count": tol}
+        )
+        run(config)
+        rows = json.loads((tmp_path / "identity_suite.json").read_text())["results"]
+        Q = pair_count_modulus(n)
+        model = pair_count_rounding_budget(build_table(n).pi(n), Q, n // Q)
+        assert model < 1e-6 * n
+        got = [r["tolerance"] for r in rows if r["identity"] == "spectral-pair-count"]
+        assert got == [min(model, tol * n)] * 2
+
     def test_twisted_plancherel_at_q_one(self, tmp_path):
         """z = 2 gives Q = 1, whose one residue class is all of Z/nZ."""
         result = run(small_config("identity-suite", tmp_path, n_values=[120], z_schedule=[2]))
@@ -139,15 +156,16 @@ class TestIdentitySuite:
         assert parity_rows[0]["requested_n"] == 31
 
     def test_psi_violation_recorded_not_raised(self, tmp_path, monkeypatch, capsys):
-        # push every spectral psi value past the default budget
-        # 1e-6 * n * log(n)^2; the run must finish and record FAIL rows
-        exact = harness.correlation_via_spectrum
+        # push every direct psi value, and so every psi gap, past the
+        # default budget 1e-6 * n * log(n)^2; the run must finish and
+        # record FAIL rows
+        exact = harness.correlation_direct
 
-        def perturbed(ring):
+        def perturbed(ring, two_k):
             n = ring.shape[0]
-            return exact(ring) + 2e-6 * n * math.log(n) ** 2
+            return exact(ring, two_k) + 2e-6 * n * math.log(n) ** 2
 
-        monkeypatch.setattr(harness, "correlation_via_spectrum", perturbed)
+        monkeypatch.setattr(harness, "correlation_direct", perturbed)
         code = main(["verify", "--n", "30,120", "--two-k", "2,6", "--z", "5", "--out", str(tmp_path)])
         assert code == 2
         payload = json.loads((tmp_path / "identity_suite.json").read_text())
@@ -196,7 +214,11 @@ class TestTransformBudget:
 
         def counted_build(n, *args, **kwargs):
             table = build(n, *args, **kwargs)
-            built.setdefault(n, []).append(table.ring_indicator())
+            # the tables the suite reads; the sieve's base primes,
+            # von_mangoldt_vector and the constants' prime list build
+            # tables of their own, which are never transformed
+            if sys._getframe(1).f_code.co_name == "load_or_build":
+                built.setdefault(n, []).append(table.ring_indicator())
             return table
 
         monkeypatch.setattr(sieve, "build_table", counted_build)
@@ -237,10 +259,10 @@ class TestTransformBudget:
                 lengths[round_up_multiple(n, Q) // Q] += 3
         assert Counter(a.shape[0] for fn, a in calls if fn == "fft") == lengths
         # per n: the batched column rfft of the pair counts, the
-        # round-trip irfft, the Plancherel fft and one rfft plus one irfft
-        # of the von Mangoldt ring; per (n, z): the mod-Q transform of the
-        # residue counts and three column transforms
-        budget = len(extents) + 5 * len(n_values) + 4 * len(n_values) * len(z_values)
+        # round-trip irfft, the Plancherel fft and the batched column rfft
+        # of the von Mangoldt weights; per (n, z): the mod-Q transform of
+        # the residue counts and three column transforms
+        budget = len(extents) + 4 * len(n_values) + 4 * len(n_values) * len(z_values)
         assert len(calls) <= budget
 
     def test_every_transform_goes_through_transform_module(self, tmp_path, calls, callers, table_9240):

@@ -26,6 +26,7 @@ from primepairs import (
     von_mangoldt_vector,
 )
 from primepairs import sieve
+from primepairs.constants import _primes_below
 from primepairs.sieve import FNV_BLOCK, FNV_CHAIN, SEGMENT_LENGTH, fnv1a64, load_or_build
 
 import oracles
@@ -102,6 +103,16 @@ class TestBuildTable:
         for x in (-1, n + 1):
             with pytest.raises(UsageError):
                 t.pi(x)
+
+    @pytest.mark.parametrize(
+        "n",
+        [288, 289, 290, 291, 17**2 * 2, 17**2 * 3, 17**2 * 17, 17**2 * 289, 17**2 * 289 + 1],
+    )
+    def test_across_base_prime_recursion(self, n):
+        # base primes come from build_table(isqrt(n)) once isqrt(n) >= 17,
+        # so 288 needs none, 289 strikes 17^2 with the primes of a table of
+        # extent 17, and 17^4 takes them from one that recursed itself
+        assert np.array_equal(build_table(n).is_prime, oracles.sieve_numpy_independent(n))
 
     def test_memory_budget(self):
         with pytest.raises(ResourceLimitError):
@@ -184,6 +195,19 @@ class TestVonMangoldt:
         assert lam[7] == pytest.approx(math.log(7))
         assert lam[1] == 0.0
         assert lam[9] == pytest.approx(math.log(3))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 17, 288, 289, 290, 83521])
+    def test_matches_trial_division(self, n):
+        # von_mangoldt_vector and the constants' prime list both read
+        # build_table; n = 1 has no table and no prime
+        lam, expected = von_mangoldt_vector(n), np.array(oracles.von_mangoldt_naive(n))
+        assert np.array_equal(np.flatnonzero(lam), np.flatnonzero(expected))
+        assert np.allclose(lam, expected, rtol=1e-15, atol=0)
+        if n >= 2:
+            assert _primes_below(n + 1).tolist() == oracles.primes_upto_naive(n)
+        else:
+            with pytest.raises(UsageError):
+                _primes_below(n + 1)
 
     def test_chebyshev_psi_near_n(self):
         lam = von_mangoldt_vector(10**6)

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primepairs import (
+    ResourceLimitError,
     UsageError,
     build_table,
     decompose,
@@ -31,8 +32,8 @@ from primepairs import IdentityError, spectral
 from primepairs.spectral import (
     column_pair_counts,
     column_pair_spectra,
+    correlation_direct,
     is_primorial,
-    pair_correlation_via_spectrum,
     pair_count_modulus,
     pair_count_rounding_budget,
     pair_counts_via_spectrum,
@@ -61,7 +62,7 @@ class TestSpectralPairCount:
     def test_prime_weights_through_shared_core(self, table_100):
         # the correlation core applied to the prime indicator is exactly
         # the integer pair count
-        raw = pair_correlation_via_spectrum(table_100.ring_indicator(), 6)
+        raw = oracles.pair_correlation_via_spectrum(table_100.ring_indicator(), 6)
         assert raw.real == pytest.approx(pair_count_circular(table_100, 6), abs=1e-9)
         assert raw.imag == pytest.approx(0.0, abs=1e-9)
 
@@ -246,6 +247,13 @@ class TestPsiPair:
             float(np.dot(ring, ring)), abs=1e-7
         )
 
+    def test_cap_names_the_column_length(self, monkeypatch):
+        # the prime 10000019 has Q = 1, so its one column is the whole ring;
+        # rejected before any weight is computed, as a resource limit
+        monkeypatch.setattr(spectral, "von_mangoldt_vector", lambda n: pytest.fail("sieved"))
+        with pytest.raises(ResourceLimitError, match="psi pair correlation capped at 1e7, got 10000019$"):
+            psi_pair_via_spectrum(10000019, 2)
+
     def test_density_ratio_reported_scale(self):
         # psi-pair mass over C_2k * n is of order one already at modest n
         from primepairs import hl_constant
@@ -394,8 +402,8 @@ class TestColumnKernel:
         two_k = 2 + 2 * (k % ((n - 1) // 2))  # every even shift 2 <= 2k < n
         shifts = [two_k, 2] if two_k != 2 else [2]
         with _classes_per_block(block, n // Q):
-            spectra = list(column_pair_spectra(t, Q, shifts))
-        counts = column_pair_counts(t, Q, shifts)
+            spectra = list(column_pair_spectra(t.is_prime, Q, shifts))
+        counts = column_pair_counts(t.is_prime, Q, shifts)
         budget = pair_count_rounding_budget(t.pi(n), Q, n // Q)
         for shift, half, raw in zip(shifts, spectra, counts):
             assert half.shape == (n // Q // 2 + 1,)
@@ -410,6 +418,39 @@ class TestColumnKernel:
             s_full = expected[: half.shape[0]] * unit_phase(n, shift * xi) / Q
             assert np.abs(half - s_full).max() <= 1e-12 * scale / Q
 
+    @given(
+        n=st.integers(min_value=2, max_value=3000),
+        pick=st.integers(min_value=0, max_value=10**6),
+        kind=st.sampled_from(["zero", "two", "past_Q", "past_n"]),
+        j=st.integers(min_value=0, max_value=50),
+        block=st.sampled_from([None, 1, 3]),
+    )
+    @example(n=2999, pick=0, kind="two", j=0, block=None)  # prime n: Q = 1
+    @example(n=2999, pick=1, kind="past_n", j=3, block=1)  # prime n: Q = n
+    @example(n=2187, pick=7, kind="past_Q", j=0, block=1)  # n = 3^7: Lambda(n) in class 0
+    @example(n=289, pick=1, kind="zero", j=0, block=None)  # n = 17^2, Q = 17
+    @example(n=2310, pick=10**6, kind="past_Q", j=5, block=3)  # Q = 2310 = n
+    @example(n=2, pick=0, kind="past_n", j=1, block=None)
+    @settings(max_examples=60, deadline=None)
+    def test_von_mangoldt_weights_match_direct(self, n, pick, kind, j, block):
+        # the kernel on Lambda, the psi route, equals the direct double sum
+        # within the psi tolerance for every Q | n and 2k in {0, 2, >= Q, >= n}
+        divisors = _divisors(n)
+        Q = divisors[pick % len(divisors)]
+        two_k = {
+            "zero": 0,
+            "two": 2,
+            "past_Q": 2 * (-(-Q // 2) + j),
+            "past_n": 2 * (-(-n // 2) + j),
+        }[kind]
+        weights = von_mangoldt_vector(n)
+        with _classes_per_block(block, n // Q):
+            (raw,) = column_pair_counts(weights, Q, [two_k])
+        tolerance = 1e-6 * n * math.log(n) ** 2
+        direct = correlation_direct(as_ring(weights), two_k)
+        assert abs(raw - direct) <= tolerance
+        assert abs(psi_pair_via_spectrum(n, two_k) - direct) <= tolerance
+
     def test_small_blocks_agree_with_one_block(self, monkeypatch):
         # when every class fits one block, one batched transform serves
         # every shift; any block size gives the same accumulators
@@ -423,14 +464,14 @@ class TestColumnKernel:
             return original(f)
 
         monkeypatch.setattr(spectral, "forward_real", counted)
-        whole = list(column_pair_spectra(t, 210, shifts))
+        whole = list(column_pair_spectra(t.is_prime, 210, shifts))
         # the 48 units mod 210 and the classes of 2, 3, 5 and 7
         assert batches == [(52, 9240 // 210)]
         for block in (1, 4, 13):
             with _classes_per_block(block, 9240 // 210):
-                for a, b in zip(whole, column_pair_spectra(t, 210, shifts), strict=True):
+                for a, b in zip(whole, column_pair_spectra(t.is_prime, 210, shifts), strict=True):
                     assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
-        assert list(column_pair_spectra(t, 210, [])) == []
+        assert list(column_pair_spectra(t.is_prime, 210, [])) == []
 
     def test_cross_check_at_primorial_19(self):
         n = 9699690  # 2*3*5*7*11*13*17*19
@@ -442,7 +483,7 @@ class TestColumnKernel:
             got = spectral._column_error_spectrum(t, Q, two_k)
             scale = np.abs(expected).max()
             assert np.abs(got - expected).max() <= 1e-12 * scale
-            (raw,) = column_pair_counts(t, Q, [two_k])
+            (raw,) = column_pair_counts(t.is_prime, Q, [two_k])
             assert abs(raw - pair_count_circular(t, two_k)) <= pair_count_rounding_budget(
                 t.pi(n), Q, m
             )
@@ -471,7 +512,7 @@ class TestColumnKernel:
 
 class TestPairCountBudget:
     def test_budget_certifies_measured_residuals(self, table_1e6):
-        raw = column_pair_counts(table_1e6, 1000, [2, 4, 6, 12])
+        raw = column_pair_counts(table_1e6.is_prime, 1000, [2, 4, 6, 12])
         budget = pair_count_rounding_budget(table_1e6.pi(10**6), 1000, 1000)
         assert budget < 1e-6
         for two_k, value in zip((2, 4, 6, 12), raw):
@@ -485,7 +526,7 @@ class TestPairCountBudget:
     def test_tolerance_tightens_never_loosens(self, monkeypatch):
         n = 30030
         t = build_table(n)
-        exact = column_pair_counts(t, 30, [2])[0]
+        exact = column_pair_counts(t.is_prime, 30, [2])[0]
         model = pair_count_rounding_budget(t.pi(n), 30, n // 30)
 
         def shifted(offset):
@@ -552,7 +593,7 @@ class TestUpperExtent:
     def test_extent_above_ceiling_rejected(self, monkeypatch):
         # the cap holds the column length n/Q: the prime 10000019 has Q = 1
         monkeypatch.setattr(spectral, "build_table", lambda *a, **kw: pytest.fail("sieved"))
-        with pytest.raises(UsageError, match="10000019"):
+        with pytest.raises(ResourceLimitError, match="10000019"):
             pair_count_via_spectrum(10000019, 2)
 
 

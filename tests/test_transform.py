@@ -216,8 +216,9 @@ class TestConventions:
         over = [MAX_TRANSFORM_LENGTH + 20, MAX_TRANSFORM_LENGTH + 2, MAX_TRANSFORM_LENGTH + 2]
         with pytest.raises(ResourceLimitError, match="got 10000002, 10000020$"):
             check_extents(over + [30])
-        with pytest.raises(UsageError, match="spectral extent capped"):
-            check_extents(over, "spectral extent", UsageError)
+        # one error class for every caller: the CLI maps it to exit 3
+        with pytest.raises(ResourceLimitError, match="spectral extent capped"):
+            check_extents(over, "spectral extent")
 
 
 class TestRealSpectrum:
