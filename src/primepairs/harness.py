@@ -283,8 +283,12 @@ def _run_identity_suite(config: ExperimentConfig, out: Path) -> RunResult:
     tables = _ExtentTable(config)
     for n in config.n_values:
         _extent_rows(config, record, tables.get(n))
+        # the psi rows read the held table of n, which the parity row may
+        # replace by the table of n + 1; they are recorded after it
+        psi_rows = _psi_rows(config, tables.get(n))
         _parity_row(config, record, tables, n)
-        _psi_rows(config, record, n)
+        for row in psi_rows:
+            record(*row)
         for z in config.z_schedule:
             _subgroup_rows(config, record, tables, n, z)
 
@@ -341,18 +345,21 @@ def _parity_row(config: ExperimentConfig, record, tables: _ExtentTable, n: int) 
     )
 
 
-def _psi_rows(config: ExperimentConfig, record, n: int) -> None:
-    """Von Mangoldt pair correlations for every shift from one batched
-    transform of the length-n/Q residue columns of the weights, as
-    ``psi_pair_via_spectrum`` takes them; a violation is recorded as a
-    FAIL row, never raised."""
-    weights = von_mangoldt_vector(n)
+def _psi_rows(config: ExperimentConfig, table: PrimeTable) -> list[tuple]:
+    """The rows to record for the von Mangoldt pair correlations at the
+    table's extent: every shift from one batched transform of the
+    length-n/Q residue columns of the weights, as ``psi_pair_via_spectrum``
+    takes them; a violation is a FAIL row, never raised."""
+    n = table.n
+    weights = von_mangoldt_vector(n, table)
     raw = column_pair_counts(weights, pair_count_modulus(n), config.two_k_values)
     ring = as_ring(weights)
     tolerance = _tol(config, "psi-spectral-identity") * n * math.log(n) ** 2
+    rows = []
     for two_k, value in zip(config.two_k_values, raw):
         gap = abs(value - correlation_direct(ring, two_k))
-        record("psi-spectral-identity", n, None, two_k, gap, tolerance)
+        rows.append(("psi-spectral-identity", n, None, two_k, gap, tolerance))
+    return rows
 
 
 def _subgroup_rows(

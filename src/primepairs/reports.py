@@ -5,17 +5,35 @@ order, floats printed with repr (shortest round-trip form).  Metadata
 travels in leading '# key=value' comment lines; a timestamp line appears
 only when stamping is requested, so unstamped reports are byte-identical
 across runs.
+
+Rows of complex vectors (the decompose error spectrum and the spectrum
+export) are rendered by ``_rows.render``.  An export of more than
+CSV_BLOCK_ROWS (65,536) rows is cut into contiguous shares, one per CPU
+in this process's affinity mask and at most one per block.  Each share
+after the first is rendered by a helper process, ``python -I -S`` running
+``_rows.py`` (standard library only, so it starts in milliseconds), into
+an unnamed temporary file, while this process renders the first share;
+the helpers' files are then copied out in order.  The bytes written do
+not depend on the number of shares.  With one CPU, or at one block or
+less, nothing is started.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from contextlib import ExitStack
 from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
+from . import _rows
+from .errors import PrimePairsError
 from .sieve import FNV_OFFSET, fnv1a64
 
 
@@ -31,6 +49,8 @@ def fmt_value(x) -> str:
 
 
 CSV_BLOCK_ROWS = 1 << 16
+_CHUNK_BYTES = 1 << 22  # a helper's file is read back about one block at a time
+_STDERR_TAIL = 2000  # characters of a failed helper's stderr in the error
 
 
 def _header(meta: dict, columns: list[str], stamp: bool) -> str:
@@ -43,24 +63,74 @@ def _header(meta: dict, columns: list[str], stamp: bool) -> str:
 
 def _body(rows):
     """The text of each row: a tuple of cells is rendered with fmt_value;
-    a str is text already rendered (whole lines, each ending in LF)."""
+    a str is text already rendered (whole rows, or a chunk of a helper's
+    rows), written as it is."""
     for row in rows:
         yield row if isinstance(row, str) else ",".join(fmt_value(cell) for cell in row) + "\n"
 
 
+def _share_count() -> int:
+    """The number of CPUs this process may run on, from its affinity mask
+    (1 where the platform has none)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def _start_helper(stack: ExitStack, values: np.ndarray, start: int, stop: int, square: bool):
+    """A helper process rendering rows start..stop-1 of ``values`` into an
+    unnamed temporary file; returns the process and that file.  ``stack``
+    kills the process if it still runs, waits for it and closes the file."""
+    with tempfile.TemporaryFile() as share:
+        share.write(np.ascontiguousarray(values[start:stop], dtype=np.complex128))
+        share.seek(0)
+        out = stack.enter_context(tempfile.TemporaryFile())
+        argv = [start, stop - start, int(square), CSV_BLOCK_ROWS]
+        proc = stack.enter_context(
+            subprocess.Popen(
+                [sys.executable, "-I", "-S", _rows.__file__, *map(str, argv)],
+                stdin=share, stdout=out, stderr=subprocess.PIPE,
+            )
+        )
+    stack.callback(proc.kill)
+    return proc, out
+
+
 def complex_rows(values: np.ndarray, square: bool = False):
     """CSV rows (xi, re, im, |v|) of a complex vector, or (xi, re, im,
-    |v|^2) with ``square``, rendered CSV_BLOCK_ROWS lines at a time.  Each
-    line is built from Python scalars (``tolist``) with repr and Python's
-    abs(complex), which give the text fmt_value gives the numpy scalars
-    cell by cell; only one block of text is held at once.  Python's abs
-    and ** raise OverflowError past the float range, where numpy gives
-    inf; the values the package writes stay far inside that range."""
-    for start in range(0, values.shape[0], CSV_BLOCK_ROWS):
-        yield "".join(
-            f"{xi},{v.real!r},{v.imag!r},{(abs(v) ** 2 if square else abs(v))!r}\n"
-            for xi, v in enumerate(values[start : start + CSV_BLOCK_ROWS].tolist(), start)
-        )
+    |v|^2) with ``square``, as ``_rows.render`` gives them; only one block
+    of CSV_BLOCK_ROWS rows, or one chunk of a helper's file, is held as
+    text at once.
+
+    A vector of more than one block is cut into contiguous shares, one per
+    CPU (at most one per block).  One helper process per share after the
+    first renders it into an unnamed temporary file while this process
+    renders the first share; the helpers' files then follow in order, so
+    the text is the same on every path.  A helper that fails raises
+    PrimePairsError with its exit status and the tail of its stderr."""
+    rows = values.shape[0]
+    shares = max(1, min(_share_count(), -(-rows // CSV_BLOCK_ROWS)))
+    bounds = [rows * i // shares for i in range(shares + 1)]
+    with ExitStack() as stack:
+        helpers = [
+            (start, stop, *_start_helper(stack, values, start, stop, square))
+            for start, stop in zip(bounds[1:], bounds[2:])
+        ]
+        for start in range(0, bounds[1], CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, bounds[1])
+            yield _rows.render(start, values[start:stop].tolist(), square)
+        for start, stop, proc, out in helpers:
+            _, err = proc.communicate()
+            if proc.returncode:
+                tail = err.decode("ascii", errors="replace").strip()[-_STDERR_TAIL:]
+                raise PrimePairsError(
+                    f"row helper for rows {start}..{stop - 1} exited with status "
+                    f"{proc.returncode}: {tail}"
+                )
+            out.seek(0)
+            while chunk := out.read(_CHUNK_BYTES):
+                yield chunk.decode("ascii")
 
 
 def render_csv(meta: dict, columns: list[str], rows, stamp: bool = False) -> str:

@@ -387,18 +387,20 @@ def _and_count(ip: np.ndarray, a: int, b: int, length: int) -> int:
     return total
 
 
-def von_mangoldt_vector(n: int) -> np.ndarray:
+def von_mangoldt_vector(n: int, table: PrimeTable | None = None) -> np.ndarray:
     """Von Mangoldt weights Lambda(x) for 1 <= x <= n, natural log, as a
     float64 array of length n+1 (index 0 unused), from the primes of
-    ``build_table(n)``."""
+    ``table``, which must have extent n, or else of ``build_table(n)``."""
     if n < 1:
         raise UsageError(f"need n >= 1, got {n}")
     if n > 10**8:
         raise ResourceLimitError(f"von Mangoldt vector capped at n <= 1e8, got {n}")
+    if table is not None and table.n != n:
+        raise UsageError(f"supplied table has extent {table.n}, expected {n}")
     lam = np.zeros(n + 1)
     if n == 1:
         return lam
-    primes = build_table(n).primes()
+    primes = (build_table(n) if table is None else table).primes()
     lam[primes] = np.log(primes.astype(np.float64))
     for p in primes[primes <= math.isqrt(n)]:
         p = int(p)

@@ -1,12 +1,13 @@
 import json
 import math
+import signal
 import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from primepairs import ResourceLimitError, UsageError
+from primepairs import PrimePairsError, ResourceLimitError, UsageError
 from primepairs import harness, reports, sieve
 from primepairs.cli import main
 from primepairs.harness import (
@@ -210,10 +211,12 @@ class TestTransformBudget:
 
     def test_one_ring_transform_per_extent(self, tmp_path, monkeypatch, calls):
         built = {}
+        sieved = Counter()
         build = sieve.build_table
 
         def counted_build(n, *args, **kwargs):
             table = build(n, *args, **kwargs)
+            sieved[n] += 1
             # the tables the suite reads; the sieve's base primes,
             # von_mangoldt_vector and the constants' prime list build
             # tables of their own, which are never transformed
@@ -234,6 +237,8 @@ class TestTransformBudget:
         # and z = 5 (Q = 6) share 1002, and z = 7, 11 need 1020 and 1050
         extents = [2310, 1001, 1002, 1020, 1050]
         assert {n: len(rings) for n, rings in built.items()} == {n: 1 for n in extents}
+        # and each is sieved once: the psi rows read the suite's table
+        assert {n: sieved[n] for n in extents} == {n: 1 for n in extents}
 
         def ring_transforms(name):
             return Counter(
@@ -304,20 +309,25 @@ class TestModeOutputs:
         ]
 
     def test_spectrum_export_digest_folds_written_blocks(self, tmp_path, monkeypatch):
-        # many row blocks and a stamped header; the CSV is never read back
-        monkeypatch.setattr(reports, "CSV_BLOCK_ROWS", 7)
+        # many row blocks and a stamped header, rendered in process and in
+        # three shares, two of them by helpers; the CSV is never read back
         values = np.fft.fft(np.arange(50.0))
-        monkeypatch.setattr(
-            reports.Path, "read_bytes", lambda self: pytest.fail(f"{self} was read back")
-        )
-        csv_path, json_path = reports.write_spectrum_export(
-            tmp_path / "sp", values, "prime", {"n": 50}, stamp=True
-        )
-        monkeypatch.undo()
-        data = csv_path.read_bytes()
-        sidecar = json.loads(json_path.read_text())
-        assert sidecar["checksum"] == f"fnv1a64:{oracles.fnv1a64_reference(data):016x}"
-        assert data.count(b"\n") == 2 + 1 + 50  # comments, columns, rows
+        for shares in (1, 3):
+            monkeypatch.setattr(reports, "CSV_BLOCK_ROWS", 7)
+            monkeypatch.setattr(reports, "_share_count", lambda: shares)
+            helpers = _count_helpers(monkeypatch)
+            monkeypatch.setattr(
+                reports.Path, "read_bytes", lambda self: pytest.fail(f"{self} was read back")
+            )
+            csv_path, json_path = reports.write_spectrum_export(
+                tmp_path / f"sp{shares}", values, "prime", {"n": 50}, stamp=True
+            )
+            monkeypatch.undo()
+            assert len(helpers) == shares - 1
+            data = csv_path.read_bytes()
+            sidecar = json.loads(json_path.read_text())
+            assert sidecar["checksum"] == f"fnv1a64:{oracles.fnv1a64_reference(data):016x}"
+            assert data.count(b"\n") == 2 + 1 + 50  # comments, columns, rows
 
     def test_spectrum_export_checksum_covers_csv_bytes(self, tmp_path):
         result = run(
@@ -425,19 +435,92 @@ class TestReproducibility:
     def test_complex_rows_match_cell_rendering(self, monkeypatch, square):
         """Block-rendered rows equal the cell-by-cell text of numpy
         scalars, across block boundaries, signed zeros, extreme exponents
-        and non-finite parts."""
+        and non-finite parts, in process and in three shares, the last two
+        rendered by helpers."""
         monkeypatch.setattr(reports, "CSV_BLOCK_ROWS", 7)
+        helpers = _count_helpers(monkeypatch)
         rng = np.random.default_rng(5)
         values = rng.normal(size=40) * 10.0 ** rng.integers(-150, 150, 40) + 1j * rng.normal(size=40)
         values[:6] = [0.0, -0.0 + 0j, complex(-0.0, -0.0), 5e-324j, np.inf, complex(3, np.nan)]
-        cells = (
-            (xi, v.real, v.imag, abs(v) ** 2 if square else abs(v))
-            for xi, v in enumerate(values)
-        )
-        expected = render_csv({}, ["xi", "re", "im", "abs"], cells)
-        assert render_csv({}, ["xi", "re", "im", "abs"], complex_rows(values, square)) == expected
+        values[-3:] = [complex(np.nan, -np.inf), -5e-324, complex(-1e150, 1e-300)]
+        expected = _cell_rendering(values, square)
         assert expected.splitlines()[3].startswith("2,-0.0,-0.0,0.0")
         assert expected.splitlines()[5].endswith(",inf")
+        for shares in (1, 3):
+            monkeypatch.setattr(reports, "_share_count", lambda: shares)
+            helpers.clear()
+            assert render_csv({}, ["xi", "re", "im", "abs"], complex_rows(values, square)) == expected
+            assert len(helpers) == shares - 1
+
+    @pytest.mark.parametrize("shares", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [1, 7, 8, 22])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_complex_rows_at_block_edges(self, monkeypatch, rows, dtype, shares):
+        """At one block or less the rows are rendered in process; past it
+        one share per CPU, at most one per block.  A complex64 vector gives
+        the text of its exact complex128 widening on both paths."""
+        monkeypatch.setattr(reports, "CSV_BLOCK_ROWS", 7)
+        monkeypatch.setattr(reports, "_share_count", lambda: shares)
+        helpers = _count_helpers(monkeypatch)
+        rng = np.random.default_rng(rows)
+        values = (rng.normal(size=rows) + 1j * rng.normal(size=rows)).astype(dtype)
+        expected = _cell_rendering(values.astype(np.complex128), True)
+        assert render_csv({}, ["xi", "re", "im", "abs"], complex_rows(values, True)) == expected
+        assert len(helpers) == min(shares, -(-rows // 7)) - 1
+
+    def test_failed_helper_raises_with_status_and_stderr(self, monkeypatch):
+        # |v|^2 past the float range raises OverflowError in Python; in
+        # the last share that happens in a helper, which exits with 1
+        monkeypatch.setattr(reports, "CSV_BLOCK_ROWS", 7)
+        monkeypatch.setattr(reports, "_share_count", lambda: 2)
+        helpers = _count_helpers(monkeypatch)
+        values = np.ones(20, dtype=complex)
+        values[-1] = 1e200
+        with pytest.raises(PrimePairsError, match=r"(?s)rows 10\.\.19 exited with status 1: .*OverflowError"):
+            "".join(complex_rows(values, square=True))
+        assert [proc.returncode for proc in helpers] == [1]
+
+    def test_closed_rows_leave_no_helper_running(self, monkeypatch):
+        monkeypatch.setattr(reports, "CSV_BLOCK_ROWS", 7)
+        monkeypatch.setattr(reports, "_share_count", lambda: 3)
+        helpers = _count_helpers(monkeypatch)
+        files = []
+        temporary_file = reports.tempfile.TemporaryFile
+
+        def tracked_file(*args, **kwargs):
+            files.append(temporary_file(*args, **kwargs))
+            return files[-1]
+
+        monkeypatch.setattr(reports.tempfile, "TemporaryFile", tracked_file)
+        rows = complex_rows(np.arange(300000, dtype=complex))
+        assert next(rows) == "".join(f"{i},{float(i)!r},0.0,{float(i)!r}\n" for i in range(7))
+        rows.close()
+        # killed, not waited for: each had about 100,000 rows still to render
+        assert [proc.returncode for proc in helpers] == [-signal.SIGKILL] * 2
+        assert len(files) == 4 and all(fh.closed for fh in files)
+
+
+def _cell_rendering(values, square):
+    """The CSV text of the rows of ``values`` rendered cell by cell from
+    numpy scalars."""
+    cells = (
+        (xi, v.real, v.imag, abs(v) ** 2 if square else abs(v))
+        for xi, v in enumerate(values)
+    )
+    return render_csv({}, ["xi", "re", "im", "abs"], cells)
+
+
+def _count_helpers(monkeypatch):
+    """Every helper process ``reports`` starts, in order."""
+    started = []
+    popen = reports.subprocess.Popen
+
+    def counted(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(reports.subprocess, "Popen", counted)
+    return started
 
 
 class TestCacheAdmin:

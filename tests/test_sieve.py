@@ -209,6 +209,13 @@ class TestVonMangoldt:
             with pytest.raises(UsageError):
                 _primes_below(n + 1)
 
+    def test_reads_supplied_table(self, monkeypatch):
+        table, expected = build_table(290), von_mangoldt_vector(290)
+        monkeypatch.setattr(sieve, "build_table", lambda *args, **kwargs: pytest.fail("sieved"))
+        assert np.array_equal(von_mangoldt_vector(290, table), expected)
+        with pytest.raises(UsageError, match="supplied table has extent 290, expected 289"):
+            von_mangoldt_vector(289, table)
+
     def test_chebyshev_psi_near_n(self):
         lam = von_mangoldt_vector(10**6)
         assert 0.99 <= lam.sum() / 10**6 <= 1.01
