@@ -61,6 +61,7 @@ from .spectral import (
     DecompositionReport,
     ErrorProbe,
     decompose,
+    decompositions,
     error_probe,
     error_spectrum_stats,
     half_spectrum_pair_value,
@@ -120,6 +121,7 @@ __all__ = [
     "rho_identity_check",
     "main_term_convolution",
     "decompose",
+    "decompositions",
     "error_probe",
     "error_spectrum_stats",
     "psi_pair_via_spectrum",

@@ -37,8 +37,7 @@ from .sieve import (
 from .spectral import (
     column_pair_counts,
     correlation_direct,
-    decompose,
-    decompose_length,
+    decompositions,
     half_spectrum_residual,
     main_term_convolution,
     pair_count_modulus,
@@ -211,8 +210,8 @@ def run(config: ExperimentConfig) -> RunResult:
 def _transform_extents(config: ExperimentConfig) -> list[int]:
     """Every length the mode will transform, so that one over the cap is
     rejected before any table is sieved or any report written: the
-    extents themselves, except that decompose past the cap transforms
-    residue columns of length n/Q (``decompose_length``)."""
+    extents themselves, except that decompose transforms residue columns
+    of length n/Q at the adjusted extent."""
     if config.mode == "identity-suite":
         extents = [m for n in config.n_values for m in (n, n + n % 2)]
         for z in config.z_schedule:
@@ -221,9 +220,7 @@ def _transform_extents(config: ExperimentConfig) -> list[int]:
         return extents
     if config.mode == "decompose":
         moduli = [primorial(z).value for z in config.z_schedule]
-        return [
-            decompose_length(round_up_multiple(n, Q), Q) for Q in moduli for n in config.n_values
-        ]
+        return [round_up_multiple(n, Q) // Q for Q in moduli for n in config.n_values]
     if config.mode == "spectrum-export":
         return list(config.n_values)
     return []
@@ -406,11 +403,11 @@ def _subgroup_rows(
         _tol(config, "twisted-plancherel"),
         extra=extra,
     )
-    for two_k in config.two_k_values:
-        report = decompose(
-            adjusted, Q, two_k, sub_table, constant_cutoff=config.cutoff,
-            tol=float("inf"),
-        )
+    reports = decompositions(
+        adjusted, Q, config.two_k_values, sub_table, constant_cutoff=config.cutoff,
+        tol=float("inf"),
+    )
+    for two_k, report in zip(config.two_k_values, reports):
         record(
             "decomposition-reconstruction",
             adjusted,
@@ -445,11 +442,11 @@ def _run_decompose(config: ExperimentConfig, out: Path) -> RunResult:
         for n in config.n_values:
             adjusted = round_up_multiple(n, Q)
             table = _table(config, adjusted)
-            for two_k in config.two_k_values:
-                report = decompose(
-                    adjusted, Q, two_k, table, constant_cutoff=config.cutoff,
-                    tol=_tol(config, "decomposition-reconstruction"),
-                )
+            reports = decompositions(
+                adjusted, Q, config.two_k_values, table, constant_cutoff=config.cutoff,
+                tol=_tol(config, "decomposition-reconstruction"),
+            )
+            for two_k, report in zip(config.two_k_values, reports):
                 meta = _report_meta(
                     config,
                     n=adjusted,

@@ -40,8 +40,8 @@ counts the bitmap, about 10 ms at 1e8, and callers ask for it a handful
 of times per extent.  Builds that would exceed the configured byte
 budget are rejected up front.  The cached half spectrum, when asked for,
 costs 8 more bytes per entry (n/2 + 1 complex bins).  Spectral pair
-counts read residue columns of the bitmap instead (``spectral``), so they
-add no array of length n.
+counts and the decomposition's error spectrum read residue columns of
+the bitmap instead (``spectral``), so they add no array of length n.
 """
 
 from __future__ import annotations

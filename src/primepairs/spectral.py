@@ -25,17 +25,21 @@ index map x = a + j*Q), C_a is its length-m DFT, and a + 2k = b + t*Q with
 rfft of the columns that hold a nonzero weight, gathered block by block
 from a 1-indexed weight vector: the bool bitmap for prime pairs, the von
 Mangoldt weights for psi pairs.  It is the one spectral correlation
-route.  The spectral pair count (``pair_counts_via_spectrum``), the psi
-pair correlation (``psi_pair_via_spectrum``) and the identity suite's
-rows for both always take it, with Q from ``pair_count_modulus``;
-``decompose`` takes it when n is over the 1e7 transform cap, since only
-the length m is transformed.
+route, and the one route to T.  The spectral pair count
+(``pair_counts_via_spectrum``), the psi pair correlation
+(``psi_pair_via_spectrum``) and the identity suite's rows for both take
+it with Q from ``pair_count_modulus``; ``decompositions`` (and
+``decompose``, its one-shift form) and ``error_spectrum_stats`` take it
+with the Q they are given, at every n, so the transform length is n/Q.
+The reconstruction sum of the decompositions and the direct correlation
+(``correlation_direct``) are numpy reductions, not BLAS products, which
+OpenBLAS splits across threads: their digits do not depend on the
+number of CPUs.
 
-Up to the cap, the other identities on a PrimeTable read the table's one
-cached real spectrum (``PrimeTable.spectrum``, an rfft of the ring
-indicator) instead of transforming again: ``decompose`` and
-``error_spectrum_stats`` regroup its power mirrored to length n;
-``half_spectrum_pair_value`` reads its power directly; and
+The other identities on a PrimeTable read the table's one cached real
+spectrum (``PrimeTable.spectrum``, an rfft of the ring indicator) instead
+of transforming again: ``error_spectrum_stats`` counts its large bins,
+``half_spectrum_pair_value`` reads its power directly, and
 ``rho_identity_check`` and ``half_spectrum_residual`` take the samples
 F(n - m) as conj F(m).  The length-Q transforms of residue profiles, the
 independent side of those identities, are ``transform.forward`` and
@@ -71,13 +75,11 @@ from .sieve import (
     von_mangoldt_vector,
 )
 from .transform import (
-    MAX_TRANSFORM_LENGTH,
     as_ring,
     check_extents,
     forward,
     forward_real,
     inverse,
-    mirror_power,
     require_divisor,
     spectrum_at,
     unit_phase,
@@ -136,7 +138,10 @@ def _table_for(n: int, table: PrimeTable | None, length: int | None = None) -> P
 def correlation_direct(ring: np.ndarray, two_k: int) -> float:
     """sum_x ring(x) * ring(x + 2k mod n): the direct side of the
     correlation identities."""
-    return float(np.dot(ring, np.roll(ring, -(two_k % ring.shape[0]))))
+    # a numpy reduction, not BLAS, so the sum's order is fixed
+    shifted = np.roll(ring, -(two_k % ring.shape[0]))
+    shifted *= ring
+    return float(shifted.sum())
 
 
 @lru_cache(maxsize=256)
@@ -363,35 +368,25 @@ def main_term_convolution(
     return float(Q / n * np.dot(rho, np.roll(rho, -(two_k % Q))))
 
 
-def _full_power(table: PrimeTable) -> np.ndarray:
-    """|F(P)(xi)|^2 for every xi in Z/nZ, mirrored from the cached half."""
-    return mirror_power(np.abs(table.spectrum()) ** 2, table.n)
-
-
-def _coset_regroup(power: np.ndarray, Q: int, two_k: int) -> np.ndarray:
-    """T(xi) for 0 <= xi < n/Q from the full power spectrum |F(P)|^2."""
-    rows = power.reshape(Q, power.shape[0] // Q)
-    weights = unit_phase(Q, two_k * np.arange(Q, dtype=np.int64))
-    # real and imaginary weights apart: a complex weight vector would cast
-    # the whole real power array to a complex copy
-    return weights.real @ rows + 1j * (weights.imag @ rows)
-
-
-def _column_error_spectrum(table: PrimeTable, Q: int, two_k: int) -> np.ndarray:
-    """T(xi) for 0 <= xi < n/Q from the residue-column kernel:
-    T(xi) = Q * e_n(+2k*xi) * S(xi), with no transform of length n."""
+def _error_spectra(table: PrimeTable, Q: int, shifts):
+    """Yield, for each shift in turn, T(xi) = Q * e_n(+2k*xi) * S(xi) for
+    0 <= xi < n/Q and the terms T(xi) * e_n(-2k*xi) of the reconstruction
+    sum, from one ``column_pair_spectra`` call: S(m - xi) = conj S(xi)
+    fills the upper half, and the one phase vector, conjugated in place,
+    turns into the terms."""
     n = table.n
     m = n // Q
-    (half,) = column_pair_spectra(table.is_prime, Q, [two_k])
     xi = np.arange(m, dtype=np.int64)
-    return Q * spectrum_at(half, m, xi) * unit_phase(n, -two_k * xi)
-
-
-def decompose_length(n: int, Q: int) -> int:
-    """The transform length ``decompose`` needs at extent n: n itself up
-    to the transform cap (the full-length route, whose T the reports
-    carry there), and past it the length n/Q of the residue columns."""
-    return n if n <= MAX_TRANSFORM_LENGTH else n // Q
+    for two_k, half in zip(shifts, column_pair_spectra(table.is_prime, Q, shifts)):
+        spectrum = np.empty(m, dtype=complex)
+        spectrum[: half.shape[0]] = half
+        np.conjugate(half[1 : m - half.shape[0] + 1][::-1], out=spectrum[half.shape[0] :])
+        spectrum *= Q
+        phase = unit_phase(n, -two_k * xi)
+        spectrum *= phase
+        terms = np.conjugate(phase, out=phase)
+        terms *= spectrum
+        yield spectrum, terms
 
 
 def is_primorial(Q) -> bool:
@@ -410,6 +405,61 @@ def is_primorial(Q) -> bool:
     return True
 
 
+def decompositions(
+    n: int,
+    Q: int,
+    shifts,
+    table: PrimeTable | None = None,
+    constant_cutoff: int = 10**6,
+    tol: float = 1e-6,
+):
+    """Yield, for each shift 2k in ``shifts`` in turn, the split of the
+    spectral pair-count sum into the subgroup main term and the
+    per-frequency error spectrum, verifying exact reconstruction.  One
+    ``column_pair_spectra`` call, which transforms residue columns of
+    length n/Q only, serves every shift.
+
+    Requires Q | n with Q a primorial.  Q > sqrt(n) is allowed (the
+    identity is exact for any Q | n) but logged, since the main term only
+    carries its asymptotic meaning for small Q.  The reconstruction sum
+    (1/n) sum_xi T(xi) e_n(-2k*xi) is a numpy reduction, so its digits do
+    not depend on the number of CPUs.
+    """
+    require_divisor(n, Q, "decomposition")
+    if not is_primorial(Q):
+        raise UsageError(f"Q must be a primorial, got {Q}")
+    shifts = list(shifts)
+    for two_k in shifts:
+        if not 2 <= two_k < n:
+            raise UsageError(f"need 2 <= 2k < n, got 2k={two_k}")
+    if Q * Q > n:
+        logger.warning("decompose called with Q=%d above sqrt(n=%d); identity still exact", Q, n)
+    t = _table_for(n, table, n // Q)
+    for two_k, (spectrum, terms) in zip(shifts, _error_spectra(t, Q, shifts)):
+        if abs(spectrum[0].imag) > tol * n:
+            raise IdentityError(
+                "main-term-realness", abs(spectrum[0].imag), tol * n, f"n={n}, Q={Q}"
+            )
+        main_term = float(spectrum[0].real) / n
+        reconstructed = complex(terms.sum()) / n
+        sieved = pair_count_circular(t, two_k)
+        residual = abs(reconstructed - sieved)
+        if residual > tol * n:
+            raise IdentityError("decomposition-reconstruction", residual, tol * n, f"n={n}, Q={Q}")
+        constant = hl_constant(two_k, constant_cutoff).value
+        yield DecompositionReport(
+            n=n,
+            Q=Q,
+            two_k=two_k,
+            main_term=main_term,
+            predicted_main_log2=constant * n / math.log(n) ** 2,
+            predicted_main_li2=constant * li2(n),
+            error_spectrum=spectrum,
+            reconstruction_residual=residual,
+            pair_count_circular=sieved,
+        )
+
+
 def decompose(
     n: int,
     Q: int,
@@ -418,52 +468,9 @@ def decompose(
     constant_cutoff: int = 10**6,
     tol: float = 1e-6,
 ) -> DecompositionReport:
-    """Split the spectral pair-count sum into the subgroup main term and
-    the per-frequency error spectrum, verifying exact reconstruction.
-
-    Requires Q | n with Q a primorial.  Q > sqrt(n) is allowed (the
-    identity is exact for any Q | n) but logged, since the main term only
-    carries its asymptotic meaning for small Q.  Up to the transform cap T
-    is regrouped from the table's full-length power spectrum; past it,
-    from the residue-column kernel, which transforms length n/Q only.
-    """
-    require_divisor(n, Q, "decomposition")
-    if not is_primorial(Q):
-        raise UsageError(f"Q must be a primorial, got {Q}")
-    if not 2 <= two_k < n:
-        raise UsageError(f"need 2 <= 2k < n, got 2k={two_k}")
-    if Q * Q > n:
-        logger.warning("decompose called with Q=%d above sqrt(n=%d); identity still exact", Q, n)
-    length = decompose_length(n, Q)
-    t = _table_for(n, table, length)
-    if length == n:
-        spectrum = _coset_regroup(_full_power(t), Q, two_k)
-    else:
-        spectrum = _column_error_spectrum(t, Q, two_k)
-    if abs(spectrum[0].imag) > tol * n:
-        raise IdentityError(
-            "main-term-realness", abs(spectrum[0].imag), tol * n, f"n={n}, Q={Q}"
-        )
-    main_term = float(spectrum[0].real) / n
-    reconstructed = complex(
-        np.dot(spectrum, unit_phase(n, two_k * np.arange(n // Q, dtype=np.int64))) / n
-    )
-    sieved = pair_count_circular(t, two_k)
-    residual = abs(reconstructed - sieved)
-    if residual > tol * n:
-        raise IdentityError("decomposition-reconstruction", residual, tol * n, f"n={n}, Q={Q}")
-    constant = hl_constant(two_k, constant_cutoff).value
-    return DecompositionReport(
-        n=n,
-        Q=Q,
-        two_k=two_k,
-        main_term=main_term,
-        predicted_main_log2=constant * n / math.log(n) ** 2,
-        predicted_main_li2=constant * li2(n),
-        error_spectrum=spectrum,
-        reconstruction_residual=residual,
-        pair_count_circular=sieved,
-    )
+    """The main-term / error-spectrum split for one shift:
+    ``decompositions`` with the one shift."""
+    return next(decompositions(n, Q, [two_k], table, constant_cutoff, tol))
 
 
 def error_probe(
@@ -513,13 +520,15 @@ def error_spectrum_stats(
     if Q >= n:
         raise UsageError(f"degenerate Q = n rejected, got Q={Q}, n={n}")
     t = _table_for(n, table)
-    power = _full_power(t)
-    spectrum = _coset_regroup(power, Q, two_k)
+    ((spectrum, terms),) = _error_spectra(t, Q, [two_k])
     tail = np.abs(spectrum[1:])
-    weights = unit_phase(n, two_k * np.arange(n // Q, dtype=np.int64))
-    offzero = complex(np.dot(spectrum[1:], weights[1:]) / n)
+    offzero = complex(terms[1:].sum()) / n
     phi_q = float(np.count_nonzero(np.gcd(np.arange(1, Q + 1, dtype=np.int64), Q) == 1))
-    large = int(np.count_nonzero(power[1:] / n >= n / math.log(n) ** 2))
+    # the cached half power, each bin counted with its mirror n - xi
+    reaches = np.abs(t.spectrum()[1:]) ** 2 / n >= n / math.log(n) ** 2
+    large = 2 * int(np.count_nonzero(reaches))
+    if n % 2 == 0:
+        large -= int(reaches[-1])  # the Nyquist bin is its own mirror
     quantiles = np.quantile(tail, [0.5, 0.9, 0.99]) if tail.size else np.zeros(3)
     return {
         "n": n,

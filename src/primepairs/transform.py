@@ -43,10 +43,11 @@ Real input has a Hermitian spectrum, F(n - xi) = conj F(xi), so its whole
 spectrum is fixed by the half 0 <= xi <= n//2 that ``forward_real`` (one
 rfft) returns.  A PrimeTable caches that half spectrum of its ring
 indicator (``PrimeTable.spectrum``), and the length-n identities on a
-table read it: ``inverse_real`` inverts it (the round trip),
-``spectrum_at`` samples F at any frequency, and ``mirror_power`` extends
-|F|^2 to all of Z/nZ.  No correlation is computed at length n: the
-prime and von Mangoldt pair correlations read residue columns instead.
+table read it: ``inverse_real`` inverts it (the round trip) and
+``spectrum_at`` samples F at any frequency.  No correlation and no error
+spectrum is computed at length n: the prime and von Mangoldt pair
+correlations and the coset-regrouped error spectrum read residue columns
+instead.
 ``forward``, ``inverse`` and ``plancherel_residual`` stay full complex
 transforms, at length n, Q or n/Q: the direct routes the identities are
 checked by.
@@ -151,14 +152,6 @@ def spectrum_at(half: np.ndarray, n: int, xi: np.ndarray) -> np.ndarray:
     upper = m > n // 2
     values = half[np.where(upper, n - m, m)]
     return np.where(upper, np.conj(values), values)
-
-
-def mirror_power(power: np.ndarray, n: int) -> np.ndarray:
-    """Extend |F(xi)|^2 on 0 <= xi <= n//2 to all of Z/nZ by
-    |F(n - xi)| = |F(xi)|; odd n has no Nyquist bin to leave unpaired."""
-    if power.shape[0] != n // 2 + 1:
-        raise UsageError(f"half power spectrum of length {power.shape[0]} does not fit n={n}")
-    return np.concatenate((power, power[(n - 1) // 2 : 0 : -1]))
 
 
 def inverse(spectrum: np.ndarray) -> np.ndarray:

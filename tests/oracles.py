@@ -162,6 +162,22 @@ def pair_correlation_via_spectrum(ring: np.ndarray, two_k: int) -> complex:
     return complex(np.dot(power, np.exp((-2j * np.pi / n) * ((two_k * xi) % n))) / n)
 
 
+def error_spectrum_full_route(ring: np.ndarray, Q: int, two_k: int) -> np.ndarray:
+    """T(xi) = sum_r |F(ring)(xi + r*n/Q)|^2 * exp(-2*pi*i*2k*r/Q) for
+    0 <= xi < n/Q, regrouped over the cosets of the index-Q subgroup from
+    the power of one full-length transform, with exactly reduced integer
+    angles: the length-n coset regroup that the library's residue-column
+    error spectrum is checked against.  The power is mirrored from one
+    rfft by |F(n - xi)| = |F(xi)| to halve the memory at n near 1e7."""
+    ring = np.asarray(ring, dtype=np.float64)
+    n = ring.shape[0]
+    half = np.abs(np.fft.rfft(ring)) ** 2
+    power = np.concatenate((half, half[(n - 1) // 2 : 0 : -1]))
+    r = np.arange(Q, dtype=np.int64)
+    weights = np.exp((-2j * np.pi / Q) * ((two_k * r) % Q))
+    return weights @ power.reshape(Q, n // Q)
+
+
 def class_energy_masked(ring: np.ndarray, Q: int, a: int) -> float:
     """Mean power (1/n) sum |F(xi)|^2 of the ring masked to the class
     x = a (mod Q), slot j holding x = j (slot 0 holding x = n = 0 mod Q),

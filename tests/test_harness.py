@@ -1,8 +1,11 @@
 import json
 import math
+import os
 import signal
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,12 +266,23 @@ class TestTransformBudget:
                 lengths[Q] += 1
                 lengths[round_up_multiple(n, Q) // Q] += 3
         assert Counter(a.shape[0] for fn, a in calls if fn == "fft") == lengths
-        # per n: the batched column rfft of the pair counts, the
-        # round-trip irfft, the Plancherel fft and the batched column rfft
-        # of the von Mangoldt weights; per (n, z): the mod-Q transform of
-        # the residue counts and three column transforms
-        budget = len(extents) + 4 * len(n_values) + 4 * len(n_values) * len(z_values)
-        assert len(calls) <= budget
+        # batched column rffts by length: per n those of the pair counts and
+        # of the von Mangoldt weights, of length n / pair_count_modulus(n),
+        # and per (n, z) the one of the decompositions, whose every shift
+        # comes from columns of length n/Q at the adjusted extent
+        columns = Counter()
+        for n in n_values:
+            columns[n // pair_count_modulus(n)] += 2
+            for z in z_values:
+                Q = primorial(z).value
+                columns[round_up_multiple(n, Q) // Q] += 1
+        assert Counter(a.shape[1] for fn, a in calls if fn == "rfft" and a.ndim == 2) == columns
+        # per n: the two batched column rffts, the round-trip irfft and
+        # the Plancherel fft; per (n, z): the mod-Q transform of the
+        # residue counts, three column transforms and the batched column
+        # rfft of the decompositions
+        budget = len(extents) + 4 * len(n_values) + 5 * len(n_values) * len(z_values)
+        assert len(calls) == budget
 
     def test_every_transform_goes_through_transform_module(self, tmp_path, calls, callers, table_9240):
         argv = ["verify", "--n", "2310,1001", "--z", "5,7,11", "--two-k", "2,4,6", "--out", str(tmp_path)]
@@ -392,6 +406,32 @@ class TestReproducibility:
         assert (tmp_path / "a/identity_suite.json").read_bytes() == (
             tmp_path / "b/identity_suite.json"
         ).read_bytes()
+
+    def test_reports_independent_of_blas_threads(self, tmp_path):
+        """OpenBLAS splits a dot product or a matrix-vector product of more
+        than about 1e4 entries across its threads, which sums it in
+        another order.  The decompose and identity-suite reports take
+        their sums with numpy reductions, so one BLAS thread and two
+        write the same bytes."""
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            for verb in ("decompose", "verify"):
+                proc = subprocess.run(
+                    [
+                        sys.executable, "-m", "primepairs.cli", verb, "--n", "100000",
+                        "--z", "5,7", "--two-k", "2,4", "--out", str(out / verb),
+                    ],
+                    env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                    capture_output=True,
+                    text=True,
+                    cwd=str(Path(__file__).resolve().parent.parent),
+                )
+                assert proc.returncode == 0, proc.stderr
+            written.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+        # two shifts at two moduli, a CSV and a JSON each, and the suite
+        assert len(written[0]) == 9
+        assert sorted(name for name in written[0] if written[0][name] != written[1].get(name)) == []
 
     def test_sweep_csv_byte_identical(self, tmp_path):
         for sub in ("a", "b"):
@@ -659,7 +699,7 @@ class TestCli:
         config = small_config("identity-suite", tmp_path, n_values=[10**7], z_schedule=[5, 7, 11, 13])
         with pytest.raises(ResourceLimitError, match="10000002, 10000020, 10000200, 10002300$"):
             run(config)
-        # past the cap decompose transforms columns of length n/Q, so
+        # decompose transforms columns of length n/Q at every n, so
         # 10000020 (m = 333334) runs and 300000030 (m = 10000001) does not
         config = small_config("decompose", tmp_path, n_values=[10**7, 300000030], z_schedule=[7])
         with pytest.raises(ResourceLimitError, match="got 10000001$"):

@@ -33,12 +33,13 @@ from primepairs.spectral import (
     column_pair_counts,
     column_pair_spectra,
     correlation_direct,
+    decompositions,
     is_primorial,
     pair_count_modulus,
     pair_count_rounding_budget,
     pair_counts_via_spectrum,
 )
-from primepairs.transform import as_ring, forward, mirror_power, unit_phase
+from primepairs.transform import as_ring, forward, unit_phase
 
 import oracles
 
@@ -219,6 +220,19 @@ class TestErrorSpectrumStats:
             abs(report.pair_count_circular - report.main_term), abs=1e-6
         )
 
+    @pytest.mark.parametrize("n", [3840, 3841, 2310, 1155])
+    def test_large_frequencies_counted_over_all_of_z_mod_n(self, n):
+        # the count read from the cached half, each bin with its mirror,
+        # equals the count over the full transform's n bins; even n has a
+        # Nyquist bin |F(n/2)| near pi(n), which reaches the level
+        t = build_table(n)
+        power = np.abs(forward(t.ring_indicator())) ** 2
+        expected = int(np.count_nonzero(power[1:] / n >= n / math.log(n) ** 2))
+        stats = error_spectrum_stats(n, 1, 2, t)
+        assert stats["large_frequency_count"] == expected
+        if n in (3840, 2310):
+            assert expected % 2 == 1  # the Nyquist bin, counted once
+
     def test_degenerate_modulus_rejected(self, table_100):
         with pytest.raises(UsageError):
             error_spectrum_stats(100, 100, 2, table_100)
@@ -324,16 +338,15 @@ class TestHermitianPaths:
     def test_error_spectrum_matches_full_transform(self, n, k):
         two_k = 2 + 2 * (k % ((n - 1) // 2))  # every even shift 2 <= 2k < n
         t = build_table(n)
-        power = np.abs(forward(t.ring_indicator())) ** 2
+        ring = t.ring_indicator()
         for Q in (q for q in PRIMORIALS if n % q == 0):
-            width = n // Q
-            weights = np.exp(-2j * np.pi * (two_k * np.arange(Q) % Q) / Q)
-            expected = weights @ power.reshape(Q, width)
+            expected = oracles.error_spectrum_full_route(ring, Q, two_k)
             got = decompose(n, Q, two_k, t).error_spectrum
-            assert got.shape == (width,)
-            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+            assert got.shape == (n // Q,)
+            assert np.abs(got - expected).max() <= 1e-12 * max(np.abs(expected).max(), 1.0)
         if n % 2 == 0:
             # folded value: read from the cached half, against the full power
+            power = np.abs(forward(ring)) ** 2
             half = n // 2
             folded = 2.0 * np.dot(power[:half], unit_phase(n, two_k * np.arange(half))) / n
             assert half_spectrum_pair_value(n, two_k, t) == pytest.approx(folded, rel=1e-12)
@@ -349,13 +362,6 @@ class TestHermitianPaths:
         budget = 1e-6 * max(t.pi(n), 1)
         for Q in _divisors(n):
             assert rho_identity_check(n, Q, t) <= budget
-
-
-def _full_route_T(t, Q, two_k):
-    """T(xi), 0 <= xi < n/Q, regrouped from the full-length power."""
-    power = np.abs(forward(t.ring_indicator())) ** 2
-    weights = unit_phase(Q, two_k * np.arange(Q))
-    return weights @ power.reshape(Q, t.n // Q)
 
 
 def _column_route_T(half, n, Q, two_k):
@@ -408,7 +414,7 @@ class TestColumnKernel:
         for shift, half, raw in zip(shifts, spectra, counts):
             assert half.shape == (n // Q // 2 + 1,)
             assert abs(raw - pair_count_circular(t, shift)) <= budget
-            expected = _full_route_T(t, Q, shift)
+            expected = oracles.error_spectrum_full_route(t.ring_indicator(), Q, shift)
             got = _column_route_T(half, n, Q, shift)
             # relative, except where T vanishes (no pairs at all)
             scale = max(np.abs(expected).max(), 1.0)
@@ -476,21 +482,50 @@ class TestColumnKernel:
     def test_cross_check_at_primorial_19(self):
         n = 9699690  # 2*3*5*7*11*13*17*19
         t = build_table(n)
-        power = mirror_power(np.abs(t.spectrum()) ** 2, n)
-        for Q, two_k in ((30, 2), (210, 6), (210, 420)):
+        ring = t.ring_indicator()
+        for Q, shifts in ((30, [2]), (210, [6, 420])):
             m = n // Q
-            expected = spectral._coset_regroup(power, Q, two_k)
-            got = spectral._column_error_spectrum(t, Q, two_k)
-            scale = np.abs(expected).max()
-            assert np.abs(got - expected).max() <= 1e-12 * scale
-            (raw,) = column_pair_counts(t.is_prime, Q, [two_k])
-            assert abs(raw - pair_count_circular(t, two_k)) <= pair_count_rounding_budget(
-                t.pi(n), Q, m
-            )
-            # error_probe's direct twisted sums use neither FFT route
-            for xi in (1, 12345, m - 1):
-                probe = error_probe(n, Q, two_k, xi, t)
-                assert abs(Q * probe.correlation - got[xi]) <= 1e-9 * scale
+            raws = column_pair_counts(t.is_prime, Q, shifts)
+            for two_k, raw, report in zip(shifts, raws, decompositions(n, Q, shifts, t), strict=True):
+                expected = oracles.error_spectrum_full_route(ring, Q, two_k)
+                got = report.error_spectrum
+                scale = np.abs(expected).max()
+                assert np.abs(got - expected).max() <= 1e-12 * scale
+                assert abs(raw - pair_count_circular(t, two_k)) <= pair_count_rounding_budget(
+                    t.pi(n), Q, m
+                )
+                # error_probe's direct twisted sums use no transform of length m or n
+                for xi in (1, 12345, m - 1):
+                    probe = error_probe(n, Q, two_k, xi, t)
+                    assert abs(Q * probe.correlation - got[xi]) <= 1e-9 * scale
+
+    @given(
+        n=st.integers(min_value=4, max_value=1500),
+        pick=st.integers(min_value=0, max_value=10**6),
+        ks=st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=5),
+        block=st.sampled_from([None, 1, 3]),
+    )
+    @example(n=2310, pick=5, ks=[0, 1153, 104], block=1)  # Q = 2310 = n, n = 2k + 2
+    @example(n=1009, pick=0, ks=[0, 0, 503], block=None)  # prime n: Q = 1, a repeated shift
+    @example(n=1200, pick=3, ks=[0, 20, 598], block=3)  # Q = 30, 2k >= Q
+    @settings(max_examples=40, deadline=None)
+    def test_decompositions_match_one_shift_at_a_time(self, n, pick, ks, block):
+        # every shift from one column_pair_spectra call is, bit for bit,
+        # the report of that shift alone
+        t = build_table(n)
+        moduli = [q for q in PRIMORIALS if n % q == 0]
+        Q = moduli[pick % len(moduli)]
+        shifts = [2 + 2 * (k % ((n - 1) // 2)) for k in ks]  # every even 2 <= 2k < n
+        with _classes_per_block(block, n // Q):
+            reports = list(decompositions(n, Q, shifts, t))
+            singles = [decompose(n, Q, two_k, t) for two_k in shifts]
+        for report, single in zip(reports, singles, strict=True):
+            assert report.error_spectrum.tobytes() == single.error_spectrum.tobytes()
+            for name in (
+                "n", "Q", "two_k", "main_term", "predicted_main_log2", "predicted_main_li2",
+                "reconstruction_residual", "pair_count_circular",
+            ):
+                assert getattr(report, name) == getattr(single, name), name
 
     def test_modulus_choice(self):
         assert pair_count_modulus(10**7) == 2500

@@ -17,7 +17,6 @@ from primepairs.transform import (
     check_extents,
     forward_real,
     inverse_real,
-    mirror_power,
     require_divisor,
     residue_columns,
     spectrum_at,
@@ -241,17 +240,11 @@ class TestRealSpectrum:
         scale = np.abs(full).max()
         every = np.arange(-n, 2 * n)
         assert np.abs(spectrum_at(half, n, every) - full[every % n]).max() <= 1e-12 * scale
-        power = np.abs(full) ** 2
-        mirrored = mirror_power(np.abs(half) ** 2, n)
-        assert mirrored.shape == (n,)
-        assert np.abs(mirrored - power).max() <= 1e-12 * power.max()
         assert np.abs(inverse_real(half, n) - f).max() <= 1e-12 * max(1.0, np.abs(f).max())
 
     def test_rejects_mismatched_half(self):
         with pytest.raises(UsageError):
             inverse_real(np.ones(4, dtype=complex), 10)
-        with pytest.raises(UsageError):
-            mirror_power(np.ones(4), 10)
 
     def test_length_budget(self):
         with pytest.raises(ResourceLimitError):
