@@ -210,13 +210,14 @@ def run(config: ExperimentConfig) -> RunResult:
 def _transform_extents(config: ExperimentConfig) -> list[int]:
     """Every length the mode will transform, so that one over the cap is
     rejected before any table is sieved or any report written: the
-    extents themselves, except that decompose transforms residue columns
-    of length n/Q at the adjusted extent."""
+    extents themselves, except that the suite's subgroup rows and
+    decompose transform residue columns of length n/Q at the adjusted
+    extent, and the subgroup rows also the length-Q residue counts."""
     if config.mode == "identity-suite":
         extents = [m for n in config.n_values for m in (n, n + n % 2)]
         for z in config.z_schedule:
             Q = primorial(z).value
-            extents += [round_up_multiple(n, Q) for n in config.n_values]
+            extents += [Q] + [round_up_multiple(n, Q) // Q for n in config.n_values]
         return extents
     if config.mode == "decompose":
         moduli = [primorial(z).value for z in config.z_schedule]
@@ -237,8 +238,10 @@ def _table(config: ExperimentConfig, n: int) -> PrimeTable:
 class _ExtentTable:
     """The prime table of one extent at a time: asking for another extent
     releases the held table, with its cached spectrum, before the next is
-    loaded, so consecutive requests for one extent share a single sieve
-    and a single transform."""
+    loaded, so consecutive requests for one extent share a single sieve.
+    Only the round-trip and parity rows read the cached spectrum, so it is
+    computed at n and n + n % 2 alone; the subgroup rows at an adjusted
+    extent read residue columns, and no transform there has length n."""
 
     def __init__(self, config: ExperimentConfig) -> None:
         self._config = config
@@ -387,7 +390,7 @@ def _subgroup_rows(
     # the plain class count.  That spectrum is e_n(-xi a) times the
     # length-n/Q transform of residue column a, so (1/m) sum |DFT_m|^2 is
     # its mean power exactly; each class keeps its own direct transform
-    # of the masked data, independent of the cached spectrum
+    # of the column, independent of the batched ones of the other rows
     columns = residue_columns(sub_table.ring_indicator(), Q)
     worst = 0.0
     for a in {0, 1 % Q, Q - 1}:  # Q = 1 has the one class 0

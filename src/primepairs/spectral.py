@@ -31,21 +31,27 @@ route, and the one route to T.  The spectral pair count
 it with Q from ``pair_count_modulus``; ``decompositions`` (and
 ``decompose``, its one-shift form) and ``error_spectrum_stats`` take it
 with the Q they are given, at every n, so the transform length is n/Q.
-The reconstruction sum of the decompositions and the direct correlation
-(``correlation_direct``) are numpy reductions, not BLAS products, which
-OpenBLAS splits across threads: their digits do not depend on the
+The reconstruction sum of the decompositions, the direct correlation
+(``correlation_direct``), the residue-count convolution
+(``main_term_convolution``) and the folded pair value
+(``half_spectrum_pair_value``) are numpy reductions, not BLAS products,
+which OpenBLAS splits across threads: their digits do not depend on the
 number of CPUs.
 
-The other identities on a PrimeTable read the table's one cached real
-spectrum (``PrimeTable.spectrum``, an rfft of the ring indicator) instead
-of transforming again: ``error_spectrum_stats`` counts its large bins,
-``half_spectrum_pair_value`` reads its power directly, and
-``rho_identity_check`` and ``half_spectrum_residual`` take the samples
-F(n - m) as conj F(m).  The length-Q transforms of residue profiles, the
-independent side of those identities, are ``transform.forward`` and
-``inverse`` calls like every other.  The phase weights e_n(-k), the Q | n
-check and the 1e7 extent cap are the ones ``transform`` defines
-(``unit_phase``, ``require_divisor``, ``check_extents``).
+The subgroup samples F(r*n/Q) come from the same residue columns: by the
+index map they are the length-Q transform of the columns' bins 0,
+sum_a e_Q(-r*a) * C_a(0) (``subgroup_samples``), so
+``rho_identity_check`` transforms columns of length n/Q and never one of
+length n.  The other identities on a PrimeTable read the table's one
+cached real spectrum (``PrimeTable.spectrum``, an rfft of the ring
+indicator) instead of transforming again: ``error_spectrum_stats`` counts
+its large bins, ``half_spectrum_pair_value`` reads its power directly,
+and ``half_spectrum_residual`` takes the samples F(n - m) as conj F(m).
+The length-Q transforms of residue profiles, the independent side of the
+subgroup identities, are ``transform.forward`` and ``inverse`` calls like
+every other.  The phase weights e_n(-k), the Q | n check and the 1e7
+extent cap are the ones ``transform`` defines (``unit_phase``,
+``require_divisor``, ``check_extents``).
 
 Conjugation note: for a complex twisted profile rho the subgroup inversion
 produces sum_a rho(a) * conj(rho(a + 2k)); the conjugate on the shifted
@@ -161,6 +167,33 @@ def pair_count_modulus(n: int) -> int:
     return min((d for d in density if d * d <= n), key=lambda d: (density[d], -d))
 
 
+def _column_blocks(weights: np.ndarray, Q: int):
+    """The classes a (mod Q, ascending) that hold a nonzero weight of the
+    1-indexed ``weights`` of length n + 1, the number of classes per block
+    (as many column spectra as fit COLUMN_BLOCK_BYTES), and the function
+    that returns block j's column spectra, one batched rfft of the columns
+    of classes chunk*j .. chunk*(j + 1) - 1, one per row.  Requires Q | n."""
+    n = weights.shape[0] - 1
+    m = n // Q
+    # the weights as residue columns, except that slot 0 holds x = n, not 0
+    values = weights[:n].reshape(m, Q)
+    holding = values.any(axis=0)
+    holding[0] |= bool(weights[n])
+    classes = np.flatnonzero(holding)
+    chunk = max(1, COLUMN_BLOCK_BYTES // ((m // 2 + 1) * 16))
+
+    def block_spectra(block: int) -> np.ndarray:
+        # np.take reads each row of the view once; the transposed copy puts
+        # each column's m entries in a row, where the rfft reads them
+        picked = np.take(values, classes[block * chunk : (block + 1) * chunk], axis=1)
+        columns = np.ascontiguousarray(picked.T)
+        if block == 0 and classes[0] == 0:
+            columns[0, 0] = weights[n]
+        return forward_real(columns)
+
+    return classes, chunk, block_spectra
+
+
 def column_pair_spectra(weights: np.ndarray, Q: int, shifts):
     """Yield, for each shift 2k in ``shifts`` (any 2k >= 0) in turn, the
     half accumulator S(xi), 0 <= xi <= m//2 with m = n/Q:
@@ -194,23 +227,9 @@ def column_pair_spectra(weights: np.ndarray, Q: int, shifts):
     m = n // Q
     check_extents([m], "residue-column length")
     half = m // 2 + 1
-    # the weights as residue columns, except that slot 0 holds x = n, not 0
-    values = weights[:n].reshape(m, Q)
-    holding = values.any(axis=0)
-    holding[0] |= bool(weights[n])
-    classes = np.flatnonzero(holding)
+    classes, chunk, block_spectra = _column_blocks(weights, Q)
     position = np.full(Q, -1, dtype=np.int64)
     position[classes] = np.arange(classes.size)
-    chunk = max(1, COLUMN_BLOCK_BYTES // (half * 16))
-
-    def block_spectra(block: int) -> np.ndarray:
-        # np.take reads each row of the view once; the transposed copy puts
-        # each column's m entries in a row, where the rfft reads them
-        picked = np.take(values, classes[block * chunk : (block + 1) * chunk], axis=1)
-        columns = np.ascontiguousarray(picked.T)
-        if block == 0 and classes[0] == 0:
-            columns[0, 0] = weights[n]
-        return forward_real(columns)
 
     shifts = list(shifts)
     group = max(1, COLUMN_BLOCK_BYTES // (2 * half * 16))
@@ -337,17 +356,41 @@ def pair_count_via_spectrum(
     return pair_counts_via_spectrum(n, [two_k], table, tol)[0]
 
 
+def subgroup_samples(weights: np.ndarray, Q: int) -> np.ndarray:
+    """The samples F(r*n/Q), 0 <= r < Q, of the spectrum of the 1-indexed
+    real ``weights`` (length n + 1), read off the residue columns.
+
+    By the index map x = a + j*Q, F(r*n/Q) = sum_a e_Q(-r*a) * C_a(0),
+    where C_a is the length-n/Q DFT of column a: the samples are the
+    length-Q transform of the columns' bins 0, zero on the classes that
+    hold no weight.  The columns are transformed in the blocks of the
+    pair-spectra kernel, so no transform has length n.
+    """
+    n = weights.shape[0] - 1
+    require_divisor(n, Q, "subgroup samples")
+    check_extents([n // Q, Q], "subgroup samples length")
+    classes, chunk, block_spectra = _column_blocks(weights, Q)
+    bins = np.zeros(Q, dtype=complex)
+    for block, first in enumerate(range(0, classes.size, chunk)):
+        bins[classes[first : first + chunk]] = block_spectra(block)[:, 0]
+    return forward(bins)
+
+
 def rho_identity_check(
     n: int, Q: int, table: PrimeTable | None = None, tol: float = 1e-6
 ) -> float:
     """Max deviation between the subgroup samples F(P)(r*n/Q) and the
     mod-Q transform of the residue counts rho(a) = pi(n, Q, a).
 
-    Returns the deviation and raises if it exceeds tol * pi(n).
+    The samples come from the residue-column spectra
+    (``subgroup_samples``) and the counts from the sieved primes, two
+    independent computations; the transforms have lengths n/Q and Q, and
+    the cap applies to those.  Returns the deviation and raises if it
+    exceeds tol * pi(n).
     """
     require_divisor(n, Q, "subgroup identity")
-    t = _table_for(n, table)
-    coset = spectrum_at(t.spectrum(), n, np.arange(Q, dtype=np.int64) * (n // Q))
+    t = _table_for(n, table, max(n // Q, Q))
+    coset = subgroup_samples(t.is_prime, Q)
     rho = residue_profile(t, Q)
     deviation = float(np.abs(coset - forward(rho)).max())
     budget = tol * max(t.pi(n), 1)
@@ -365,7 +408,10 @@ def main_term_convolution(
     require_divisor(n, Q, "main-term convolution")
     t = _table_for(n, table)
     rho = residue_profile(t, Q)
-    return float(Q / n * np.dot(rho, np.roll(rho, -(two_k % Q))))
+    # a numpy reduction, not BLAS, so the sum's order is fixed
+    shifted = np.roll(rho, -(two_k % Q))
+    shifted *= rho
+    return float(Q / n * shifted.sum())
 
 
 def _error_spectra(table: PrimeTable, Q: int, shifts):
@@ -600,5 +646,7 @@ def half_spectrum_pair_value(
     t = _table_for(n, table)
     half = n // 2
     power = np.abs(t.spectrum()[:half]) ** 2
-    weights = unit_phase(n, two_k * np.arange(half, dtype=np.int64))
-    return complex(2.0 * np.dot(power, weights) / n)
+    # a numpy reduction, not BLAS, so the sum's order is fixed
+    terms = unit_phase(n, two_k * np.arange(half, dtype=np.int64))
+    terms *= power
+    return complex(2.0 * terms.sum() / n)

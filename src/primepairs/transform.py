@@ -44,10 +44,11 @@ spectrum is fixed by the half 0 <= xi <= n//2 that ``forward_real`` (one
 rfft) returns.  A PrimeTable caches that half spectrum of its ring
 indicator (``PrimeTable.spectrum``), and the length-n identities on a
 table read it: ``inverse_real`` inverts it (the round trip) and
-``spectrum_at`` samples F at any frequency.  No correlation and no error
-spectrum is computed at length n: the prime and von Mangoldt pair
-correlations and the coset-regrouped error spectrum read residue columns
-instead.
+``spectrum_at`` samples F at any frequency (the parity relation).  No
+correlation, no error spectrum and no subgroup sample is computed at
+length n: the prime and von Mangoldt pair correlations, the
+coset-regrouped error spectrum and the samples F(r*n/Q) of the subgroup
+restriction read residue columns instead.
 ``forward``, ``inverse`` and ``plancherel_residual`` stay full complex
 transforms, at length n, Q or n/Q: the direct routes the identities are
 checked by.

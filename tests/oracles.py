@@ -178,6 +178,20 @@ def error_spectrum_full_route(ring: np.ndarray, Q: int, two_k: int) -> np.ndarra
     return weights @ power.reshape(Q, n // Q)
 
 
+def subgroup_samples_full_route(ring: np.ndarray, Q: int) -> np.ndarray:
+    """F(ring)(r*n/Q) for 0 <= r < Q, sampled from one full-length rfft,
+    the upper half mirrored by F(n - xi) = conj F(xi): the length-n route
+    that the library's residue-column subgroup samples are checked
+    against."""
+    ring = np.asarray(ring, dtype=np.float64)
+    n = ring.shape[0]
+    half = np.fft.rfft(ring)
+    xi = np.arange(Q, dtype=np.int64) * (n // Q)
+    upper = xi > n // 2
+    values = half[np.where(upper, n - xi, xi)]
+    return np.where(upper, np.conj(values), values)
+
+
 def class_energy_masked(ring: np.ndarray, Q: int, a: int) -> float:
     """Mean power (1/n) sum |F(xi)|^2 of the ring masked to the class
     x = a (mod Q), slot j holding x = j (slot 0 holding x = n = 0 mod Q),

@@ -252,37 +252,43 @@ class TestTransformBudget:
                 if a.shape == ring.shape and np.array_equal(a, ring)
             )
 
-        assert ring_transforms("rfft") == Counter(extents)
+        # the cached spectrum only where the round-trip and parity rows
+        # read it: at n and at n + 1 for odd n, never at 1020 or 1050,
+        # whose subgroup rows read residue columns
+        spectra = [2310, 1001, 1002]
+        assert ring_transforms("rfft") == Counter(spectra)
         # the energy identity's independent full transform, once per n
         assert ring_transforms("fft") == Counter(n_values)
         # every complex fft by length: that Plancherel one per n, and per
-        # (n, z) the length-Q transform of the residue counts and three
-        # residue-column transforms of length n/Q at the adjusted extent
-        # (at Q = n = 2310 the residue counts are the ring itself)
+        # (n, z) two of length Q, of the column bins 0 and of the residue
+        # counts, and three residue-column transforms of length n/Q at
+        # the adjusted extent
         lengths = Counter(n_values)
         for n in n_values:
             for z in z_values:
                 Q = primorial(z).value
-                lengths[Q] += 1
+                lengths[Q] += 2
                 lengths[round_up_multiple(n, Q) // Q] += 3
         assert Counter(a.shape[0] for fn, a in calls if fn == "fft") == lengths
         # batched column rffts by length: per n those of the pair counts and
         # of the von Mangoldt weights, of length n / pair_count_modulus(n),
-        # and per (n, z) the one of the decompositions, whose every shift
-        # comes from columns of length n/Q at the adjusted extent
+        # and per (n, z) those of the subgroup samples and of the
+        # decompositions, from columns of length n/Q at the adjusted extent
         columns = Counter()
         for n in n_values:
             columns[n // pair_count_modulus(n)] += 2
             for z in z_values:
                 Q = primorial(z).value
-                columns[round_up_multiple(n, Q) // Q] += 1
+                columns[round_up_multiple(n, Q) // Q] += 2
         assert Counter(a.shape[1] for fn, a in calls if fn == "rfft" and a.ndim == 2) == columns
         # per n: the two batched column rffts, the round-trip irfft and
-        # the Plancherel fft; per (n, z): the mod-Q transform of the
-        # residue counts, three column transforms and the batched column
-        # rfft of the decompositions
-        budget = len(extents) + 4 * len(n_values) + 5 * len(n_values) * len(z_values)
-        assert len(calls) == budget
+        # the Plancherel fft; per (n, z): the two length-Q transforms,
+        # three column transforms and the batched column rffts of the
+        # subgroup samples and of the decompositions
+        budget = len(spectra) + 4 * len(n_values) + 7 * len(n_values) * len(z_values)
+        assert len(calls) == budget == 53
+        # no transform of any length-n ring at an adjusted extent
+        assert not {1020, 1050} & {a.shape[-1] for fn, a in calls}
 
     def test_every_transform_goes_through_transform_module(self, tmp_path, calls, callers, table_9240):
         argv = ["verify", "--n", "2310,1001", "--z", "5,7,11", "--two-k", "2,4,6", "--out", str(tmp_path)]
@@ -687,17 +693,41 @@ class TestCli:
         builds = []
         monkeypatch.setattr(sieve, "build_table", lambda *a, **kw: builds.append(a))
         out = tmp_path / "out"
-        # round_up_multiple(10**7, 6) = 10000002 is over the 1e7 transform cap
-        code = main(["verify", "--n", str(10**7), "--z", "5", "--out", str(out)])
+        # the primorial of z = 29, 223092870, is over the 1e7 transform
+        # cap: the subgroup rows transform the residue counts at length Q
+        code = main(["verify", "--n", str(10**7), "--z", "29", "--out", str(out)])
         assert code == 3
         assert builds == []
         assert not out.exists()
-        assert "10000002" in capsys.readouterr().err
+        assert "223092870" in capsys.readouterr().err
+
+    def test_subgroup_rows_capped_at_column_length(self, tmp_path, monkeypatch):
+        # the subgroup rows transform columns of length n/Q and the
+        # length-Q residue counts, so the adjusted extent 10210200 of
+        # z = 19 (Q = 510510, m = 20) passes the cap and the run sieves
+        class Sieved(Exception):
+            pass
+
+        def sieved(*args, **kwargs):
+            raise Sieved
+
+        monkeypatch.setattr(sieve, "build_table", sieved)
+        config = small_config("identity-suite", tmp_path, n_values=[10**7], z_schedule=[19])
+        assert round_up_multiple(10**7, primorial(19).value) == 10210200
+        assert harness._transform_extents(config) == [10**7, 10**7, 510510, 20]
+        with pytest.raises(Sieved):
+            run(config)
+        config = small_config("identity-suite", tmp_path, n_values=[10**7], z_schedule=[19, 29])
+        with pytest.raises(ResourceLimitError, match="got 223092870$"):
+            run(config)
 
     def test_every_over_cap_extent_named_at_once(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sieve, "build_table", lambda *a, **kw: pytest.fail("sieved"))
-        config = small_config("identity-suite", tmp_path, n_values=[10**7], z_schedule=[5, 7, 11, 13])
-        with pytest.raises(ResourceLimitError, match="10000002, 10000020, 10000200, 10002300$"):
+        # 10000001 and its parity extent, and the primorial of 29; the
+        # adjusted extents 10000002 (z = 5) and 223092870 (z = 29) are
+        # transformed as columns of length 1666667 and 1, within the cap
+        config = small_config("identity-suite", tmp_path, n_values=[10**7 + 1], z_schedule=[5, 29])
+        with pytest.raises(ResourceLimitError, match="10000001, 10000002, 223092870$"):
             run(config)
         # decompose transforms columns of length n/Q at every n, so
         # 10000020 (m = 333334) runs and 300000030 (m = 10000001) does not

@@ -1,6 +1,10 @@
 import contextlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -277,6 +281,33 @@ class TestPsiPair:
         assert 0.7 <= ratio <= 1.3
 
 
+class TestBlasFreeSums:
+    def test_independent_of_blas_threads(self):
+        """OpenBLAS splits a dot product of more than about 1e4 entries
+        across its threads, which sums it in another order; the folded
+        pair value and the residue-count convolution are numpy reductions,
+        so one BLAS thread and two print the same digits."""
+        script = (
+            "from primepairs import build_table, half_spectrum_pair_value, main_term_convolution\n"
+            "t = build_table(10**6)\n"
+            "print(repr(half_spectrum_pair_value(10**6, 2, t)))\n"
+            "print(repr(main_term_convolution(10**6, 10**5, 2, t)))\n"
+        )
+        printed = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True,
+                text=True,
+                cwd=str(Path(__file__).resolve().parent.parent),
+            )
+            assert proc.returncode == 0, proc.stderr
+            printed.append(proc.stdout)
+        assert printed[0] == printed[1]
+        assert printed[0].count("\n") == 2
+
+
 class TestHalfSpectrum:
     def test_parity_relation_exact(self):
         for n in (4, 30, 100, 4096, 9240):
@@ -311,9 +342,10 @@ def _divisors(n):
 
 
 class TestHermitianPaths:
-    """Identities read from the cached real spectrum at odd and even n,
-    prime n, n = 2k + 2 and Q = n, against full complex transforms and
-    the sieve; odd n has no Nyquist bin, so its mirror differs."""
+    """Identities read from the cached real spectrum or from residue
+    columns at odd and even n, prime n, n = 2k + 2 and Q = n, against
+    full-length transforms and the sieve; odd n has no Nyquist bin, so
+    its mirror differs."""
 
     @given(n=EXTENTS)
     @example(n=4)
@@ -352,16 +384,33 @@ class TestHermitianPaths:
             assert half_spectrum_pair_value(n, two_k, t) == pytest.approx(folded, rel=1e-12)
 
     @given(n=EXTENTS)
+    @example(n=4)
     @example(n=997)
     @example(n=2310)
     @example(n=30030)
     @example(n=30031)
     @settings(max_examples=40, deadline=None)
     def test_rho_identity_every_divisor(self, n):
+        # every divisor: Q = 1 (one column, the ring), Q = n (columns of
+        # length 1) and, at prime n, nothing between
         t = build_table(n)
         budget = 1e-6 * max(t.pi(n), 1)
         for Q in _divisors(n):
+            expected = oracles.subgroup_samples_full_route(t.ring_indicator(), Q)
+            got = spectral.subgroup_samples(t.is_prime, Q)
+            assert got.shape == (Q,)
+            assert np.abs(got - expected).max() <= 1e-9 * max(t.pi(n), 1)
             assert rho_identity_check(n, Q, t) <= budget
+
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    def test_subgroup_samples_across_blocks(self, table_9240, block):
+        # blocks of a few column spectra, so the bins 0 come from many
+        # batched rffts
+        n, Q = 9240, 2310
+        expected = oracles.subgroup_samples_full_route(table_9240.ring_indicator(), Q)
+        with _classes_per_block(block, n // Q):
+            got = spectral.subgroup_samples(table_9240.is_prime, Q)
+        assert np.abs(got - expected).max() <= 1e-9 * table_9240.pi(n)
 
 
 def _column_route_T(half, n, Q, two_k):
@@ -624,6 +673,14 @@ class TestUpperExtent:
         assert report.pair_count_circular == pair_count_circular(t, 2)
         assert report.reconstruction_residual < 1e-6
         assert report.main_term == pytest.approx(main_term_convolution(n, Q, 2, t), rel=1e-9)
+
+    def test_rho_identity_past_the_cap(self):
+        # 20030010 = 30030 * 667: the subgroup samples come from columns
+        # of length 667 and one transform of length 30030; no table is
+        # passed, so the call's own cap check runs before it sieves
+        n, Q = 20030010, 30030
+        t = build_table(n)
+        assert rho_identity_check(n, Q) <= 1e-6 * t.pi(n)
 
     def test_extent_above_ceiling_rejected(self, monkeypatch):
         # the cap holds the column length n/Q: the prime 10000019 has Q = 1
