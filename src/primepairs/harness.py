@@ -35,6 +35,7 @@ from .sieve import (
     von_mangoldt_vector,
 )
 from .spectral import (
+    ColumnBlocks,
     column_pair_counts,
     correlation_direct,
     decompositions,
@@ -238,10 +239,12 @@ def _table(config: ExperimentConfig, n: int) -> PrimeTable:
 class _ExtentTable:
     """The prime table of one extent at a time: asking for another extent
     releases the held table, with its cached spectrum, before the next is
-    loaded, so consecutive requests for one extent share a single sieve.
-    Only the round-trip and parity rows read the cached spectrum, so it is
-    computed at n and n + n % 2 alone; the subgroup rows at an adjusted
-    extent read residue columns, and no transform there has length n."""
+    loaded, so consecutive requests for one extent share a single sieve
+    (or cache load).  The identity suite and decompose both take their
+    tables through one.  Only the suite's round-trip and parity rows read
+    the cached spectrum, so it is computed at n and n + n % 2 alone; the
+    subgroup and decomposition rows at an adjusted extent read residue
+    columns, and no transform there has length n."""
 
     def __init__(self, config: ExperimentConfig) -> None:
         self._config = config
@@ -366,10 +369,14 @@ def _subgroup_rows(
     config: ExperimentConfig, record, tables: _ExtentTable, n: int, z: int
 ) -> None:
     """Subgroup, twisted-energy, reconstruction and main-term rows for the
-    primorial Q of z at the extent round_up_multiple(n, Q)."""
+    primorial Q of z at the extent round_up_multiple(n, Q).  The subgroup
+    and reconstruction rows read one ColumnBlocks of the table's residue
+    columns mod Q, so where they fit one block they are transformed once;
+    it is released with these rows."""
     Q = primorial(z).value
     adjusted = round_up_multiple(n, Q)
     sub_table = tables.get(adjusted)
+    blocks = ColumnBlocks(sub_table.is_prime, Q)
     extra = {
         "requested_n": n,
         "z": z,
@@ -381,7 +388,7 @@ def _subgroup_rows(
         adjusted,
         Q,
         None,
-        rho_identity_check(adjusted, Q, sub_table, tol=float("inf")),
+        rho_identity_check(adjusted, Q, sub_table, tol=float("inf"), columns=blocks),
         _tol(config, "subgroup-restriction") * max(sub_table.pi(adjusted), 1),
         extra=extra,
     )
@@ -408,7 +415,7 @@ def _subgroup_rows(
     )
     reports = decompositions(
         adjusted, Q, config.two_k_values, sub_table, constant_cutoff=config.cutoff,
-        tol=float("inf"),
+        tol=float("inf"), columns=blocks,
     )
     for two_k, report in zip(config.two_k_values, reports):
         record(
@@ -438,53 +445,67 @@ def _report_meta(config: ExperimentConfig, **extra) -> dict:
 
 
 def _run_decompose(config: ExperimentConfig, out: Path) -> RunResult:
+    """A JSON and a CSV report per (z, n, 2k), in that order.  The tables
+    come through one _ExtentTable, so consecutive z whose adjusted
+    extents agree (every z at a primorial n, say) share one sieve."""
     files = []
     lines = []
+    tables = _ExtentTable(config)
     for z in config.z_schedule:
-        Q = primorial(z).value
         for n in config.n_values:
-            adjusted = round_up_multiple(n, Q)
-            table = _table(config, adjusted)
-            reports = decompositions(
-                adjusted, Q, config.two_k_values, table, constant_cutoff=config.cutoff,
-                tol=_tol(config, "decomposition-reconstruction"),
-            )
-            for two_k, report in zip(config.two_k_values, reports):
-                meta = _report_meta(
-                    config,
-                    n=adjusted,
-                    requested_n=n,
-                    Q=Q,
-                    z=z,
-                    two_k=two_k,
-                    prime_table_checksum=f"fnv1a64:{table.checksum():016x}",
-                )
-                stem = f"decompose_n{adjusted}_Q{Q}_k{two_k}"
-                payload = {
-                    **meta,
-                    "main_term": report.main_term,
-                    "predicted_main_log2": report.predicted_main_log2,
-                    "predicted_main_li2": report.predicted_main_li2,
-                    "reconstruction_residual": report.reconstruction_residual,
-                    "pair_count_circular": report.pair_count_circular,
-                    "pair_count_linear": pair_count_linear(table, two_k),
-                }
-                files.append(write_json(out / f"{stem}.json", payload))
-                files.append(
-                    write_csv(
-                        out / f"{stem}.csv",
-                        meta,
-                        ["xi", "re_T", "im_T", "abs_T"],
-                        complex_rows(report.error_spectrum),
-                        stamp=config.stamp,
-                    )
-                )
-                lines.append(
-                    f"decompose n={adjusted} Q={Q} 2k={two_k}: main={report.main_term:.4f} "
-                    f"predicted(li2)={report.predicted_main_li2 / adjusted:.4f} "
-                    f"pairs={report.pair_count_circular} residual={report.reconstruction_residual:.2e}"
-                )
+            _decompose_reports(config, out, tables, n, z, files, lines)
     return RunResult(exit_code=0, files=files, failures=[], lines=lines)
+
+
+def _decompose_reports(
+    config: ExperimentConfig, out: Path, tables: _ExtentTable, n: int, z: int, files, lines
+) -> None:
+    """The reports of every shift for the primorial Q of z at the extent
+    round_up_multiple(n, Q), appended to ``files`` and ``lines``; in a
+    function of their own, so that nothing here still holds the table
+    when the next extent is loaded."""
+    Q = primorial(z).value
+    adjusted = round_up_multiple(n, Q)
+    table = tables.get(adjusted)
+    reports = decompositions(
+        adjusted, Q, config.two_k_values, table, constant_cutoff=config.cutoff,
+        tol=_tol(config, "decomposition-reconstruction"),
+    )
+    for two_k, report in zip(config.two_k_values, reports):
+        meta = _report_meta(
+            config,
+            n=adjusted,
+            requested_n=n,
+            Q=Q,
+            z=z,
+            two_k=two_k,
+            prime_table_checksum=f"fnv1a64:{table.checksum():016x}",
+        )
+        stem = f"decompose_n{adjusted}_Q{Q}_k{two_k}"
+        payload = {
+            **meta,
+            "main_term": report.main_term,
+            "predicted_main_log2": report.predicted_main_log2,
+            "predicted_main_li2": report.predicted_main_li2,
+            "reconstruction_residual": report.reconstruction_residual,
+            "pair_count_circular": report.pair_count_circular,
+            "pair_count_linear": pair_count_linear(table, two_k),
+        }
+        files.append(write_json(out / f"{stem}.json", payload))
+        files.append(
+            write_csv(
+                out / f"{stem}.csv",
+                meta,
+                ["xi", "re_T", "im_T", "abs_T"],
+                complex_rows(report.error_spectrum),
+                stamp=config.stamp,
+            )
+        )
+        lines.append(
+            f"decompose n={adjusted} Q={Q} 2k={two_k}: main={report.main_term:.4f} "
+            f"predicted(li2)={report.predicted_main_li2 / adjusted:.4f} "
+            f"pairs={report.pair_count_circular} residual={report.reconstruction_residual:.2e}"
+        )
 
 
 def _run_constants(config: ExperimentConfig, out: Path) -> RunResult:

@@ -133,18 +133,14 @@ def complex_rows(values: np.ndarray, square: bool = False):
                 yield chunk.decode("ascii")
 
 
-def render_csv(meta: dict, columns: list[str], rows, stamp: bool = False) -> str:
-    """The whole CSV text.  ``rows`` yields tuples of cells, or text
-    already rendered such as the blocks of ``complex_rows``."""
-    return _header(meta, columns, stamp) + "".join(_body(rows))
-
-
 def write_csv(
     path: str | Path, meta: dict, columns: list[str], rows, stamp: bool = False, on_write=None
 ) -> Path:
-    """Write the CSV of ``render_csv`` piece by piece, never holding the
-    whole text.  ``on_write``, when given, is called with the ASCII bytes
-    of each piece as it is written."""
+    """Write a CSV piece by piece, never holding the whole text: the
+    '# key=value' lines of ``meta`` (sorted by key), the ``columns`` line,
+    then ``rows``, which yields tuples of cells or text already rendered
+    such as the blocks of ``complex_rows``.  ``on_write``, when given, is
+    called with the ASCII bytes of each piece as it is written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
@@ -154,11 +150,6 @@ def write_csv(
                 on_write(piece)
             fh.write(piece)
     return path
-
-
-def csv_body(text: str) -> str:
-    """The body of a CSV report: every line that is not a '#' comment."""
-    return "\n".join(line for line in text.splitlines() if not line.startswith("#")) + "\n"
 
 
 def write_json(path: str | Path, obj) -> Path:

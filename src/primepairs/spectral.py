@@ -23,10 +23,10 @@ index map x = a + j*Q), C_a is its length-m DFT, and a + 2k = b + t*Q with
 
 ``column_pair_spectra`` computes S for several shifts from one batched
 rfft of the columns that hold a nonzero weight, gathered block by block
-from a 1-indexed weight vector: the bool bitmap for prime pairs, the von
-Mangoldt weights for psi pairs.  It is the one spectral correlation
-route, and the one route to T.  The spectral pair count
-(``pair_counts_via_spectrum``), the psi pair correlation
+from a 1-indexed weight vector (a ``ColumnBlocks``): the bool bitmap for
+prime pairs, the von Mangoldt weights for psi pairs.  It is the one
+spectral correlation route, and the one route to T.  The spectral pair
+count (``pair_counts_via_spectrum``), the psi pair correlation
 (``psi_pair_via_spectrum``) and the identity suite's rows for both take
 it with Q from ``pair_count_modulus``; ``decompositions`` (and
 ``decompose``, its one-shift form) and ``error_spectrum_stats`` take it
@@ -42,11 +42,16 @@ The subgroup samples F(r*n/Q) come from the same residue columns: by the
 index map they are the length-Q transform of the columns' bins 0,
 sum_a e_Q(-r*a) * C_a(0) (``subgroup_samples``), so
 ``rho_identity_check`` transforms columns of length n/Q and never one of
-length n.  The other identities on a PrimeTable read the table's one
-cached real spectrum (``PrimeTable.spectrum``, an rfft of the ring
-indicator) instead of transforming again: ``error_spectrum_stats`` counts
-its large bins, ``half_spectrum_pair_value`` reads its power directly,
-and ``half_spectrum_residual`` takes the samples F(n - m) as conj F(m).
+length n.  Given one ``ColumnBlocks`` of the table mod Q,
+``rho_identity_check`` and ``decompositions`` share its transform: when
+every holding class fits one block it keeps that block's spectra, so the
+identity suite's subgroup and decomposition rows at one (table, Q) make
+one batched rfft between them.  The other identities on a PrimeTable
+read the table's one cached real spectrum (``PrimeTable.spectrum``, an
+rfft of the ring indicator) instead of transforming again:
+``error_spectrum_stats`` counts its large bins,
+``half_spectrum_pair_value`` reads its power directly, and
+``half_spectrum_residual`` takes the samples F(n - m) as conj F(m).
 The length-Q transforms of residue profiles, the independent side of the
 subgroup identities, are ``transform.forward`` and ``inverse`` calls like
 every other.  The phase weights e_n(-k), the Q | n check and the 1e7
@@ -167,34 +172,69 @@ def pair_count_modulus(n: int) -> int:
     return min((d for d in density if d * d <= n), key=lambda d: (density[d], -d))
 
 
-def _column_blocks(weights: np.ndarray, Q: int):
-    """The classes a (mod Q, ascending) that hold a nonzero weight of the
-    1-indexed ``weights`` of length n + 1, the number of classes per block
-    (as many column spectra as fit COLUMN_BLOCK_BYTES), and the function
-    that returns block j's column spectra, one batched rfft of the columns
-    of classes chunk*j .. chunk*(j + 1) - 1, one per row.  Requires Q | n."""
-    n = weights.shape[0] - 1
-    m = n // Q
-    # the weights as residue columns, except that slot 0 holds x = n, not 0
-    values = weights[:n].reshape(m, Q)
-    holding = values.any(axis=0)
-    holding[0] |= bool(weights[n])
-    classes = np.flatnonzero(holding)
-    chunk = max(1, COLUMN_BLOCK_BYTES // ((m // 2 + 1) * 16))
+class ColumnBlocks:
+    """The residue columns mod Q of a 1-indexed weight vector that hold a
+    nonzero weight, and their length-m spectra, m = n/Q.
 
-    def block_spectra(block: int) -> np.ndarray:
+    ``weights`` has length n + 1 (entry 0 unused, entry x the weight at
+    x) and Q | n.  ``classes`` are the classes a (ascending) whose column
+    holds a nonzero weight; ``chunk`` is the number of classes per block,
+    as many column spectra of (m//2 + 1) * 16 bytes as fit
+    COLUMN_BLOCK_BYTES; ``spectra(j)`` is block j's column spectra, one
+    batched rfft of the columns of classes chunk*j .. chunk*(j + 1) - 1,
+    one per row.  The columns are gathered from the weights, viewed as
+    (m, Q) without a copy.
+
+    When every class fits one block, as at every extent of the identity
+    suite, the spectra of the first transform are kept (``kept``, not
+    writeable) and returned by every later call, so the rows that share
+    one object at a (table, Q) transform its columns once.  With more than one
+    block nothing is kept and each call transforms its block again, so a
+    consumer's memory bound is what it would be without sharing.
+    """
+
+    def __init__(self, weights: np.ndarray, Q: int) -> None:
+        n = weights.shape[0] - 1
+        require_divisor(n, Q, "residue columns")
+        self.weights = weights
+        self.Q = Q
+        self.m = n // Q
+        # the weights as residue columns, except that slot 0 holds x = n, not 0
+        self._values = weights[:n].reshape(self.m, Q)
+        holding = self._values.any(axis=0)
+        holding[0] |= bool(weights[n])
+        self.classes = np.flatnonzero(holding)
+        self.chunk = max(1, COLUMN_BLOCK_BYTES // ((self.m // 2 + 1) * 16))
+        self.kept: np.ndarray | None = None
+
+    def spectra(self, block: int) -> np.ndarray:
+        if self.kept is not None:
+            return self.kept  # the one block
+        chunk = self.chunk
         # np.take reads each row of the view once; the transposed copy puts
         # each column's m entries in a row, where the rfft reads them
-        picked = np.take(values, classes[block * chunk : (block + 1) * chunk], axis=1)
+        picked = np.take(self._values, self.classes[block * chunk : (block + 1) * chunk], axis=1)
         columns = np.ascontiguousarray(picked.T)
-        if block == 0 and classes[0] == 0:
-            columns[0, 0] = weights[n]
-        return forward_real(columns)
+        if block == 0 and self.classes[0] == 0:
+            columns[0, 0] = self.weights[-1]
+        spectra = forward_real(columns)
+        if self.classes.size <= chunk:
+            spectra.flags.writeable = False
+            self.kept = spectra
+        return spectra
 
-    return classes, chunk, block_spectra
+
+def _columns_of(table: PrimeTable, Q: int, columns: ColumnBlocks | None) -> ColumnBlocks:
+    """``columns`` when it holds the residue columns mod Q of the table's
+    bitmap, new ones when it is None."""
+    if columns is None:
+        return ColumnBlocks(table.is_prime, Q)
+    if columns.weights is not table.is_prime or columns.Q != Q:
+        raise UsageError(f"supplied columns are not those of the table of extent {table.n} mod {Q}")
+    return columns
 
 
-def column_pair_spectra(weights: np.ndarray, Q: int, shifts):
+def column_pair_spectra(columns: ColumnBlocks, shifts):
     """Yield, for each shift 2k in ``shifts`` (any 2k >= 0) in turn, the
     half accumulator S(xi), 0 <= xi <= m//2 with m = n/Q:
 
@@ -204,15 +244,13 @@ def column_pair_spectra(weights: np.ndarray, Q: int, shifts):
     f, and a + 2k = b + t*Q with 0 <= b < Q.  Then (1/m) sum_xi S(xi) is
     sum_x f(x) * f(x + 2k mod n), and S(m - xi) = conj S(xi).
 
-    ``weights`` is 1-indexed, of length n + 1 (entry 0 unused, entry x
-    the weight at x): ``PrimeTable.is_prime`` for prime pairs,
-    ``von_mangoldt_vector(n)`` for psi pairs.  Only the classes a that
-    hold a nonzero weight are read.  Their columns are gathered from the
-    weights, viewed as (m, Q) without a copy, in blocks of as many classes
-    as fit COLUMN_BLOCK_BYTES of spectra, and each block is one batched
-    rfft through ``transform``.  The blocks live at once are a block of
-    classes a and the blocks that hold their partners b: for shifts below
-    the span of a block, two.  So the memory is the weights plus
+    ``columns`` holds the residue columns mod Q of the 1-indexed weights:
+    ``PrimeTable.is_prime`` for prime pairs, ``von_mangoldt_vector(n)``
+    for psi pairs.  Only the classes a that hold a nonzero weight are
+    read, in the blocks of ``columns``, each one batched rfft through
+    ``transform``.  The blocks live at once are a block of classes a and
+    the blocks that hold their partners b: for shifts below the span of a
+    block, two.  So the memory is the weights plus
     chunk * (m//2 + 1) * 16 bytes per live block of chunk classes, and,
     while a block is transformed, its real input of about the same size.
 
@@ -220,14 +258,13 @@ def column_pair_spectra(weights: np.ndarray, Q: int, shifts):
     two phase vectors.  Shifts go in groups whose accumulators fit
     COLUMN_BLOCK_BYTES; when every class fits one block, which it does at
     the sizes ``pair_count_modulus`` picks up to 2e7, one transform serves
-    every shift of a group.
+    every shift of a group, and a ColumnBlocks shared with the subgroup
+    samples transforms its one block once for both.
     """
-    n = weights.shape[0] - 1
-    require_divisor(n, Q, "residue-column pair spectra")
-    m = n // Q
+    Q, m = columns.Q, columns.m
     check_extents([m], "residue-column length")
     half = m // 2 + 1
-    classes, chunk, block_spectra = _column_blocks(weights, Q)
+    classes, chunk = columns.classes, columns.chunk
     position = np.full(Q, -1, dtype=np.int64)
     position[classes] = np.arange(classes.size)
 
@@ -259,7 +296,7 @@ def column_pair_spectra(weights: np.ndarray, Q: int, shifts):
             needed = {block, *(b_pos[lo:hi] // chunk).tolist()}
             live = {k: v for k, v in live.items() if k in needed}
             for k in sorted(needed - live.keys()):
-                live[k] = block_spectra(k)
+                live[k] = columns.spectra(k)
             for a, b, j in zip(a_pos[lo:hi].tolist(), b_pos[lo:hi].tolist(), slot[lo:hi].tolist()):
                 np.conjugate(live[b // chunk][b % chunk], out=product)
                 product *= live[a // chunk][a % chunk]
@@ -277,7 +314,7 @@ def column_pair_counts(weights: np.ndarray, Q: int, shifts) -> list[float]:
     accumulator as soon as it is formed."""
     m = (weights.shape[0] - 1) // Q
     counts = []
-    for half in column_pair_spectra(weights, Q, shifts):
+    for half in column_pair_spectra(ColumnBlocks(weights, Q), shifts):
         total = 2.0 * float(half.real.sum()) - half[0].real
         if m % 2 == 0:
             total -= half[-1].real  # the Nyquist bin has no mirror
@@ -356,28 +393,32 @@ def pair_count_via_spectrum(
     return pair_counts_via_spectrum(n, [two_k], table, tol)[0]
 
 
-def subgroup_samples(weights: np.ndarray, Q: int) -> np.ndarray:
-    """The samples F(r*n/Q), 0 <= r < Q, of the spectrum of the 1-indexed
-    real ``weights`` (length n + 1), read off the residue columns.
+def subgroup_samples(columns: ColumnBlocks) -> np.ndarray:
+    """The samples F(r*n/Q), 0 <= r < Q, of the spectrum of the real
+    weights whose residue columns mod Q are ``columns``.
 
     By the index map x = a + j*Q, F(r*n/Q) = sum_a e_Q(-r*a) * C_a(0),
     where C_a is the length-n/Q DFT of column a: the samples are the
     length-Q transform of the columns' bins 0, zero on the classes that
-    hold no weight.  The columns are transformed in the blocks of the
-    pair-spectra kernel, so no transform has length n.
+    hold no weight.  The columns are transformed in the blocks of
+    ``columns``, the ones ``column_pair_spectra`` reads, so no transform
+    has length n, and a ColumnBlocks of one block that both are given is
+    transformed once.
     """
-    n = weights.shape[0] - 1
-    require_divisor(n, Q, "subgroup samples")
-    check_extents([n // Q, Q], "subgroup samples length")
-    classes, chunk, block_spectra = _column_blocks(weights, Q)
+    Q, classes, chunk = columns.Q, columns.classes, columns.chunk
+    check_extents([columns.m, Q], "subgroup samples length")
     bins = np.zeros(Q, dtype=complex)
     for block, first in enumerate(range(0, classes.size, chunk)):
-        bins[classes[first : first + chunk]] = block_spectra(block)[:, 0]
+        bins[classes[first : first + chunk]] = columns.spectra(block)[:, 0]
     return forward(bins)
 
 
 def rho_identity_check(
-    n: int, Q: int, table: PrimeTable | None = None, tol: float = 1e-6
+    n: int,
+    Q: int,
+    table: PrimeTable | None = None,
+    tol: float = 1e-6,
+    columns: ColumnBlocks | None = None,
 ) -> float:
     """Max deviation between the subgroup samples F(P)(r*n/Q) and the
     mod-Q transform of the residue counts rho(a) = pi(n, Q, a).
@@ -385,12 +426,14 @@ def rho_identity_check(
     The samples come from the residue-column spectra
     (``subgroup_samples``) and the counts from the sieved primes, two
     independent computations; the transforms have lengths n/Q and Q, and
-    the cap applies to those.  Returns the deviation and raises if it
-    exceeds tol * pi(n).
+    the cap applies to those.  ``columns``, the table's residue columns
+    mod Q when given, lets ``decompositions`` at the same (table, Q)
+    reuse their spectra.  Returns the deviation and raises if it exceeds
+    tol * pi(n).
     """
     require_divisor(n, Q, "subgroup identity")
     t = _table_for(n, table, max(n // Q, Q))
-    coset = subgroup_samples(t.is_prime, Q)
+    coset = subgroup_samples(_columns_of(t, Q, columns))
     rho = residue_profile(t, Q)
     deviation = float(np.abs(coset - forward(rho)).max())
     budget = tol * max(t.pi(n), 1)
@@ -414,16 +457,18 @@ def main_term_convolution(
     return float(Q / n * shifted.sum())
 
 
-def _error_spectra(table: PrimeTable, Q: int, shifts):
+def _error_spectra(table: PrimeTable, Q: int, shifts, columns: ColumnBlocks | None = None):
     """Yield, for each shift in turn, T(xi) = Q * e_n(+2k*xi) * S(xi) for
     0 <= xi < n/Q and the terms T(xi) * e_n(-2k*xi) of the reconstruction
-    sum, from one ``column_pair_spectra`` call: S(m - xi) = conj S(xi)
+    sum, from one ``column_pair_spectra`` call on the table's residue
+    columns mod Q (``columns``, or new ones): S(m - xi) = conj S(xi)
     fills the upper half, and the one phase vector, conjugated in place,
     turns into the terms."""
     n = table.n
     m = n // Q
     xi = np.arange(m, dtype=np.int64)
-    for two_k, half in zip(shifts, column_pair_spectra(table.is_prime, Q, shifts)):
+    spectra = column_pair_spectra(_columns_of(table, Q, columns), shifts)
+    for two_k, half in zip(shifts, spectra):
         spectrum = np.empty(m, dtype=complex)
         spectrum[: half.shape[0]] = half
         np.conjugate(half[1 : m - half.shape[0] + 1][::-1], out=spectrum[half.shape[0] :])
@@ -458,12 +503,15 @@ def decompositions(
     table: PrimeTable | None = None,
     constant_cutoff: int = 10**6,
     tol: float = 1e-6,
+    columns: ColumnBlocks | None = None,
 ):
     """Yield, for each shift 2k in ``shifts`` in turn, the split of the
     spectral pair-count sum into the subgroup main term and the
     per-frequency error spectrum, verifying exact reconstruction.  One
     ``column_pair_spectra`` call, which transforms residue columns of
-    length n/Q only, serves every shift.
+    length n/Q only, serves every shift; ``columns``, the table's residue
+    columns mod Q when given, may carry the spectra that
+    ``rho_identity_check`` at the same (table, Q) transformed.
 
     Requires Q | n with Q a primorial.  Q > sqrt(n) is allowed (the
     identity is exact for any Q | n) but logged, since the main term only
@@ -481,7 +529,7 @@ def decompositions(
     if Q * Q > n:
         logger.warning("decompose called with Q=%d above sqrt(n=%d); identity still exact", Q, n)
     t = _table_for(n, table, n // Q)
-    for two_k, (spectrum, terms) in zip(shifts, _error_spectra(t, Q, shifts)):
+    for two_k, (spectrum, terms) in zip(shifts, _error_spectra(t, Q, shifts, columns)):
         if abs(spectrum[0].imag) > tol * n:
             raise IdentityError(
                 "main-term-realness", abs(spectrum[0].imag), tol * n, f"n={n}, Q={Q}"

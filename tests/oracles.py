@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -200,6 +202,25 @@ def class_energy_masked(ring: np.ndarray, Q: int, a: int) -> float:
     n = ring.shape[0]
     masked = np.where(np.arange(n, dtype=np.int64) % Q == a, ring, 0.0)
     return float(np.sum(np.abs(np.fft.fft(masked)) ** 2)) / n
+
+
+# --- report text -------------------------------------------------------------
+
+def render_csv(meta: dict, columns: list[str], rows, stamp: bool = False) -> str:
+    """The whole text that ``reports.write_csv`` writes for these
+    arguments, read back as bytes from a temporary file, so that a CR or
+    any other byte it writes shows.  The one helper here that runs the
+    library: the rendering tests compare its text with cell-by-cell text."""
+    from primepairs.reports import write_csv
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_csv(Path(tmp) / "report.csv", meta, columns, rows, stamp=stamp)
+        return path.read_bytes().decode("ascii")
+
+
+def csv_body(text: str) -> str:
+    """The body of a CSV report: every line that is not a '#' comment."""
+    return "\n".join(line for line in text.splitlines() if not line.startswith("#")) + "\n"
 
 
 # --- high-precision constants ----------------------------------------------

@@ -24,11 +24,12 @@ from primepairs.harness import (
     validate_config,
 )
 from primepairs.factored import primorial
-from primepairs.reports import complex_rows, csv_body, render_csv
+from primepairs.reports import complex_rows
 from primepairs.sieve import build_table, fnv1a64, pair_count_circular
 from primepairs.spectral import error_probe, pair_count_modulus, pair_count_rounding_budget
 
 import oracles
+from oracles import csv_body, render_csv
 
 
 def small_config(mode, tmp_path, **kw):
@@ -272,23 +273,43 @@ class TestTransformBudget:
         assert Counter(a.shape[0] for fn, a in calls if fn == "fft") == lengths
         # batched column rffts by length: per n those of the pair counts and
         # of the von Mangoldt weights, of length n / pair_count_modulus(n),
-        # and per (n, z) those of the subgroup samples and of the
-        # decompositions, from columns of length n/Q at the adjusted extent
+        # and per (n, z) the one that the subgroup samples and the
+        # decompositions share, of columns of length n/Q at the adjusted
+        # extent
         columns = Counter()
         for n in n_values:
             columns[n // pair_count_modulus(n)] += 2
             for z in z_values:
                 Q = primorial(z).value
-                columns[round_up_multiple(n, Q) // Q] += 2
+                columns[round_up_multiple(n, Q) // Q] += 1
         assert Counter(a.shape[1] for fn, a in calls if fn == "rfft" and a.ndim == 2) == columns
         # per n: the two batched column rffts, the round-trip irfft and
         # the Plancherel fft; per (n, z): the two length-Q transforms,
-        # three column transforms and the batched column rffts of the
-        # subgroup samples and of the decompositions
-        budget = len(spectra) + 4 * len(n_values) + 7 * len(n_values) * len(z_values)
-        assert len(calls) == budget == 53
+        # three column transforms and the shared batched column rfft
+        budget = len(spectra) + 4 * len(n_values) + 6 * len(n_values) * len(z_values)
+        assert len(calls) == budget == 47
         # no transform of any length-n ring at an adjusted extent
         assert not {1020, 1050} & {a.shape[-1] for fn, a in calls}
+
+    def test_subgroup_rows_share_one_column_rfft(self, tmp_path, monkeypatch, calls):
+        # at 30030 both Q = 6 and Q = 30 divide n: the 4 holding classes
+        # mod 6 (1, 5 and those of 2 and 3) in columns of length 5005, and
+        # the 8 units mod 30 and the classes of 2, 3 and 5 in columns of
+        # length 1001, each one block, transformed once for the subgroup
+        # and the reconstruction rows together
+        inside = []
+        subgroup_rows = harness._subgroup_rows
+
+        def marked(*args, **kwargs):
+            first = len(calls)
+            subgroup_rows(*args, **kwargs)
+            inside.extend(calls[first:])
+
+        monkeypatch.setattr(harness, "_subgroup_rows", marked)
+        argv = ["verify", "--n", "30030", "--z", "5,7", "--two-k", "2,4", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        rffts = Counter(a.shape for fn, a in inside if fn == "rfft")
+        assert rffts == Counter({(4, 5005): 1, (11, 1001): 1})
 
     def test_every_transform_goes_through_transform_module(self, tmp_path, calls, callers, table_9240):
         argv = ["verify", "--n", "2310,1001", "--z", "5,7,11", "--two-k", "2,4,6", "--out", str(tmp_path)]
@@ -300,6 +321,27 @@ class TestTransformBudget:
 
 
 class TestModeOutputs:
+    def test_decompose_sieves_each_extent_once(self, tmp_path, monkeypatch, capsys):
+        # 510510 = 2*3*5*7*11*13: every z from 5 to 13 gives a Q | n, so the
+        # four moduli read one table, and the files and lines keep their order
+        sieved = Counter()
+        build = sieve.build_table
+
+        def counted_build(n, *args, **kwargs):
+            sieved[n] += 1
+            return build(n, *args, **kwargs)
+
+        monkeypatch.setattr(sieve, "build_table", counted_build)
+        argv = ["decompose", "--n", "510510", "--z", "5,7,11,13", "--two-k", "2", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert sieved[510510] == 1
+        moduli = [6, 30, 210, 2310]
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("decompose ")]
+        assert [line.split()[2] for line in lines] == [f"Q={Q}" for Q in moduli]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"decompose_n510510_Q{Q}_k2.{ext}" for Q in moduli for ext in ("csv", "json")
+        )
+
     def test_decompose_files(self, tmp_path):
         result = run(
             small_config("decompose", tmp_path, n_values=[3000], two_k_values=[2], z_schedule=[7])

@@ -34,6 +34,7 @@ from primepairs import (
 )
 from primepairs import IdentityError, spectral
 from primepairs.spectral import (
+    ColumnBlocks,
     column_pair_counts,
     column_pair_spectra,
     correlation_direct,
@@ -397,7 +398,7 @@ class TestHermitianPaths:
         budget = 1e-6 * max(t.pi(n), 1)
         for Q in _divisors(n):
             expected = oracles.subgroup_samples_full_route(t.ring_indicator(), Q)
-            got = spectral.subgroup_samples(t.is_prime, Q)
+            got = spectral.subgroup_samples(ColumnBlocks(t.is_prime, Q))
             assert got.shape == (Q,)
             assert np.abs(got - expected).max() <= 1e-9 * max(t.pi(n), 1)
             assert rho_identity_check(n, Q, t) <= budget
@@ -409,8 +410,50 @@ class TestHermitianPaths:
         n, Q = 9240, 2310
         expected = oracles.subgroup_samples_full_route(table_9240.ring_indicator(), Q)
         with _classes_per_block(block, n // Q):
-            got = spectral.subgroup_samples(table_9240.is_prime, Q)
+            got = spectral.subgroup_samples(ColumnBlocks(table_9240.is_prime, Q))
         assert np.abs(got - expected).max() <= 1e-9 * table_9240.pi(n)
+
+    @pytest.mark.parametrize("block", [1, 2, 5, None])
+    def test_shared_columns_match_unshared(self, table_9240, block):
+        # one ColumnBlocks read by the subgroup samples and then by the
+        # decompositions gives, bit for bit, what each gets from its own;
+        # with more than one block it keeps no spectra, and with one it
+        # transforms its columns once for both
+        n, Q, shifts = 9240, 210, [2, 4, 420]
+        batches = []
+        original = spectral.forward_real
+
+        def counted(f):
+            batches.append(f.shape)
+            return original(f)
+
+        with _classes_per_block(block, n // Q), mock.patch.object(spectral, "forward_real", counted):
+            columns = ColumnBlocks(table_9240.is_prime, Q)
+            shared = spectral.subgroup_samples(columns)
+            shared_reports = list(decompositions(n, Q, shifts, table_9240, columns=columns))
+            shared_batches = len(batches)
+            alone = spectral.subgroup_samples(ColumnBlocks(table_9240.is_prime, Q))
+            alone_reports = list(decompositions(n, Q, shifts, table_9240))
+        assert shared.tobytes() == alone.tobytes()
+        for a, b in zip(shared_reports, alone_reports, strict=True):
+            assert a.error_spectrum.tobytes() == b.error_spectrum.tobytes()
+            assert (a.main_term, a.reconstruction_residual) == (b.main_term, b.reconstruction_residual)
+        # the 48 units mod 210 and the classes of 2, 3, 5 and 7
+        assert columns.classes.size == 52
+        if block is None:
+            assert columns.kept is not None and not columns.kept.flags.writeable
+            assert batches == [(52, n // Q)] * 3
+        else:
+            assert columns.kept is None
+            assert shared_batches == len(batches) - shared_batches >= 2 * -(-52 // block)
+
+    def test_columns_of_another_table_or_modulus_rejected(self, table_9240, table_10k):
+        other_table = ColumnBlocks(table_10k.is_prime[:9241], 30)
+        for columns in (other_table, ColumnBlocks(table_9240.is_prime, 210)):
+            with pytest.raises(UsageError, match="supplied columns"):
+                rho_identity_check(9240, 30, table_9240, columns=columns)
+            with pytest.raises(UsageError, match="supplied columns"):
+                next(decompositions(9240, 30, [2], table_9240, columns=columns))
 
 
 def _column_route_T(half, n, Q, two_k):
@@ -457,7 +500,7 @@ class TestColumnKernel:
         two_k = 2 + 2 * (k % ((n - 1) // 2))  # every even shift 2 <= 2k < n
         shifts = [two_k, 2] if two_k != 2 else [2]
         with _classes_per_block(block, n // Q):
-            spectra = list(column_pair_spectra(t.is_prime, Q, shifts))
+            spectra = list(column_pair_spectra(ColumnBlocks(t.is_prime, Q), shifts))
         counts = column_pair_counts(t.is_prime, Q, shifts)
         budget = pair_count_rounding_budget(t.pi(n), Q, n // Q)
         for shift, half, raw in zip(shifts, spectra, counts):
@@ -519,14 +562,15 @@ class TestColumnKernel:
             return original(f)
 
         monkeypatch.setattr(spectral, "forward_real", counted)
-        whole = list(column_pair_spectra(t.is_prime, 210, shifts))
+        whole = list(column_pair_spectra(ColumnBlocks(t.is_prime, 210), shifts))
         # the 48 units mod 210 and the classes of 2, 3, 5 and 7
         assert batches == [(52, 9240 // 210)]
         for block in (1, 4, 13):
             with _classes_per_block(block, 9240 // 210):
-                for a, b in zip(whole, column_pair_spectra(t.is_prime, 210, shifts), strict=True):
+                blocks = column_pair_spectra(ColumnBlocks(t.is_prime, 210), shifts)
+                for a, b in zip(whole, blocks, strict=True):
                     assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
-        assert list(column_pair_spectra(t.is_prime, 210, [])) == []
+        assert list(column_pair_spectra(ColumnBlocks(t.is_prime, 210), [])) == []
 
     def test_cross_check_at_primorial_19(self):
         n = 9699690  # 2*3*5*7*11*13*17*19
