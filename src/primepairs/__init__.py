@@ -67,7 +67,6 @@ from .spectral import (
     half_spectrum_pair_value,
     half_spectrum_residual,
     main_term_convolution,
-    pair_count_via_spectrum,
     pair_counts_via_spectrum,
     psi_pair_direct,
     psi_pair_via_spectrum,
@@ -116,7 +115,6 @@ __all__ = [
     "li2",
     "DecompositionReport",
     "ErrorProbe",
-    "pair_count_via_spectrum",
     "pair_counts_via_spectrum",
     "rho_identity_check",
     "main_term_convolution",

@@ -35,7 +35,6 @@ from .sieve import (
     von_mangoldt_vector,
 )
 from .spectral import (
-    ColumnBlocks,
     column_pair_counts,
     correlation_direct,
     decompositions,
@@ -238,13 +237,14 @@ def _table(config: ExperimentConfig, n: int) -> PrimeTable:
 
 class _ExtentTable:
     """The prime table of one extent at a time: asking for another extent
-    releases the held table, with its cached spectrum, before the next is
-    loaded, so consecutive requests for one extent share a single sieve
-    (or cache load).  The identity suite and decompose both take their
-    tables through one.  Only the suite's round-trip and parity rows read
-    the cached spectrum, so it is computed at n and n + n % 2 alone; the
-    subgroup and decomposition rows at an adjusted extent read residue
-    columns, and no transform there has length n."""
+    releases the held table, with its cached spectrum and column spectra,
+    before the next is loaded, so consecutive requests for one extent
+    share a single sieve (or cache load).  The identity suite and
+    decompose both take their tables through one.  Only the suite's
+    round-trip and parity rows read the cached spectrum, so it is
+    computed at n and n + n % 2 alone; the subgroup and decomposition
+    rows at an adjusted extent read residue columns, and no transform
+    there has length n."""
 
     def __init__(self, config: ExperimentConfig) -> None:
         self._config = config
@@ -342,7 +342,7 @@ def _parity_row(config: ExperimentConfig, record, tables: _ExtentTable, n: int) 
         even_n,
         None,
         None,
-        half_spectrum_residual(even_n, table),
+        half_spectrum_residual(table),
         _tol(config, "parity-half-spectrum") * max(table.pi(even_n), 1),
         extra={"requested_n": n},
     )
@@ -370,13 +370,12 @@ def _subgroup_rows(
 ) -> None:
     """Subgroup, twisted-energy, reconstruction and main-term rows for the
     primorial Q of z at the extent round_up_multiple(n, Q).  The subgroup
-    and reconstruction rows read one ColumnBlocks of the table's residue
-    columns mod Q, so where they fit one block they are transformed once;
-    it is released with these rows."""
+    and reconstruction rows read the table's residue columns mod Q
+    (``PrimeTable.columns``), so where they fit one block they are
+    transformed once; the next Q or the next table releases them."""
     Q = primorial(z).value
     adjusted = round_up_multiple(n, Q)
     sub_table = tables.get(adjusted)
-    blocks = ColumnBlocks(sub_table.is_prime, Q)
     extra = {
         "requested_n": n,
         "z": z,
@@ -388,7 +387,7 @@ def _subgroup_rows(
         adjusted,
         Q,
         None,
-        rho_identity_check(adjusted, Q, sub_table, tol=float("inf"), columns=blocks),
+        rho_identity_check(sub_table, Q, tol=float("inf")),
         _tol(config, "subgroup-restriction") * max(sub_table.pi(adjusted), 1),
         extra=extra,
     )
@@ -414,8 +413,7 @@ def _subgroup_rows(
         extra=extra,
     )
     reports = decompositions(
-        adjusted, Q, config.two_k_values, sub_table, constant_cutoff=config.cutoff,
-        tol=float("inf"), columns=blocks,
+        sub_table, Q, config.two_k_values, constant_cutoff=config.cutoff, tol=float("inf")
     )
     for two_k, report in zip(config.two_k_values, reports):
         record(
@@ -432,7 +430,7 @@ def _subgroup_rows(
             adjusted,
             Q,
             two_k,
-            abs(main_term_convolution(adjusted, Q, two_k, sub_table) - report.main_term),
+            abs(main_term_convolution(sub_table, Q, two_k) - report.main_term),
             _tol(config, "main-term-convolution") * (adjusted / Q),
             extra=extra,
         )
@@ -468,7 +466,7 @@ def _decompose_reports(
     adjusted = round_up_multiple(n, Q)
     table = tables.get(adjusted)
     reports = decompositions(
-        adjusted, Q, config.two_k_values, table, constant_cutoff=config.cutoff,
+        table, Q, config.two_k_values, constant_cutoff=config.cutoff,
         tol=_tol(config, "decomposition-reconstruction"),
     )
     for two_k, report in zip(config.two_k_values, reports):
@@ -586,7 +584,7 @@ def pairs_report(config: ExperimentConfig) -> list[tuple]:
     for n in config.n_values:
         table = _table(config, n)
         spectral = pair_counts_via_spectrum(
-            n, config.two_k_values, table, tol=_tol(config, "spectral-pair-count")
+            table, config.two_k_values, tol=_tol(config, "spectral-pair-count")
         )
         for two_k, count in zip(config.two_k_values, spectral):
             rows.append(

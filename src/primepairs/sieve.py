@@ -11,9 +11,9 @@ and circular pair counts AND slices of the bitmap block by block and
 copy no ring.
 Construction is a single blocking call; all queries afterwards are
 read-only and safe to use from concurrent callers.  A table fills a few
-derived arrays on first use (its primes, checksum and half spectrum);
-concurrent first calls each compute the same array and either result may
-be kept.
+derived arrays on first use (its primes, checksum, half spectrum and
+residue-column spectra); concurrent first calls each compute the same
+array and either result may be kept.
 
 The sieve works on odd slots only, slot i standing for 2i + 1, one
 segment of SEGMENT_LENGTH slots (2 * SEGMENT_LENGTH integers) at a time.
@@ -40,8 +40,13 @@ counts the bitmap, about 10 ms at 1e8, and callers ask for it a handful
 of times per extent.  Builds that would exceed the configured byte
 budget are rejected up front.  The cached half spectrum, when asked for,
 costs 8 more bytes per entry (n/2 + 1 complex bins).  Spectral pair
-counts and the decomposition's error spectrum read residue columns of
-the bitmap instead (``spectral``), so they add no array of length n.
+counts, the decomposition's error spectrum and the subgroup samples read
+residue columns of the bitmap instead (``spectral``), so they add no
+array of length n.  The table keeps the residue columns mod the last Q
+asked for (``PrimeTable.columns``, a ``transform.ColumnBlocks``) and
+at most one block of their spectra: (n/Q/2 + 1) * 16 bytes per class
+that holds a prime, kept only when they all fit COLUMN_BLOCK_BYTES
+(64 MiB).  Asking for another Q replaces them.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ import numpy as np
 
 from .errors import CacheError, ResourceLimitError, UsageError
 from .factored import is_prime_u64
-from .transform import as_ring, forward_real, require_divisor, unit_phase
+from .transform import ColumnBlocks, as_ring, forward_real, require_divisor, unit_phase
 
 logger = logging.getLogger(__name__)
 
@@ -176,6 +181,7 @@ class PrimeTable:
     _primes: np.ndarray | None = field(default=None, repr=False)
     _checksum: int | None = field(default=None, repr=False)
     _spectrum: np.ndarray | None = field(default=None, repr=False)
+    _columns: ColumnBlocks | None = field(default=None, repr=False)
 
     def pi(self, x: int) -> int:
         """Number of primes <= x."""
@@ -200,6 +206,16 @@ class PrimeTable:
         if self._spectrum is None:
             self._spectrum = forward_real(self.ring_indicator())
         return self._spectrum
+
+    def columns(self, Q: int) -> ColumnBlocks:
+        """The residue columns mod Q of the bitmap that hold a prime, with
+        their length-n/Q spectra: the ColumnBlocks of the last Q asked for
+        is kept, and with it the spectra of its block when every class
+        fits one, so the identities that read one table at one Q transform
+        its columns once.  Another Q replaces it."""
+        if self._columns is None or self._columns.Q != Q:
+            self._columns = ColumnBlocks(self.is_prime, Q)
+        return self._columns
 
     def bitmap_payload(self) -> bytes:
         """Packed bits of is_prime[1..n], MSB-first within each byte."""

@@ -1,6 +1,8 @@
 """Spectral identities for prime-pair counts, run as executable checks.
 
-The circular pair count on Z/nZ = {1..n} equals (1/n) * sum over xi of
+Every identity here is a statement about the prime indicator of one
+PrimeTable on Z/nZ = {1..n}, and takes that table first; n is the
+table's extent.  The circular pair count equals (1/n) * sum over xi of
 |F(P)(xi)|^2 * exp(-2*pi*i*2k*xi/n) exactly, and when Q | n the spectrum
 regroups over the cosets of the index-Q subgroup:
 
@@ -23,14 +25,15 @@ index map x = a + j*Q), C_a is its length-m DFT, and a + 2k = b + t*Q with
 
 ``column_pair_spectra`` computes S for several shifts from one batched
 rfft of the columns that hold a nonzero weight, gathered block by block
-from a 1-indexed weight vector (a ``ColumnBlocks``): the bool bitmap for
-prime pairs, the von Mangoldt weights for psi pairs.  It is the one
-spectral correlation route, and the one route to T.  The spectral pair
-count (``pair_counts_via_spectrum``), the psi pair correlation
-(``psi_pair_via_spectrum``) and the identity suite's rows for both take
-it with Q from ``pair_count_modulus``; ``decompositions`` (and
-``decompose``, its one-shift form) and ``error_spectrum_stats`` take it
-with the Q they are given, at every n, so the transform length is n/Q.
+from a 1-indexed weight vector (a ``transform.ColumnBlocks``): the bool
+bitmap for prime pairs, the von Mangoldt weights for psi pairs.  It is
+the one spectral correlation route, and the one route to T.  The
+spectral pair count (``pair_counts_via_spectrum``), the psi pair
+correlation (``psi_pair_via_spectrum``) and the identity suite's rows
+for both take it with Q from ``pair_count_modulus``; ``decompositions``
+(and ``decompose``, its one-shift form) and ``error_spectrum_stats``
+take it with the Q they are given, at every n, so the transform length
+is n/Q.
 The reconstruction sum of the decompositions, the direct correlation
 (``correlation_direct``), the residue-count convolution
 (``main_term_convolution``) and the folded pair value
@@ -42,21 +45,25 @@ The subgroup samples F(r*n/Q) come from the same residue columns: by the
 index map they are the length-Q transform of the columns' bins 0,
 sum_a e_Q(-r*a) * C_a(0) (``subgroup_samples``), so
 ``rho_identity_check`` transforms columns of length n/Q and never one of
-length n.  Given one ``ColumnBlocks`` of the table mod Q,
-``rho_identity_check`` and ``decompositions`` share its transform: when
-every holding class fits one block it keeps that block's spectra, so the
-identity suite's subgroup and decomposition rows at one (table, Q) make
-one batched rfft between them.  The other identities on a PrimeTable
-read the table's one cached real spectrum (``PrimeTable.spectrum``, an
-rfft of the ring indicator) instead of transforming again:
-``error_spectrum_stats`` counts its large bins,
+length n.  Both it and ``decompositions`` (with ``error_spectrum_stats``)
+read the table's own residue columns mod Q, ``PrimeTable.columns(Q)``,
+which the table keeps for the last Q asked for: when every holding class
+fits one block it keeps that block's spectra too, so every caller that
+reads one table at one Q, the identity suite's subgroup and
+decomposition rows among them, makes one batched rfft between them, and
+a table holds at most one block of column spectra.  The other
+identities read the table's one cached real spectrum
+(``PrimeTable.spectrum``, an rfft of the ring indicator) instead of
+transforming again: ``error_spectrum_stats`` counts its large bins,
 ``half_spectrum_pair_value`` reads its power directly, and
 ``half_spectrum_residual`` takes the samples F(n - m) as conj F(m).
 The length-Q transforms of residue profiles, the independent side of the
 subgroup identities, are ``transform.forward`` and ``inverse`` calls like
 every other.  The phase weights e_n(-k), the Q | n check and the 1e7
 extent cap are the ones ``transform`` defines (``unit_phase``,
-``require_divisor``, ``check_extents``).
+``require_divisor``, ``check_extents``); the cap is checked where each
+transform's length is known, so an over-cap transform raises
+ResourceLimitError before it runs.
 
 Conjugation note: for a complex twisted profile rho the subgroup inversion
 produces sum_a rho(a) * conj(rho(a + 2k)); the conjugate on the shifted
@@ -77,15 +84,10 @@ import numpy as np
 
 from .constants import hl_constant, li2
 from .errors import IdentityError, UsageError
-from .factored import _as_factored, factorize, is_prime_u64
-from .sieve import (
-    PrimeTable,
-    build_table,
-    pair_count_circular,
-    residue_profile,
-    von_mangoldt_vector,
-)
+from .factored import _as_factored, euler_phi, factorize, is_prime_u64
+from .sieve import PrimeTable, pair_count_circular, residue_profile, von_mangoldt_vector
 from .transform import (
+    ColumnBlocks,
     as_ring,
     check_extents,
     forward,
@@ -98,8 +100,6 @@ from .transform import (
 
 logger = logging.getLogger(__name__)
 
-# bytes of one block of column spectra, (m//2 + 1) * 16 bytes per column
-COLUMN_BLOCK_BYTES = 64 << 20
 # c in the transform error model ||dC||_2 <= c * eps * log2(m) * ||C||_2
 FFT_ERROR_GROWTH = 16
 
@@ -135,17 +135,6 @@ class ErrorProbe:
     magnitude: float
 
 
-def _table_for(n: int, table: PrimeTable | None, length: int | None = None) -> PrimeTable:
-    """The supplied table of extent n, or a new one once the transform
-    length (n unless given) is known to be within the cap."""
-    if table is not None:
-        if table.n != n:
-            raise UsageError(f"supplied table has extent {table.n}, expected {n}")
-        return table
-    check_extents([n if length is None else length], "spectral extent")
-    return build_table(n)
-
-
 def correlation_direct(ring: np.ndarray, two_k: int) -> float:
     """sum_x ring(x) * ring(x + 2k mod n): the direct side of the
     correlation identities."""
@@ -172,68 +161,6 @@ def pair_count_modulus(n: int) -> int:
     return min((d for d in density if d * d <= n), key=lambda d: (density[d], -d))
 
 
-class ColumnBlocks:
-    """The residue columns mod Q of a 1-indexed weight vector that hold a
-    nonzero weight, and their length-m spectra, m = n/Q.
-
-    ``weights`` has length n + 1 (entry 0 unused, entry x the weight at
-    x) and Q | n.  ``classes`` are the classes a (ascending) whose column
-    holds a nonzero weight; ``chunk`` is the number of classes per block,
-    as many column spectra of (m//2 + 1) * 16 bytes as fit
-    COLUMN_BLOCK_BYTES; ``spectra(j)`` is block j's column spectra, one
-    batched rfft of the columns of classes chunk*j .. chunk*(j + 1) - 1,
-    one per row.  The columns are gathered from the weights, viewed as
-    (m, Q) without a copy.
-
-    When every class fits one block, as at every extent of the identity
-    suite, the spectra of the first transform are kept (``kept``, not
-    writeable) and returned by every later call, so the rows that share
-    one object at a (table, Q) transform its columns once.  With more than one
-    block nothing is kept and each call transforms its block again, so a
-    consumer's memory bound is what it would be without sharing.
-    """
-
-    def __init__(self, weights: np.ndarray, Q: int) -> None:
-        n = weights.shape[0] - 1
-        require_divisor(n, Q, "residue columns")
-        self.weights = weights
-        self.Q = Q
-        self.m = n // Q
-        # the weights as residue columns, except that slot 0 holds x = n, not 0
-        self._values = weights[:n].reshape(self.m, Q)
-        holding = self._values.any(axis=0)
-        holding[0] |= bool(weights[n])
-        self.classes = np.flatnonzero(holding)
-        self.chunk = max(1, COLUMN_BLOCK_BYTES // ((self.m // 2 + 1) * 16))
-        self.kept: np.ndarray | None = None
-
-    def spectra(self, block: int) -> np.ndarray:
-        if self.kept is not None:
-            return self.kept  # the one block
-        chunk = self.chunk
-        # np.take reads each row of the view once; the transposed copy puts
-        # each column's m entries in a row, where the rfft reads them
-        picked = np.take(self._values, self.classes[block * chunk : (block + 1) * chunk], axis=1)
-        columns = np.ascontiguousarray(picked.T)
-        if block == 0 and self.classes[0] == 0:
-            columns[0, 0] = self.weights[-1]
-        spectra = forward_real(columns)
-        if self.classes.size <= chunk:
-            spectra.flags.writeable = False
-            self.kept = spectra
-        return spectra
-
-
-def _columns_of(table: PrimeTable, Q: int, columns: ColumnBlocks | None) -> ColumnBlocks:
-    """``columns`` when it holds the residue columns mod Q of the table's
-    bitmap, new ones when it is None."""
-    if columns is None:
-        return ColumnBlocks(table.is_prime, Q)
-    if columns.weights is not table.is_prime or columns.Q != Q:
-        raise UsageError(f"supplied columns are not those of the table of extent {table.n} mod {Q}")
-    return columns
-
-
 def column_pair_spectra(columns: ColumnBlocks, shifts):
     """Yield, for each shift 2k in ``shifts`` (any 2k >= 0) in turn, the
     half accumulator S(xi), 0 <= xi <= m//2 with m = n/Q:
@@ -255,11 +182,12 @@ def column_pair_spectra(columns: ColumnBlocks, shifts):
     while a block is transformed, its real input of about the same size.
 
     t takes two values per shift, so each shift keeps two accumulators and
-    two phase vectors.  Shifts go in groups whose accumulators fit
-    COLUMN_BLOCK_BYTES; when every class fits one block, which it does at
-    the sizes ``pair_count_modulus`` picks up to 2e7, one transform serves
-    every shift of a group, and a ColumnBlocks shared with the subgroup
-    samples transforms its one block once for both.
+    two phase vectors.  Shifts go in groups whose accumulators fit one
+    block; when every class fits one block, which it does at the sizes
+    ``pair_count_modulus`` picks up to 2e7, one transform serves every
+    shift of a group, and a ColumnBlocks read by the subgroup samples too
+    (a table's own, ``PrimeTable.columns``) transforms its one block once
+    for both.
     """
     Q, m = columns.Q, columns.m
     check_extents([m], "residue-column length")
@@ -269,7 +197,7 @@ def column_pair_spectra(columns: ColumnBlocks, shifts):
     position[classes] = np.arange(classes.size)
 
     shifts = list(shifts)
-    group = max(1, COLUMN_BLOCK_BYTES // (2 * half * 16))
+    group = max(1, chunk // 2)  # two accumulators per shift fit one block
     xi = np.arange(half, dtype=np.int64)
     product = np.empty(half, dtype=complex)
     for first in range(0, len(shifts), group):
@@ -339,12 +267,11 @@ def pair_count_rounding_budget(primes: int, Q: int, m: int) -> float:
     return eps * primes * (2 * FFT_ERROR_GROWTH * math.log2(max(m, 2)) + Q + m + 4)
 
 
-def pair_counts_via_spectrum(
-    n: int, shifts, table: PrimeTable | None = None, tol: float = 1e-6
-) -> list[int]:
-    """Circular prime-pair counts for every shift in ``shifts``, evaluated
-    through the residue-column spectra with Q = pair_count_modulus(n): one
-    batched transform of length-n/Q columns serves every shift.
+def pair_counts_via_spectrum(table: PrimeTable, shifts, tol: float = 1e-6) -> list[int]:
+    """Circular prime-pair counts of the table for every shift in
+    ``shifts``, evaluated through the residue-column spectra with
+    Q = pair_count_modulus(n): one batched transform of length-n/Q columns
+    serves every shift.
 
     Each raw count must lie within a certified rounding budget of an
     integer: ``pair_count_rounding_budget``, tightened to tol * n when that
@@ -353,27 +280,28 @@ def pair_counts_via_spectrum(
     rounded.  Each rounded count is checked for exact agreement with the
     sieve's circular count before it is returned.
     """
+    n = table.n
+    shifts = list(shifts)
     for two_k in shifts:
         if not 2 <= two_k < n:
             raise UsageError(f"need 2 <= 2k < n, got 2k={two_k}, n={n}")
     Q = pair_count_modulus(n)
     m = n // Q
-    check_extents([m], "spectral pair count")
-    t = _table_for(n, table, m)
-    model = pair_count_rounding_budget(t.pi(n), Q, m)
+    raws = column_pair_counts(table.is_prime, Q, shifts)
+    model = pair_count_rounding_budget(table.pi(n), Q, m)
     if model >= 0.5:
         raise IdentityError(
             "spectral-pair-count", model, 0.5, f"rounding budget cannot certify, n={n}"
         )
     budget = min(model, tol * n)
     counts = []
-    for two_k, raw in zip(shifts, column_pair_counts(t.is_prime, Q, shifts)):
+    for two_k, raw in zip(shifts, raws):
         nearest = round(raw)
         if abs(raw - nearest) > budget:
             raise IdentityError(
                 "spectral-pair-count", abs(raw - nearest), budget, f"rounding, n={n}, 2k={two_k}"
             )
-        sieved = pair_count_circular(t, two_k)
+        sieved = pair_count_circular(table, two_k)
         if nearest != sieved:
             raise IdentityError(
                 "spectral-pair-count",
@@ -383,14 +311,6 @@ def pair_counts_via_spectrum(
             )
         counts.append(int(nearest))
     return counts
-
-
-def pair_count_via_spectrum(
-    n: int, two_k: int, table: PrimeTable | None = None, tol: float = 1e-6
-) -> int:
-    """Circular prime-pair count for one shift through the spectrum:
-    ``pair_counts_via_spectrum`` with the one shift."""
-    return pair_counts_via_spectrum(n, [two_k], table, tol)[0]
 
 
 def subgroup_samples(columns: ColumnBlocks) -> np.ndarray:
@@ -413,61 +333,53 @@ def subgroup_samples(columns: ColumnBlocks) -> np.ndarray:
     return forward(bins)
 
 
-def rho_identity_check(
-    n: int,
-    Q: int,
-    table: PrimeTable | None = None,
-    tol: float = 1e-6,
-    columns: ColumnBlocks | None = None,
-) -> float:
-    """Max deviation between the subgroup samples F(P)(r*n/Q) and the
-    mod-Q transform of the residue counts rho(a) = pi(n, Q, a).
+def rho_identity_check(table: PrimeTable, Q: int, tol: float = 1e-6) -> float:
+    """Max deviation between the subgroup samples F(P)(r*n/Q) of the
+    table and the mod-Q transform of its residue counts
+    rho(a) = pi(n, Q, a).
 
-    The samples come from the residue-column spectra
-    (``subgroup_samples``) and the counts from the sieved primes, two
-    independent computations; the transforms have lengths n/Q and Q, and
-    the cap applies to those.  ``columns``, the table's residue columns
-    mod Q when given, lets ``decompositions`` at the same (table, Q)
-    reuse their spectra.  Returns the deviation and raises if it exceeds
-    tol * pi(n).
+    The samples come from the table's residue-column spectra mod Q
+    (``subgroup_samples`` of ``table.columns(Q)``, which
+    ``decompositions`` at the same Q reads too) and the counts from the
+    sieved primes, two independent computations; the transforms have
+    lengths n/Q and Q, and the cap applies to those.  Returns the
+    deviation and raises if it exceeds tol * pi(n).
     """
+    n = table.n
     require_divisor(n, Q, "subgroup identity")
-    t = _table_for(n, table, max(n // Q, Q))
-    coset = subgroup_samples(_columns_of(t, Q, columns))
-    rho = residue_profile(t, Q)
+    coset = subgroup_samples(table.columns(Q))
+    rho = residue_profile(table, Q)
     deviation = float(np.abs(coset - forward(rho)).max())
-    budget = tol * max(t.pi(n), 1)
+    budget = tol * max(table.pi(n), 1)
     if deviation > budget:
         raise IdentityError("subgroup-restriction", deviation, budget, f"n={n}, Q={Q}")
     return deviation
 
 
-def main_term_convolution(
-    n: int, Q: int, two_k: int, table: PrimeTable | None = None
-) -> float:
+def main_term_convolution(table: PrimeTable, Q: int, two_k: int) -> float:
     """(Q/n) * sum_r rho(r) * rho(r + 2k mod Q): the main term evaluated
     as a residue-count autocorrelation, independent of any length-n
     transform."""
+    n = table.n
     require_divisor(n, Q, "main-term convolution")
-    t = _table_for(n, table)
-    rho = residue_profile(t, Q)
+    rho = residue_profile(table, Q)
     # a numpy reduction, not BLAS, so the sum's order is fixed
     shifted = np.roll(rho, -(two_k % Q))
     shifted *= rho
     return float(Q / n * shifted.sum())
 
 
-def _error_spectra(table: PrimeTable, Q: int, shifts, columns: ColumnBlocks | None = None):
+def _error_spectra(table: PrimeTable, Q: int, shifts):
     """Yield, for each shift in turn, T(xi) = Q * e_n(+2k*xi) * S(xi) for
     0 <= xi < n/Q and the terms T(xi) * e_n(-2k*xi) of the reconstruction
     sum, from one ``column_pair_spectra`` call on the table's residue
-    columns mod Q (``columns``, or new ones): S(m - xi) = conj S(xi)
-    fills the upper half, and the one phase vector, conjugated in place,
-    turns into the terms."""
+    columns mod Q (``table.columns(Q)``): S(m - xi) = conj S(xi) fills
+    the upper half, and the one phase vector, conjugated in place, turns
+    into the terms."""
     n = table.n
     m = n // Q
     xi = np.arange(m, dtype=np.int64)
-    spectra = column_pair_spectra(_columns_of(table, Q, columns), shifts)
+    spectra = column_pair_spectra(table.columns(Q), shifts)
     for two_k, half in zip(shifts, spectra):
         spectrum = np.empty(m, dtype=complex)
         spectrum[: half.shape[0]] = half
@@ -497,21 +409,14 @@ def is_primorial(Q) -> bool:
 
 
 def decompositions(
-    n: int,
-    Q: int,
-    shifts,
-    table: PrimeTable | None = None,
-    constant_cutoff: int = 10**6,
-    tol: float = 1e-6,
-    columns: ColumnBlocks | None = None,
+    table: PrimeTable, Q: int, shifts, constant_cutoff: int = 10**6, tol: float = 1e-6
 ):
     """Yield, for each shift 2k in ``shifts`` in turn, the split of the
-    spectral pair-count sum into the subgroup main term and the
+    table's spectral pair-count sum into the subgroup main term and the
     per-frequency error spectrum, verifying exact reconstruction.  One
-    ``column_pair_spectra`` call, which transforms residue columns of
-    length n/Q only, serves every shift; ``columns``, the table's residue
-    columns mod Q when given, may carry the spectra that
-    ``rho_identity_check`` at the same (table, Q) transformed.
+    ``column_pair_spectra`` call on ``table.columns(Q)``, which transforms
+    residue columns of length n/Q only, serves every shift, and shares its
+    transform with ``rho_identity_check`` at the same Q.
 
     Requires Q | n with Q a primorial.  Q > sqrt(n) is allowed (the
     identity is exact for any Q | n) but logged, since the main term only
@@ -519,6 +424,7 @@ def decompositions(
     (1/n) sum_xi T(xi) e_n(-2k*xi) is a numpy reduction, so its digits do
     not depend on the number of CPUs.
     """
+    n = table.n
     require_divisor(n, Q, "decomposition")
     if not is_primorial(Q):
         raise UsageError(f"Q must be a primorial, got {Q}")
@@ -528,15 +434,14 @@ def decompositions(
             raise UsageError(f"need 2 <= 2k < n, got 2k={two_k}")
     if Q * Q > n:
         logger.warning("decompose called with Q=%d above sqrt(n=%d); identity still exact", Q, n)
-    t = _table_for(n, table, n // Q)
-    for two_k, (spectrum, terms) in zip(shifts, _error_spectra(t, Q, shifts, columns)):
+    for two_k, (spectrum, terms) in zip(shifts, _error_spectra(table, Q, shifts)):
         if abs(spectrum[0].imag) > tol * n:
             raise IdentityError(
                 "main-term-realness", abs(spectrum[0].imag), tol * n, f"n={n}, Q={Q}"
             )
         main_term = float(spectrum[0].real) / n
         reconstructed = complex(terms.sum()) / n
-        sieved = pair_count_circular(t, two_k)
+        sieved = pair_count_circular(table, two_k)
         residual = abs(reconstructed - sieved)
         if residual > tol * n:
             raise IdentityError("decomposition-reconstruction", residual, tol * n, f"n={n}, Q={Q}")
@@ -555,40 +460,28 @@ def decompositions(
 
 
 def decompose(
-    n: int,
-    Q: int,
-    two_k: int,
-    table: PrimeTable | None = None,
-    constant_cutoff: int = 10**6,
-    tol: float = 1e-6,
+    table: PrimeTable, Q: int, two_k: int, constant_cutoff: int = 10**6, tol: float = 1e-6
 ) -> DecompositionReport:
     """The main-term / error-spectrum split for one shift:
     ``decompositions`` with the one shift."""
-    return next(decompositions(n, Q, [two_k], table, constant_cutoff, tol))
+    return next(decompositions(table, Q, [two_k], constant_cutoff, tol))
 
 
-def error_probe(
-    n: int,
-    Q: int,
-    two_k: int,
-    xi: int,
-    table: PrimeTable | None = None,
-    tol: float = 1e-6,
-) -> ErrorProbe:
+def error_probe(table: PrimeTable, Q: int, two_k: int, xi: int, tol: float = 1e-6) -> ErrorProbe:
     """Twisted residue correlation at frequency xi, checked two ways.
 
-    Forms sum_a rho_xi(a) * conj(rho_xi(a + 2k)) from the twisted counts
-    and independently inverts |F_Q(rho_xi)|^2 at -2k; the two must agree
-    within tol * pi(n)^2.
+    Forms sum_a rho_xi(a) * conj(rho_xi(a + 2k)) from the table's twisted
+    counts and independently inverts |F_Q(rho_xi)|^2 at -2k; the two must
+    agree within tol * pi(n)^2.
     """
+    n = table.n
     require_divisor(n, Q, "error probe")
     if not 0 < xi < n // Q:
         raise UsageError(f"need 0 < xi < n/Q, got xi={xi}")
-    t = _table_for(n, table)
-    rho = residue_profile(t, Q, xi=xi)
+    rho = residue_profile(table, Q, xi=xi)
     correlation = complex(np.sum(rho * np.conj(np.roll(rho, -(two_k % Q)))))
     inverted = complex(inverse(np.abs(forward(rho)) ** 2)[(-two_k) % Q])
-    budget = tol * max(t.pi(n), 1) ** 2
+    budget = tol * max(table.pi(n), 1) ** 2
     gap = abs(correlation - inverted)
     if gap > budget:
         raise IdentityError(
@@ -599,10 +492,8 @@ def error_probe(
     )
 
 
-def error_spectrum_stats(
-    n: int, Q: int, two_k: int, table: PrimeTable | None = None
-) -> dict:
-    """Diagnostic summary of the error spectrum T(xi), 0 < xi < n/Q.
+def error_spectrum_stats(table: PrimeTable, Q: int, two_k: int) -> dict:
+    """Diagnostic summary of the table's error spectrum T(xi), 0 < xi < n/Q.
 
     Reports the max of |T(xi)|/n with its argmax, quantiles of |T(xi)|,
     the off-zero reconstruction sum, the progression scale
@@ -610,16 +501,15 @@ def error_spectrum_stats(
     |F(P)(xi)|^2 / n reaches n / log(n)^2 (the energy-constrained level
     with C = 1).  Purely informational; nothing here is asserted.
     """
+    n = table.n
     require_divisor(n, Q, "error spectrum")
     if Q >= n:
         raise UsageError(f"degenerate Q = n rejected, got Q={Q}, n={n}")
-    t = _table_for(n, table)
-    ((spectrum, terms),) = _error_spectra(t, Q, [two_k])
+    ((spectrum, terms),) = _error_spectra(table, Q, [two_k])
     tail = np.abs(spectrum[1:])
     offzero = complex(terms[1:].sum()) / n
-    phi_q = float(np.count_nonzero(np.gcd(np.arange(1, Q + 1, dtype=np.int64), Q) == 1))
     # the cached half power, each bin counted with its mirror n - xi
-    reaches = np.abs(t.spectrum()[1:]) ** 2 / n >= n / math.log(n) ** 2
+    reaches = np.abs(table.spectrum()[1:]) ** 2 / n >= n / math.log(n) ** 2
     large = 2 * int(np.count_nonzero(reaches))
     if n % 2 == 0:
         large -= int(reaches[-1])  # the Nyquist bin is its own mirror
@@ -635,30 +525,28 @@ def error_spectrum_stats(
         "abs_T_q99": float(quantiles[2]),
         "offzero_sum_re": offzero.real,
         "offzero_sum_im": offzero.imag,
-        "progression_scale": n / (phi_q * math.log(n)),
+        "progression_scale": n / (euler_phi(Q) * math.log(n)),
         "large_frequency_count": large,
     }
 
 
-def psi_pair_direct(n: int, two_k: int) -> float:
-    """sum_x Lambda(x) * Lambda(x + 2k mod n) on Z/nZ = {1..n}."""
-    return correlation_direct(as_ring(von_mangoldt_vector(n)), two_k)
+def psi_pair_direct(table: PrimeTable, two_k: int) -> float:
+    """sum_x Lambda(x) * Lambda(x + 2k mod n) on Z/nZ = {1..n}, from the
+    primes of the table."""
+    return correlation_direct(as_ring(von_mangoldt_vector(table.n, table)), two_k)
 
 
-def psi_pair_via_spectrum(n: int, two_k: int, tol: float = 1e-6) -> float:
-    """Von Mangoldt pair correlation through the residue-column spectra
-    (``column_pair_counts`` on the von Mangoldt weights, Q from
-    ``pair_count_modulus``), verified against the direct double sum
-    within tol * n * log(n)^2.  The cap applies to the column length
-    n/Q."""
-    if n < 2:
-        raise UsageError(f"need n >= 2, got {n}")
-    Q = pair_count_modulus(n)
-    check_extents([n // Q], "psi pair correlation")
+def psi_pair_via_spectrum(table: PrimeTable, two_k: int, tol: float = 1e-6) -> float:
+    """Von Mangoldt pair correlation of the table's primes through the
+    residue-column spectra (``column_pair_counts`` on the von Mangoldt
+    weights, Q from ``pair_count_modulus``), verified against the direct
+    double sum within tol * n * log(n)^2.  The cap applies to the column
+    length n/Q."""
+    n = table.n
     if two_k % 2 or two_k < 0:
         raise UsageError(f"2k must be even and nonnegative, got {two_k}")
-    weights = von_mangoldt_vector(n)
-    (raw,) = column_pair_counts(weights, Q, [two_k])
+    weights = von_mangoldt_vector(n, table)
+    (raw,) = column_pair_counts(weights, pair_count_modulus(n), [two_k])
     budget = tol * n * math.log(n) ** 2
     gap = abs(raw - correlation_direct(as_ring(weights), two_k))
     if gap > budget:
@@ -666,34 +554,34 @@ def psi_pair_via_spectrum(n: int, two_k: int, tol: float = 1e-6) -> float:
     return raw
 
 
-def half_spectrum_residual(n: int, table: PrimeTable | None = None) -> float:
-    """Max over 0 <= xi < n/2 of |F(P)(xi + n/2) + F(P)(xi) - 2 e_n(-2 xi)|.
+def half_spectrum_residual(table: PrimeTable) -> float:
+    """Max over 0 <= xi < n/2 of |F(P)(xi + n/2) + F(P)(xi) - 2 e_n(-2 xi)|
+    on the table's cached spectrum.
 
     The sum of the two half-spectrum samples is exactly twice the even-x
     contribution, and the only even prime is 2; the residual is pure
     floating-point error.  Requires even n >= 4.
     """
+    n = table.n
     if n < 4 or n % 2:
         raise UsageError(f"parity relation needs even n >= 4, got {n}")
-    t = _table_for(n, table)
-    values = t.spectrum()
+    values = table.spectrum()
     half = n // 2
     upper = spectrum_at(values, n, np.arange(half, n, dtype=np.int64))
     expected = 2.0 * unit_phase(n, 2 * np.arange(half, dtype=np.int64))
     return float(np.abs(upper + values[:half] - expected).max())
 
 
-def half_spectrum_pair_value(
-    n: int, two_k: int, table: PrimeTable | None = None
-) -> complex:
-    """(2/n) * sum_{0 <= xi < n/2} |F(P)(xi)|^2 * e_n(-2k xi): the folded
-    form of the spectral pair count; differs from the full value by a
-    bounded bookkeeping term contributed by the prime 2."""
+def half_spectrum_pair_value(table: PrimeTable, two_k: int) -> complex:
+    """(2/n) * sum_{0 <= xi < n/2} |F(P)(xi)|^2 * e_n(-2k xi) on the
+    table's cached spectrum: the folded form of the spectral pair count;
+    differs from the full value by a bounded bookkeeping term contributed
+    by the prime 2."""
+    n = table.n
     if n < 4 or n % 2:
         raise UsageError(f"folded pair value needs even n >= 4, got {n}")
-    t = _table_for(n, table)
     half = n // 2
-    power = np.abs(t.spectrum()[:half]) ** 2
+    power = np.abs(table.spectrum()[:half]) ** 2
     # a numpy reduction, not BLAS, so the sum's order is fixed
     terms = unit_phase(n, two_k * np.arange(half, dtype=np.int64))
     terms *= power

@@ -25,8 +25,14 @@ x = a (mod Q), because slot 0 holds x = n = 0 (mod Q).  A vector masked
 to that class has the spectrum e_n(-xi*a) * DFT_m(column a)(xi mod m), so
 one length-m transform of the column carries the class's whole energy.
 ``forward_real`` transforms a batch of such columns, one per row, in one
-call; the spectral correlations (prime pairs and von Mangoldt pairs)
-gather theirs straight from a 1-indexed weight vector.
+call.  ``ColumnBlocks`` gathers the columns that hold a nonzero weight
+straight from a 1-indexed weight vector, in blocks of at most
+COLUMN_BLOCK_BYTES of spectra, and transforms each block in one such
+call; the spectral correlations (prime pairs and von Mangoldt pairs),
+the error spectrum and the subgroup samples all read it.  A PrimeTable
+keeps one, of its bitmap mod the last Q asked for
+(``PrimeTable.columns``), and with it the spectra of its block when
+every holding class fits one: the memory held is at most one block.
 
 Every transform in the package is a call here, on plain arrays: this is
 the only module that names ``numpy.fft``, and each call checks its length.
@@ -62,6 +68,8 @@ from .errors import ResourceLimitError, UsageError
 
 FORWARD_CONVENTION = "forward = sum_x f(x) exp(-2*pi*i*xi*x/n); inverse carries 1/n"
 MAX_TRANSFORM_LENGTH = 10**7
+# bytes of one block of column spectra, (m//2 + 1) * 16 bytes per column
+COLUMN_BLOCK_BYTES = 64 << 20
 
 
 def unit_phase(n: int, k) -> np.ndarray:
@@ -110,6 +118,58 @@ def residue_columns(ring: np.ndarray, Q: int) -> np.ndarray:
     n = ring.shape[0]
     require_divisor(n, Q, "residue columns")
     return ring.reshape(n // Q, Q)
+
+
+class ColumnBlocks:
+    """The residue columns mod Q of a 1-indexed weight vector that hold a
+    nonzero weight, and their length-m spectra, m = n/Q.
+
+    ``weights`` has length n + 1 (entry 0 unused, entry x the weight at
+    x) and Q | n.  ``classes`` are the classes a (ascending) whose column
+    holds a nonzero weight; ``chunk`` is the number of classes per block,
+    as many column spectra of (m//2 + 1) * 16 bytes as fit
+    COLUMN_BLOCK_BYTES; ``spectra(j)`` is block j's column spectra, one
+    batched rfft (``forward_real``) of the columns of classes
+    chunk*j .. chunk*(j + 1) - 1, one per row.  The columns are gathered
+    from the weights, viewed as (m, Q) without a copy.
+
+    When every class fits one block, as at every extent of the identity
+    suite, the spectra of the first transform are kept (``kept``, not
+    writeable) and returned by every later call, so every reader of one
+    object transforms its columns once.  With more than one block nothing
+    is kept and each call transforms its block again, so a reader's
+    memory bound is what it would be without sharing.
+    """
+
+    def __init__(self, weights: np.ndarray, Q: int) -> None:
+        n = weights.shape[0] - 1
+        require_divisor(n, Q, "residue columns")
+        self.weights = weights
+        self.Q = Q
+        self.m = n // Q
+        # the weights as residue columns, except that slot 0 holds x = n, not 0
+        self._values = weights[:n].reshape(self.m, Q)
+        holding = self._values.any(axis=0)
+        holding[0] |= bool(weights[n])
+        self.classes = np.flatnonzero(holding)
+        self.chunk = max(1, COLUMN_BLOCK_BYTES // ((self.m // 2 + 1) * 16))
+        self.kept: np.ndarray | None = None
+
+    def spectra(self, block: int) -> np.ndarray:
+        if self.kept is not None:
+            return self.kept  # the one block
+        chunk = self.chunk
+        # np.take reads each row of the view once; the transposed copy puts
+        # each column's m entries in a row, where the rfft reads them
+        picked = np.take(self._values, self.classes[block * chunk : (block + 1) * chunk], axis=1)
+        columns = np.ascontiguousarray(picked.T)
+        if block == 0 and self.classes[0] == 0:
+            columns[0, 0] = self.weights[-1]
+        spectra = forward_real(columns)
+        if self.classes.size <= chunk:
+            spectra.flags.writeable = False
+            self.kept = spectra
+        return spectra
 
 
 def _length(f: np.ndarray) -> int:

@@ -29,6 +29,13 @@ def table_1e6():
     return build_table(10**6)
 
 
+@pytest.fixture(scope="session")
+def table_10000019():
+    # a prime extent over the 1e7 transform cap: pair_count_modulus gives
+    # Q = 1, so its one residue column is the whole ring
+    return build_table(10000019)
+
+
 @pytest.fixture
 def fnv_calls(monkeypatch):
     """Lengths of the payloads hashed through primepairs.sieve.fnv1a64."""

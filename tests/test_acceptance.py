@@ -36,7 +36,7 @@ from primepairs import (
     mobius,
     pair_count_circular,
     pair_count_linear,
-    pair_count_via_spectrum,
+    pair_counts_via_spectrum,
     pi_progression,
     primorial,
     psi_pair_direct,
@@ -70,7 +70,7 @@ def test_criterion_01_exact_spectral_identity(table_1e6):
     for n in (30, 120, 1009, 4096, 30030):
         t = build_table(n)
         for two_k in (2, 4, 6, 12):
-            spectral = pair_count_via_spectrum(n, two_k, t)
+            (spectral,) = pair_counts_via_spectrum(t, [two_k])
             sieved = pair_count_circular(t, two_k)
             raw = oracles.pair_correlation_via_spectrum(t.ring_indicator(), two_k)
             residual = abs(raw - spectral)
@@ -78,8 +78,8 @@ def test_criterion_01_exact_spectral_identity(table_1e6):
                 failures.append((n, two_k, spectral, sieved, residual))
     start = time.perf_counter()
     big_table = build_table(10**6)
-    for two_k in (2, 4, 6, 12):
-        spectral = pair_count_via_spectrum(10**6, two_k, big_table)
+    shifts = (2, 4, 6, 12)
+    for two_k, spectral in zip(shifts, pair_counts_via_spectrum(big_table, shifts)):
         if spectral != pair_count_circular(table_1e6, two_k):
             failures.append((10**6, two_k, "mismatch"))
     elapsed = time.perf_counter() - start
@@ -232,14 +232,14 @@ def test_criterion_06_subgroup_identity_instances():
     failures = []
     for n, Q in ((3000, 30), (2310 * 16, 2310)):
         t = build_table(n)
-        deviation = rho_identity_check(n, Q, t, tol=float("inf"))
+        deviation = rho_identity_check(t, Q, tol=float("inf"))
         if deviation >= 1e-6 * t.pi(n):
             failures.append((n, Q, "rho", deviation))
         for two_k in (2, 6):
-            report = decompose(n, Q, two_k, t, tol=float("inf"))
+            report = decompose(t, Q, two_k, tol=float("inf"))
             if report.reconstruction_residual >= 1e-6 * n:
                 failures.append((n, Q, two_k, "reconstruction", report.reconstruction_residual))
-            gap = abs(main_term_convolution(n, Q, two_k, t) - report.main_term)
+            gap = abs(main_term_convolution(t, Q, two_k) - report.main_term)
             if gap >= 1e-6 * n / Q:
                 failures.append((n, Q, two_k, "main-term", gap))
     _report(
@@ -283,7 +283,7 @@ def test_criterion_08_parity_relation(table_10k):
     worst_n = None
     for n in range(4, 10**4 + 1, 2):
         sub = PrimeTable(n=n, is_prime=table_10k.is_prime[: n + 1])
-        residual = half_spectrum_residual(n, sub) / max(sub.pi(n), 1)
+        residual = half_spectrum_residual(sub) / max(sub.pi(n), 1)
         if residual > worst:
             worst, worst_n = residual, n
     _report(
@@ -316,11 +316,12 @@ def test_criterion_09_hardy_littlewood_ratio(table_1e6):
 def test_criterion_10_psi_spectral_identity():
     failures = []
     for n in (30, 1009, 10**5):
+        t = build_table(n)
         for two_k in (2, 6):
-            gap = abs(psi_pair_via_spectrum(n, two_k) - psi_pair_direct(n, two_k))
+            gap = abs(psi_pair_via_spectrum(t, two_k) - psi_pair_direct(t, two_k))
             if gap >= 1e-6 * n * math.log(n) ** 2:
                 failures.append((n, two_k, gap))
-    ratio = psi_pair_via_spectrum(10**6, 2) / (hl_constant(2, 10**7).value * 10**6)
+    ratio = psi_pair_via_spectrum(build_table(10**6), 2) / (hl_constant(2, 10**7).value * 10**6)
     _report(
         "10",
         not failures and 0.9 <= ratio <= 1.1,

@@ -314,7 +314,7 @@ class TestTransformBudget:
     def test_every_transform_goes_through_transform_module(self, tmp_path, calls, callers, table_9240):
         argv = ["verify", "--n", "2310,1001", "--z", "5,7,11", "--two-k", "2,4,6", "--out", str(tmp_path)]
         assert main(argv) == 0
-        error_probe(9240, 30, 2, 77, table_9240)
+        error_probe(table_9240, 30, 2, 77)
         # the class masks, the mod-Q transforms and error_probe's fft/ifft
         assert {name for name, _ in calls} >= {"fft", "ifft", "rfft", "irfft"}
         assert set(callers) == {"primepairs.transform"}

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -24,7 +25,7 @@ from primepairs import (
     main_term_convolution,
     pair_count_circular,
     pair_count_linear,
-    pair_count_via_spectrum,
+    pair_counts_via_spectrum,
     pi_progression,
     psi_pair_direct,
     psi_pair_via_spectrum,
@@ -32,9 +33,8 @@ from primepairs import (
     twisted_progression_count,
     von_mangoldt_vector,
 )
-from primepairs import IdentityError, spectral
+from primepairs import IdentityError, spectral, transform
 from primepairs.spectral import (
-    ColumnBlocks,
     column_pair_counts,
     column_pair_spectra,
     correlation_direct,
@@ -42,9 +42,8 @@ from primepairs.spectral import (
     is_primorial,
     pair_count_modulus,
     pair_count_rounding_budget,
-    pair_counts_via_spectrum,
 )
-from primepairs.transform import as_ring, forward, unit_phase
+from primepairs.transform import ColumnBlocks, as_ring, forward, unit_phase
 
 import oracles
 
@@ -54,16 +53,18 @@ class TestSpectralPairCount:
     @pytest.mark.parametrize("two_k", [2, 4, 6, 12])
     def test_matches_circular_sieve(self, n, two_k):
         table = build_table(n)
-        assert pair_count_via_spectrum(n, two_k, table) == pair_count_circular(table, two_k)
+        assert pair_counts_via_spectrum(table, [two_k]) == [pair_count_circular(table, two_k)]
 
-    def test_small_reference_values(self):
-        assert pair_count_via_spectrum(30, 2) == 4
-        assert pair_count_via_spectrum(100, 2) == 8
-        assert pair_count_via_spectrum(100, 6) == oracles.pair_count_circular_naive(100, 6)
+    def test_small_reference_values(self, table_100):
+        assert pair_counts_via_spectrum(build_table(30), [2]) == [4]
+        assert pair_counts_via_spectrum(table_100, [2, 6]) == [
+            8,
+            oracles.pair_count_circular_naive(100, 6),
+        ]
 
     def test_rejects_out_of_range_shift(self):
         with pytest.raises(UsageError):
-            pair_count_via_spectrum(30, 30)
+            pair_counts_via_spectrum(build_table(30), [30])
 
     def test_prime_weights_through_shared_core(self, table_100):
         # the correlation core applied to the prime indicator is exactly
@@ -76,10 +77,10 @@ class TestSpectralPairCount:
 class TestRhoIdentity:
     def test_desk_instances(self):
         t = build_table(3000)
-        assert rho_identity_check(3000, 30, t) < 1e-6 * t.pi(3000)
+        assert rho_identity_check(t, 30) < 1e-6 * t.pi(3000)
 
     def test_trivial_modulus(self, table_100):
-        assert rho_identity_check(100, 1, table_100) < 1e-9
+        assert rho_identity_check(table_100, 1) < 1e-9
 
     def test_dc_sample_is_prime_count(self, table_9240):
         spec = forward(table_9240.ring_indicator())
@@ -87,42 +88,43 @@ class TestRhoIdentity:
 
     def test_rejects_non_divisor(self, table_100):
         with pytest.raises(UsageError):
-            rho_identity_check(100, 30, table_100)
+            rho_identity_check(table_100, 30)
 
 
 class TestMainTermConvolution:
     def test_trivial_modulus_is_squared_density(self, table_100):
-        value = main_term_convolution(100, 1, 2, table_100)
+        value = main_term_convolution(table_100, 1, 2)
         assert value == pytest.approx(table_100.pi(100) ** 2 / 100)
 
     def test_zero_lag_autocorrelation(self, table_9240):
         # 2k = 0 mod Q reduces to the sum of squared residue counts
-        value = main_term_convolution(9240, 30, 30, table_9240)
+        value = main_term_convolution(table_9240, 30, 30)
         rho = np.array([pi_progression(table_9240, 30, a) for a in range(30)], dtype=float)
         assert value == pytest.approx(30 / 9240 * np.dot(rho, rho))
 
     def test_matches_decomposition_main_term(self):
         for n, Q, two_k in ((3000, 30, 2), (3840, 30, 2), (9240, 2310, 6)):
             t = build_table(n)
-            report = decompose(n, Q, two_k, t)
-            assert main_term_convolution(n, Q, two_k, t) == pytest.approx(
+            report = decompose(t, Q, two_k)
+            assert main_term_convolution(t, Q, two_k) == pytest.approx(
                 report.main_term, abs=1e-6 * n / Q
             )
 
 
 class TestDecompose:
     def test_reconstruction_and_positivity(self):
-        report = decompose(3840, 30, 2)
+        t = build_table(3840)
+        report = decompose(t, 30, 2)
         assert report.reconstruction_residual < 1e-6 * 3840
         assert report.main_term > 0
-        assert report.pair_count_circular == pair_count_circular(build_table(3840), 2)
+        assert report.pair_count_circular == pair_count_circular(t, 2)
         assert report.error_spectrum.shape == (3840 // 30,)
 
     def test_exploratory_ratio_reported(self):
         # the main term divided by the conjectural prediction should be of
         # order one at desk scale; reported, not asserted tightly
         n = 2310 * 64
-        report = decompose(n, 2310, 2)
+        report = decompose(build_table(n), 2310, 2)
         assert 0.5 <= report.main_term / (report.predicted_main_li2 / n * n) <= 2.0
         assert report.predicted_main_log2 > 0
 
@@ -131,22 +133,22 @@ class TestDecompose:
         # naive squared density
         n = 4096
         t = build_table(n)
-        report = decompose(n, 2, 2, t)
+        report = decompose(t, 2, 2)
         naive = t.pi(n) ** 2 / n
         assert report.main_term == pytest.approx(2 * naive, rel=0.01)
 
     def test_requires_primorial_modulus(self):
         with pytest.raises(UsageError, match="primorial"):
-            decompose(3000, 10, 2)
+            decompose(build_table(3000), 10, 2)
 
     def test_requires_divisibility(self):
         with pytest.raises(UsageError):
-            decompose(3001, 30, 2)
+            decompose(build_table(3001), 30, 2)
 
     def test_oversized_modulus_still_exact(self, caplog):
         # Q above sqrt(n) stays a valid exact identity
         with caplog.at_level("WARNING"):
-            report = decompose(2310 * 2, 2310, 2)
+            report = decompose(build_table(2310 * 2), 2310, 2)
         assert report.reconstruction_residual < 1e-6 * 2310 * 2
 
 
@@ -162,16 +164,16 @@ class TestErrorProbe:
                 continue
             xi = int(rng.integers(1, n // Q))
             two_k = int(rng.choice([2, 4, 6, 12]))
-            probe = error_probe(n, Q, two_k, xi, tables[n])
+            probe = error_probe(tables[n], Q, two_k, xi)
             assert probe.magnitude == abs(probe.correlation)
             cases += 1
 
     def test_matches_coset_regroup_value(self):
         n, Q, two_k = 3000, 30, 2
         t = build_table(n)
-        report = decompose(n, Q, two_k, t)
+        report = decompose(t, Q, two_k)
         for xi in (1, 7, 42):
-            probe = error_probe(n, Q, two_k, xi, t)
+            probe = error_probe(t, Q, two_k, xi)
             assert Q * probe.correlation == pytest.approx(
                 complex(report.error_spectrum[xi]), abs=1e-6 * t.pi(n) ** 2
             )
@@ -182,7 +184,7 @@ class TestErrorProbe:
         rho = np.array([pi_progression(t, Q, a) for a in range(Q)], dtype=float)
         majorant = float(np.dot(rho, np.roll(rho, -two_k)))
         for xi in (1, 13, 99):
-            probe = error_probe(n, Q, two_k, xi, t)
+            probe = error_probe(t, Q, two_k, xi)
             assert probe.magnitude <= majorant + 1e-9
 
     def test_trivial_modulus_gives_power_at_xi(self):
@@ -190,7 +192,7 @@ class TestErrorProbe:
         t = build_table(n)
         spec = forward(t.ring_indicator())
         for xi in (1, 5, 100):
-            probe = error_probe(n, 1, 2, xi, t)
+            probe = error_probe(t, 1, 2, xi)
             assert probe.correlation == pytest.approx(
                 abs(spec[xi]) ** 2, abs=1e-6 * t.pi(n)
             )
@@ -198,7 +200,7 @@ class TestErrorProbe:
     def test_per_residue_is_twisted_count(self):
         n, Q, xi = 3000, 30, 17
         t = build_table(n)
-        probe = error_probe(n, Q, 2, xi, t)
+        probe = error_probe(t, Q, 2, xi)
         for a in (0, 1, 7, 29):
             assert probe.per_residue[a] == pytest.approx(
                 twisted_progression_count(t, xi, Q, a), abs=1e-9
@@ -209,8 +211,8 @@ class TestErrorSpectrumStats:
     def test_self_consistent_with_decompose(self):
         n, Q, two_k = 3840, 30, 2
         t = build_table(n)
-        stats = error_spectrum_stats(n, Q, two_k, t)
-        report = decompose(n, Q, two_k, t)
+        stats = error_spectrum_stats(t, Q, two_k)
+        report = decompose(t, Q, two_k)
         tail = np.abs(report.error_spectrum[1:])
         assert stats["max_abs_T_over_n"] == pytest.approx(tail.max() / n)
         assert stats["argmax_xi"] == int(np.argmax(tail)) + 1
@@ -218,8 +220,8 @@ class TestErrorSpectrumStats:
     def test_offzero_sum_is_reconstruction_gap(self):
         n, Q, two_k = 3840, 30, 2
         t = build_table(n)
-        stats = error_spectrum_stats(n, Q, two_k, t)
-        report = decompose(n, Q, two_k, t)
+        stats = error_spectrum_stats(t, Q, two_k)
+        report = decompose(t, Q, two_k)
         offzero = complex(stats["offzero_sum_re"], stats["offzero_sum_im"])
         assert abs(offzero) == pytest.approx(
             abs(report.pair_count_circular - report.main_term), abs=1e-6
@@ -233,22 +235,32 @@ class TestErrorSpectrumStats:
         t = build_table(n)
         power = np.abs(forward(t.ring_indicator())) ** 2
         expected = int(np.count_nonzero(power[1:] / n >= n / math.log(n) ** 2))
-        stats = error_spectrum_stats(n, 1, 2, t)
+        stats = error_spectrum_stats(t, 1, 2)
         assert stats["large_frequency_count"] == expected
         if n in (3840, 2310):
             assert expected % 2 == 1  # the Nyquist bin, counted once
 
     def test_degenerate_modulus_rejected(self, table_100):
         with pytest.raises(UsageError):
-            error_spectrum_stats(100, 100, 2, table_100)
+            error_spectrum_stats(table_100, 100, 2)
+
+    @pytest.mark.parametrize("Q", [1, 6, 30, 2310])
+    def test_progression_scale_counts_units(self, table_9240, Q):
+        # phi(Q) from the factorization gives, bit for bit, the scale of a
+        # count of the units among 1..Q
+        n = 9240
+        units = np.count_nonzero(np.gcd(np.arange(1, Q + 1), Q) == 1)
+        stats = error_spectrum_stats(table_9240, Q, 2)
+        assert stats["progression_scale"] == n / (float(units) * math.log(n))
 
 
 class TestPsiPair:
     def test_spectral_equals_direct(self):
         for n in (30, 1009):
+            t = build_table(n)
             for two_k in (2, 6):
-                spectral = psi_pair_via_spectrum(n, two_k)
-                direct = psi_pair_direct(n, two_k)
+                spectral = psi_pair_via_spectrum(t, two_k)
+                direct = psi_pair_direct(t, two_k)
                 assert abs(spectral - direct) < 1e-6 * n * math.log(n) ** 2
 
     def test_hand_value_n30(self):
@@ -257,28 +269,27 @@ class TestPsiPair:
         expected = sum(
             lam[x] * lam[(x + 2 - 1) % 30 + 1] for x in range(1, 31)
         )
-        assert psi_pair_via_spectrum(30, 2) == pytest.approx(expected, abs=1e-9)
+        assert psi_pair_via_spectrum(build_table(30), 2) == pytest.approx(expected, abs=1e-9)
 
     def test_zero_shift_is_energy(self):
         n = 500
         ring = as_ring(von_mangoldt_vector(n))
-        assert psi_pair_via_spectrum(n, 0) == pytest.approx(
+        assert psi_pair_via_spectrum(build_table(n), 0) == pytest.approx(
             float(np.dot(ring, ring)), abs=1e-7
         )
 
-    def test_cap_names_the_column_length(self, monkeypatch):
+    def test_cap_names_the_column_length(self, table_10000019):
         # the prime 10000019 has Q = 1, so its one column is the whole ring;
-        # rejected before any weight is computed, as a resource limit
-        monkeypatch.setattr(spectral, "von_mangoldt_vector", lambda n: pytest.fail("sieved"))
-        with pytest.raises(ResourceLimitError, match="psi pair correlation capped at 1e7, got 10000019$"):
-            psi_pair_via_spectrum(10000019, 2)
+        # the kernel rejects it, as a resource limit, before any transform
+        with pytest.raises(ResourceLimitError, match="residue-column length capped at 1e7, got 10000019$"):
+            psi_pair_via_spectrum(table_10000019, 2)
 
     def test_density_ratio_reported_scale(self):
         # psi-pair mass over C_2k * n is of order one already at modest n
         from primepairs import hl_constant
 
         n = 10**5
-        ratio = psi_pair_via_spectrum(n, 2) / (hl_constant(2, 10**6).value * n)
+        ratio = psi_pair_via_spectrum(build_table(n), 2) / (hl_constant(2, 10**6).value * n)
         assert 0.7 <= ratio <= 1.3
 
 
@@ -291,8 +302,8 @@ class TestBlasFreeSums:
         script = (
             "from primepairs import build_table, half_spectrum_pair_value, main_term_convolution\n"
             "t = build_table(10**6)\n"
-            "print(repr(half_spectrum_pair_value(10**6, 2, t)))\n"
-            "print(repr(main_term_convolution(10**6, 10**5, 2, t)))\n"
+            "print(repr(half_spectrum_pair_value(t, 2)))\n"
+            "print(repr(main_term_convolution(t, 10**5, 2)))\n"
         )
         printed = []
         for threads in ("1", "2"):
@@ -313,11 +324,11 @@ class TestHalfSpectrum:
     def test_parity_relation_exact(self):
         for n in (4, 30, 100, 4096, 9240):
             t = build_table(n)
-            assert half_spectrum_residual(n, t) < 1e-6 * max(t.pi(n), 1)
+            assert half_spectrum_residual(t) < 1e-6 * max(t.pi(n), 1)
 
     def test_rejects_odd_extent(self):
         with pytest.raises(UsageError):
-            half_spectrum_residual(99)
+            half_spectrum_residual(build_table(99))
 
     def test_folded_value_close_to_pair_count(self):
         # scanned over every even n <= 1e5 during development: the folded
@@ -329,7 +340,7 @@ class TestHalfSpectrum:
             for two_k in (2, 6):
                 if two_k >= n:
                     continue
-                folded = half_spectrum_pair_value(n, two_k, t)
+                folded = half_spectrum_pair_value(t, two_k)
                 full = pair_count_circular(t, two_k)
                 assert abs(folded - full) <= 6.0, (n, two_k)
 
@@ -359,7 +370,7 @@ class TestHermitianPaths:
         t = build_table(n)
         # the last shift is 2k = n - 2 for even n
         shifts = list(range(2, n, 2))
-        assert pair_counts_via_spectrum(n, shifts, t) == [pair_count_circular(t, k) for k in shifts]
+        assert pair_counts_via_spectrum(t, shifts) == [pair_count_circular(t, k) for k in shifts]
 
     @given(n=EXTENTS, k=st.integers(min_value=0, max_value=600))
     @example(n=1155, k=0)
@@ -374,7 +385,7 @@ class TestHermitianPaths:
         ring = t.ring_indicator()
         for Q in (q for q in PRIMORIALS if n % q == 0):
             expected = oracles.error_spectrum_full_route(ring, Q, two_k)
-            got = decompose(n, Q, two_k, t).error_spectrum
+            got = decompose(t, Q, two_k).error_spectrum
             assert got.shape == (n // Q,)
             assert np.abs(got - expected).max() <= 1e-12 * max(np.abs(expected).max(), 1.0)
         if n % 2 == 0:
@@ -382,7 +393,7 @@ class TestHermitianPaths:
             power = np.abs(forward(ring)) ** 2
             half = n // 2
             folded = 2.0 * np.dot(power[:half], unit_phase(n, two_k * np.arange(half))) / n
-            assert half_spectrum_pair_value(n, two_k, t) == pytest.approx(folded, rel=1e-12)
+            assert half_spectrum_pair_value(t, two_k) == pytest.approx(folded, rel=1e-12)
 
     @given(n=EXTENTS)
     @example(n=4)
@@ -401,7 +412,7 @@ class TestHermitianPaths:
             got = spectral.subgroup_samples(ColumnBlocks(t.is_prime, Q))
             assert got.shape == (Q,)
             assert np.abs(got - expected).max() <= 1e-9 * max(t.pi(n), 1)
-            assert rho_identity_check(n, Q, t) <= budget
+            assert rho_identity_check(t, Q) <= budget
 
     @pytest.mark.parametrize("block", [1, 2, 5])
     def test_subgroup_samples_across_blocks(self, table_9240, block):
@@ -414,30 +425,24 @@ class TestHermitianPaths:
         assert np.abs(got - expected).max() <= 1e-9 * table_9240.pi(n)
 
     @pytest.mark.parametrize("block", [1, 2, 5, None])
-    def test_shared_columns_match_unshared(self, table_9240, block):
-        # one ColumnBlocks read by the subgroup samples and then by the
-        # decompositions gives, bit for bit, what each gets from its own;
-        # with more than one block it keeps no spectra, and with one it
-        # transforms its columns once for both
+    def test_shared_columns_match_unshared(self, block):
+        # the subgroup samples and then the decompositions read one table's
+        # columns and give, bit for bit, what each gets from columns of its
+        # own; with more than one block the table keeps no spectra, and
+        # with one it transforms its columns once for both
         n, Q, shifts = 9240, 210, [2, 4, 420]
-        batches = []
-        original = spectral.forward_real
-
-        def counted(f):
-            batches.append(f.shape)
-            return original(f)
-
-        with _classes_per_block(block, n // Q), mock.patch.object(spectral, "forward_real", counted):
-            columns = ColumnBlocks(table_9240.is_prime, Q)
-            shared = spectral.subgroup_samples(columns)
-            shared_reports = list(decompositions(n, Q, shifts, table_9240, columns=columns))
+        with _classes_per_block(block, n // Q), _counted_column_rffts() as batches:
+            t = build_table(n)
+            shared = spectral.subgroup_samples(t.columns(Q))
+            shared_reports = list(decompositions(t, Q, shifts))
             shared_batches = len(batches)
-            alone = spectral.subgroup_samples(ColumnBlocks(table_9240.is_prime, Q))
-            alone_reports = list(decompositions(n, Q, shifts, table_9240))
+            alone = spectral.subgroup_samples(ColumnBlocks(t.is_prime, Q))
+            alone_reports = list(decompositions(build_table(n), Q, shifts))
         assert shared.tobytes() == alone.tobytes()
         for a, b in zip(shared_reports, alone_reports, strict=True):
             assert a.error_spectrum.tobytes() == b.error_spectrum.tobytes()
             assert (a.main_term, a.reconstruction_residual) == (b.main_term, b.reconstruction_residual)
+        columns = t.columns(Q)
         # the 48 units mod 210 and the classes of 2, 3, 5 and 7
         assert columns.classes.size == 52
         if block is None:
@@ -447,13 +452,32 @@ class TestHermitianPaths:
             assert columns.kept is None
             assert shared_batches == len(batches) - shared_batches >= 2 * -(-52 // block)
 
-    def test_columns_of_another_table_or_modulus_rejected(self, table_9240, table_10k):
-        other_table = ColumnBlocks(table_10k.is_prime[:9241], 30)
-        for columns in (other_table, ColumnBlocks(table_9240.is_prime, 210)):
-            with pytest.raises(UsageError, match="supplied columns"):
-                rho_identity_check(9240, 30, table_9240, columns=columns)
-            with pytest.raises(UsageError, match="supplied columns"):
-                next(decompositions(9240, 30, [2], table_9240, columns=columns))
+    def test_one_column_rfft_per_table_and_modulus(self):
+        # two decompose calls and a subgroup check on one table at one Q
+        # read the columns the table keeps: the 8 units mod 30 and the
+        # classes of 2, 3 and 5, transformed once
+        t = build_table(9240)
+        with _counted_column_rffts() as batches:
+            first = decompose(t, 30, 2)
+            second = decompose(t, 30, 4)
+            rho_identity_check(t, 30)
+        assert batches == [(11, 9240 // 30)]
+        assert first.pair_count_circular == pair_count_circular(t, 2)
+        assert second.pair_count_circular == pair_count_circular(t, 4)
+
+    def test_another_modulus_replaces_the_columns(self):
+        # the table keeps the columns of the last Q only: asking for
+        # another releases them, spectra and all
+        t = build_table(9240)
+        columns = t.columns(30)
+        spectral.subgroup_samples(columns)
+        assert columns.kept is not None and t.columns(30) is columns
+        released = weakref.ref(columns)
+        del columns
+        replaced = t.columns(210)
+        assert replaced.Q == 210 and replaced.kept is None
+        assert released() is None
+        assert t.columns(210) is replaced and t.columns(30) is not replaced
 
 
 def _column_route_T(half, n, Q, two_k):
@@ -470,7 +494,22 @@ def _classes_per_block(block, m):
     keeps the default."""
     if block is None:
         return contextlib.nullcontext()
-    return mock.patch.object(spectral, "COLUMN_BLOCK_BYTES", block * (m // 2 + 1) * 16)
+    return mock.patch.object(transform, "COLUMN_BLOCK_BYTES", block * (m // 2 + 1) * 16)
+
+
+@contextlib.contextmanager
+def _counted_column_rffts():
+    """The shapes of the batched column rffts that ``ColumnBlocks`` makes
+    while the context is open, in order."""
+    batches = []
+    original = transform.forward_real
+
+    def counted(f):
+        batches.append(f.shape)
+        return original(f)
+
+    with mock.patch.object(transform, "forward_real", counted):
+        yield batches
 
 
 class TestColumnKernel:
@@ -547,22 +586,15 @@ class TestColumnKernel:
         tolerance = 1e-6 * n * math.log(n) ** 2
         direct = correlation_direct(as_ring(weights), two_k)
         assert abs(raw - direct) <= tolerance
-        assert abs(psi_pair_via_spectrum(n, two_k) - direct) <= tolerance
+        assert abs(psi_pair_via_spectrum(build_table(n), two_k) - direct) <= tolerance
 
-    def test_small_blocks_agree_with_one_block(self, monkeypatch):
+    def test_small_blocks_agree_with_one_block(self):
         # when every class fits one block, one batched transform serves
         # every shift; any block size gives the same accumulators
         t = build_table(9240)
         shifts = [2, 4, 30, 210, 2310, 9238]
-        batches = []
-        original = spectral.forward_real
-
-        def counted(f):
-            batches.append(f.shape)
-            return original(f)
-
-        monkeypatch.setattr(spectral, "forward_real", counted)
-        whole = list(column_pair_spectra(ColumnBlocks(t.is_prime, 210), shifts))
+        with _counted_column_rffts() as batches:
+            whole = list(column_pair_spectra(ColumnBlocks(t.is_prime, 210), shifts))
         # the 48 units mod 210 and the classes of 2, 3, 5 and 7
         assert batches == [(52, 9240 // 210)]
         for block in (1, 4, 13):
@@ -579,7 +611,7 @@ class TestColumnKernel:
         for Q, shifts in ((30, [2]), (210, [6, 420])):
             m = n // Q
             raws = column_pair_counts(t.is_prime, Q, shifts)
-            for two_k, raw, report in zip(shifts, raws, decompositions(n, Q, shifts, t), strict=True):
+            for two_k, raw, report in zip(shifts, raws, decompositions(t, Q, shifts), strict=True):
                 expected = oracles.error_spectrum_full_route(ring, Q, two_k)
                 got = report.error_spectrum
                 scale = np.abs(expected).max()
@@ -589,7 +621,7 @@ class TestColumnKernel:
                 )
                 # error_probe's direct twisted sums use no transform of length m or n
                 for xi in (1, 12345, m - 1):
-                    probe = error_probe(n, Q, two_k, xi, t)
+                    probe = error_probe(t, Q, two_k, xi)
                     assert abs(Q * probe.correlation - got[xi]) <= 1e-9 * scale
 
     @given(
@@ -610,8 +642,8 @@ class TestColumnKernel:
         Q = moduli[pick % len(moduli)]
         shifts = [2 + 2 * (k % ((n - 1) // 2)) for k in ks]  # every even 2 <= 2k < n
         with _classes_per_block(block, n // Q):
-            reports = list(decompositions(n, Q, shifts, t))
-            singles = [decompose(n, Q, two_k, t) for two_k in shifts]
+            reports = list(decompositions(t, Q, shifts))
+            singles = [decompose(t, Q, two_k) for two_k in shifts]
         for report, single in zip(reports, singles, strict=True):
             assert report.error_spectrum.tobytes() == single.error_spectrum.tobytes()
             for name in (
@@ -649,7 +681,7 @@ class TestPairCountBudget:
     def test_budget_of_half_or_more_raises_before_rounding(self, monkeypatch):
         monkeypatch.setattr(spectral, "FFT_ERROR_GROWTH", 1e18)
         with pytest.raises(IdentityError, match="cannot certify"):
-            pair_count_via_spectrum(120, 2)
+            pair_counts_via_spectrum(build_table(120), [2])
 
     def test_tolerance_tightens_never_loosens(self, monkeypatch):
         n = 30030
@@ -663,22 +695,22 @@ class TestPairCountBudget:
         # an error inside the model passes at the default and fails a
         # tighter tolerance
         shifted(model / 2)
-        assert pair_count_via_spectrum(n, 2, t) == pair_count_circular(t, 2)
+        assert pair_counts_via_spectrum(t, [2]) == [pair_count_circular(t, 2)]
         with pytest.raises(IdentityError, match="rounding"):
-            pair_count_via_spectrum(n, 2, t, tol=model / 4 / n)
+            pair_counts_via_spectrum(t, [2], tol=model / 4 / n)
         # an error past the model fails even under a tolerance of n
         shifted(0.25)
         for tol in (1e-6, 1.0):
             with pytest.raises(IdentityError, match="rounding"):
-                pair_count_via_spectrum(n, 2, t, tol=tol)
+                pair_counts_via_spectrum(t, [2], tol=tol)
 
     def test_counts_for_several_shifts(self, table_10k):
         shifts = [2, 4, 6, 210, 9998]
-        assert pair_counts_via_spectrum(10**4, shifts, table_10k) == [
+        assert pair_counts_via_spectrum(table_10k, shifts) == [
             pair_count_circular(table_10k, k) for k in shifts
         ]
         with pytest.raises(UsageError):
-            pair_counts_via_spectrum(10**4, [2, 10**4], table_10k)
+            pair_counts_via_spectrum(table_10k, [2, 10**4])
 
 
 class TestIsPrimorial:
@@ -697,7 +729,7 @@ class TestUpperExtent:
         # the published value and the sieve paths
         t = build_table(10**7)
         assert t.pi(10**7) == 664579
-        assert pair_count_via_spectrum(10**7, 2, t) == oracles.PAIR_COUNT_TWIN_1E7
+        assert pair_counts_via_spectrum(t, [2]) == [oracles.PAIR_COUNT_TWIN_1E7]
         assert pair_count_linear(t, 2) == oracles.PAIR_COUNT_TWIN_1E7
 
     @pytest.mark.parametrize("n", [10000030, 2 * 10**7])
@@ -706,31 +738,37 @@ class TestUpperExtent:
         # transform columns within the cap
         t = build_table(n)
         shifts = [2, 4, 210]
-        assert pair_counts_via_spectrum(n, shifts, t) == [pair_count_circular(t, k) for k in shifts]
+        assert pair_counts_via_spectrum(t, shifts) == [pair_count_circular(t, k) for k in shifts]
 
     def test_decompose_past_the_cap(self):
         # 10000020 = 30 * 333334: T from length-333334 columns
         n, Q = 10000020, 30
         t = build_table(n)
-        report = decompose(n, Q, 2, t)
+        report = decompose(t, Q, 2)
         assert report.error_spectrum.shape == (n // Q,)
         assert report.pair_count_circular == pair_count_circular(t, 2)
         assert report.reconstruction_residual < 1e-6
-        assert report.main_term == pytest.approx(main_term_convolution(n, Q, 2, t), rel=1e-9)
+        assert report.main_term == pytest.approx(main_term_convolution(t, Q, 2), rel=1e-9)
 
     def test_rho_identity_past_the_cap(self):
         # 20030010 = 30030 * 667: the subgroup samples come from columns
-        # of length 667 and one transform of length 30030; no table is
-        # passed, so the call's own cap check runs before it sieves
+        # of length 667 and one transform of length 30030, each within the
+        # cap that the kernel checks
         n, Q = 20030010, 30030
         t = build_table(n)
-        assert rho_identity_check(n, Q) <= 1e-6 * t.pi(n)
+        assert rho_identity_check(t, Q) <= 1e-6 * t.pi(n)
 
-    def test_extent_above_ceiling_rejected(self, monkeypatch):
-        # the cap holds the column length n/Q: the prime 10000019 has Q = 1
-        monkeypatch.setattr(spectral, "build_table", lambda *a, **kw: pytest.fail("sieved"))
-        with pytest.raises(ResourceLimitError, match="10000019"):
-            pair_count_via_spectrum(10000019, 2)
+    def test_extent_above_ceiling_rejected(self, table_10000019):
+        # the cap holds the column length n/Q: the prime 10000019 has Q = 1,
+        # so its one column is the whole ring, and the kernel raises before
+        # any transform, for the pair counts and the subgroup samples alike
+        calls = []
+        with mock.patch.object(np.fft, "rfft", lambda *a, **kw: calls.append(a)):
+            with pytest.raises(ResourceLimitError, match="residue-column length capped at 1e7, got 10000019$"):
+                pair_counts_via_spectrum(table_10000019, [2])
+            with pytest.raises(ResourceLimitError, match="subgroup samples length capped at 1e7, got 10000019$"):
+                rho_identity_check(table_10000019, 1)
+        assert calls == []
 
 
 class TestConcurrency:
@@ -742,8 +780,8 @@ class TestConcurrency:
         def work(seed: int):
             two_k = 2 + 2 * (seed % 6)
             return (
-                pair_count_via_spectrum(9240, two_k, table_9240),
-                rho_identity_check(9240, 30, table_9240),
+                pair_counts_via_spectrum(table_9240, [two_k]),
+                rho_identity_check(table_9240, 30),
                 factorize(10**6 + seed).value,
                 float(singular_series_product(2310, two_k)),
                 hl_constant(two_k, 1000).value,
