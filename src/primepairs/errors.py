@@ -1,8 +1,11 @@
-"""Exception hierarchy shared by all primepairs modules.
+"""Exception hierarchy shared by all primepairs modules, and the check
+record that IdentityError is raised from.
 
 Exit-code mapping used by the CLI: UsageError -> 1, IdentityError -> 2,
 CacheError -> 2, ResourceLimitError -> 3.
 """
+
+from dataclasses import dataclass
 
 
 class PrimePairsError(Exception):
@@ -33,3 +36,25 @@ class ResourceLimitError(PrimePairsError):
 
 class CacheError(PrimePairsError):
     """A prime-table cache file is missing, malformed, or fails its checksum."""
+
+
+@dataclass(frozen=True)
+class IdentityCheck:
+    """One identity's residual against its tolerance: the library raises
+    IdentityError from it, and the identity suite records it as a row.
+    A NaN residual fails."""
+
+    identity: str
+    residual: float
+    tolerance: float
+    detail: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.residual <= self.tolerance)
+
+    def require(self) -> "IdentityCheck":
+        """This check, or IdentityError if it failed."""
+        if not self.passed:
+            raise IdentityError(self.identity, self.residual, self.tolerance, self.detail)
+        return self

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import IdentityError, ResourceLimitError, UsageError
+from .errors import IdentityCheck, ResourceLimitError, UsageError
 
 MAX_INT_WIDTH = 2**63 - 1
 
@@ -217,10 +217,7 @@ def ramanujan_sum_direct(q: int, r: int) -> int:
     nearest = round(total.real)
     residual = abs(total - nearest)
     tolerance = 1e-9 * len(b)
-    if residual > tolerance:
-        raise IdentityError(
-            "ramanujan-sum-integrality", residual, tolerance, f"q={q}, r={r}"
-        )
+    IdentityCheck("ramanujan-sum-integrality", residual, tolerance, f"q={q}, r={r}").require()
     return int(nearest)
 
 

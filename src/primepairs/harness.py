@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .constants import hl_constant, li2, singular_series_product
-from .errors import UsageError
+from .errors import IdentityCheck, UsageError
 from .factored import primorial
 from .reports import complex_rows, write_csv, write_json, write_spectrum_export
 from .sieve import (
@@ -35,15 +35,15 @@ from .sieve import (
     von_mangoldt_vector,
 )
 from .spectral import (
-    column_pair_counts,
-    correlation_direct,
+    decomposition_checks,
     decompositions,
     half_spectrum_residual,
     main_term_convolution,
+    pair_count_checks,
     pair_count_modulus,
-    pair_count_rounding_budget,
     pair_counts_via_spectrum,
-    rho_identity_check,
+    psi_pair_checks,
+    subgroup_restriction_check,
 )
 from .transform import (
     as_ring,
@@ -56,17 +56,17 @@ from .transform import (
 
 MODES = ("identity-suite", "decompose", "constants", "spectrum-export", "hl-ratio-sweep")
 
-# Scale-factor tolerances; each identity documents the scale it multiplies.
+# Scale-factor tolerances, each with its scale and the function applying it.
 DEFAULT_TOLERANCES = {
-    "spectral-pair-count": 1e-6,       # x n, tightened to the rounding budget
-    "round-trip": 1e-8,                # absolute: the 0/1 ring has max|f| = 1
-    "plancherel": 1e-8,                # relative
-    "twisted-plancherel": 1e-8,        # relative, per residue class
-    "parity-half-spectrum": 1e-6,      # x pi(n)
-    "subgroup-restriction": 1e-6,      # x pi(n)
-    "decomposition-reconstruction": 1e-6,  # x n
-    "main-term-convolution": 1e-6,     # x n/Q
-    "psi-spectral-identity": 1e-6,     # x n log^2 n
+    "spectral-pair-count": 1e-6,       # x n or the rounding model: spectral.pair_count_checks
+    "round-trip": 1e-8,                # absolute (max|f| = 1): _extent_rows
+    "plancherel": 1e-8,                # relative: _extent_rows
+    "twisted-plancherel": 1e-8,        # relative, per residue class: _subgroup_rows
+    "parity-half-spectrum": 1e-6,      # x pi(n): _parity_row
+    "subgroup-restriction": 1e-6,      # x pi(n): spectral.subgroup_restriction_check
+    "decomposition-reconstruction": 1e-6,  # x n: spectral.decomposition_checks
+    "main-term-convolution": 1e-6,     # x n/Q: _subgroup_rows
+    "psi-spectral-identity": 1e-6,     # x n log^2 n: spectral.psi_pair_checks
 }
 
 # Experiment schedule for subgroup moduli; kept explicit rather than
@@ -231,6 +231,13 @@ def _tol(config: ExperimentConfig, key: str) -> float:
     return float(config.tolerances.get(key, DEFAULT_TOLERANCES[key]))
 
 
+def _check(
+    config: ExperimentConfig, identity: str, residual: float, scale: float = 1
+) -> IdentityCheck:
+    """The check of an identity the suite alone computes, at tolerance x scale."""
+    return IdentityCheck(identity, residual, _tol(config, identity) * scale)
+
+
 def _table(config: ExperimentConfig, n: int) -> PrimeTable:
     return load_or_build(n, config.cache_dir)
 
@@ -261,24 +268,23 @@ def _run_identity_suite(config: ExperimentConfig, out: Path) -> RunResult:
     results = []
     lines = []
 
-    def record(identity, n, Q, two_k, residual, tolerance, extra=None):
-        passed = bool(residual <= tolerance)
+    def record(check: IdentityCheck, n, Q, two_k, extra=None):
         row = {
-            "identity": identity,
+            "identity": check.identity,
             "n": n,
             "Q": Q,
             "two_k": two_k,
-            "residual": float(residual),
-            "tolerance": float(tolerance),
-            "passed": passed,
+            "residual": float(check.residual),
+            "tolerance": float(check.tolerance),
+            "passed": check.passed,
         }
         if extra:
             row.update(extra)
         results.append(row)
-        status = "pass" if passed else "FAIL"
+        status = "pass" if check.passed else "FAIL"
         lines.append(
-            f"[{status}] {identity} n={n} Q={Q} 2k={two_k} "
-            f"residual={residual:.3e} tolerance={tolerance:.3e}"
+            f"[{status}] {check.identity} n={n} Q={Q} 2k={two_k} "
+            f"residual={check.residual:.3e} tolerance={check.tolerance:.3e}"
         )
 
     # each extent's rows run in their own function, so that no array of a
@@ -288,10 +294,12 @@ def _run_identity_suite(config: ExperimentConfig, out: Path) -> RunResult:
         _extent_rows(config, record, tables.get(n))
         # the psi rows read the held table of n, which the parity row may
         # replace by the table of n + 1; they are recorded after it
-        psi_rows = _psi_rows(config, tables.get(n))
+        psi = psi_pair_checks(
+            tables.get(n), config.two_k_values, _tol(config, "psi-spectral-identity")
+        )
         _parity_row(config, record, tables, n)
-        for row in psi_rows:
-            record(*row)
+        for two_k, (_, check) in zip(config.two_k_values, psi):
+            record(check, n, None, two_k)
         for z in config.z_schedule:
             _subgroup_rows(config, record, tables, n, z)
 
@@ -311,58 +319,28 @@ def _run_identity_suite(config: ExperimentConfig, out: Path) -> RunResult:
 def _extent_rows(config: ExperimentConfig, record, table: PrimeTable) -> None:
     """Spectral pair counts, round trip and Plancherel at one extent."""
     n = table.n
-    Q = pair_count_modulus(n)
-    # every shift from one batched transform of the length-n/Q columns,
-    # held to the budget pair_counts_via_spectrum rounds against
-    raw = column_pair_counts(table.is_prime, Q, config.two_k_values)
-    budget = min(
-        pair_count_rounding_budget(table.pi(n), Q, n // Q),
-        _tol(config, "spectral-pair-count") * n,
-    )
-    for two_k, value in zip(config.two_k_values, raw):
-        sieved = pair_count_circular(table, two_k)
-        record("spectral-pair-count", n, None, two_k, abs(value - sieved), budget)
+    # every shift from one batched transform of the length-n/Q columns
+    counts = pair_count_checks(table, config.two_k_values, _tol(config, "spectral-pair-count"))
+    for two_k, (_, check) in zip(config.two_k_values, counts):
+        record(check, n, None, two_k)
 
     ring = table.ring_indicator()
 
     round_trip = float(np.abs(inverse_real(table.spectrum(), n) - ring).max())
-    record("round-trip", n, None, None, round_trip, _tol(config, "round-trip"))
+    record(_check(config, "round-trip", round_trip), n, None, None)
 
     # the energy identity keeps its own full transform: it is the direct
     # route the cached spectrum is checked by
-    record("plancherel", n, None, None, plancherel_residual(ring), _tol(config, "plancherel"))
+    record(_check(config, "plancherel", plancherel_residual(ring)), n, None, None)
 
 
 def _parity_row(config: ExperimentConfig, record, tables: _ExtentTable, n: int) -> None:
     """The half-spectrum parity relation at n, or at n + 1 when n is odd."""
     even_n = n if n % 2 == 0 else n + 1
     table = tables.get(even_n)
-    record(
-        "parity-half-spectrum",
-        even_n,
-        None,
-        None,
-        half_spectrum_residual(table),
-        _tol(config, "parity-half-spectrum") * max(table.pi(even_n), 1),
-        extra={"requested_n": n},
-    )
-
-
-def _psi_rows(config: ExperimentConfig, table: PrimeTable) -> list[tuple]:
-    """The rows to record for the von Mangoldt pair correlations at the
-    table's extent: every shift from one batched transform of the
-    length-n/Q residue columns of the weights, as ``psi_pair_via_spectrum``
-    takes them; a violation is a FAIL row, never raised."""
-    n = table.n
-    weights = von_mangoldt_vector(n, table)
-    raw = column_pair_counts(weights, pair_count_modulus(n), config.two_k_values)
-    ring = as_ring(weights)
-    tolerance = _tol(config, "psi-spectral-identity") * n * math.log(n) ** 2
-    rows = []
-    for two_k, value in zip(config.two_k_values, raw):
-        gap = abs(value - correlation_direct(ring, two_k))
-        rows.append(("psi-spectral-identity", n, None, two_k, gap, tolerance))
-    return rows
+    residual = half_spectrum_residual(table)
+    check = _check(config, "parity-half-spectrum", residual, max(table.pi(even_n), 1))
+    record(check, even_n, None, None, extra={"requested_n": n})
 
 
 def _subgroup_rows(
@@ -382,15 +360,8 @@ def _subgroup_rows(
         "within_log5": bool(Q <= math.log(adjusted) ** 5),
         "within_log10": bool(Q <= math.log(adjusted) ** 10),
     }
-    record(
-        "subgroup-restriction",
-        adjusted,
-        Q,
-        None,
-        rho_identity_check(sub_table, Q, tol=float("inf")),
-        _tol(config, "subgroup-restriction") * max(sub_table.pi(adjusted), 1),
-        extra=extra,
-    )
+    check = subgroup_restriction_check(sub_table, Q, _tol(config, "subgroup-restriction"))
+    record(check, adjusted, Q, None, extra=extra)
     # twisted energy identity on a few residue classes: the class-masked
     # spectrum is the twisted progression sum, so its mean power equals
     # the plain class count.  That spectrum is e_n(-xi a) times the
@@ -403,37 +374,16 @@ def _subgroup_rows(
         energy = float(np.sum(np.abs(forward(columns[:, a])) ** 2)) / columns.shape[0]
         count = pi_progression(sub_table, Q, a)
         worst = max(worst, abs(energy - count) / max(count, 1))
-    record(
-        "twisted-plancherel",
-        adjusted,
-        Q,
-        None,
-        worst,
-        _tol(config, "twisted-plancherel"),
-        extra=extra,
+    record(_check(config, "twisted-plancherel", worst), adjusted, Q, None, extra=extra)
+    reports = decomposition_checks(
+        sub_table, Q, config.two_k_values, config.cutoff,
+        _tol(config, "decomposition-reconstruction"),
     )
-    reports = decompositions(
-        sub_table, Q, config.two_k_values, constant_cutoff=config.cutoff, tol=float("inf")
-    )
-    for two_k, report in zip(config.two_k_values, reports):
-        record(
-            "decomposition-reconstruction",
-            adjusted,
-            Q,
-            two_k,
-            report.reconstruction_residual,
-            _tol(config, "decomposition-reconstruction") * adjusted,
-            extra=extra,
-        )
-        record(
-            "main-term-convolution",
-            adjusted,
-            Q,
-            two_k,
-            abs(main_term_convolution(sub_table, Q, two_k) - report.main_term),
-            _tol(config, "main-term-convolution") * (adjusted / Q),
-            extra=extra,
-        )
+    for two_k, (report, check) in zip(config.two_k_values, reports):
+        record(check, adjusted, Q, two_k, extra=extra)
+        gap = abs(main_term_convolution(sub_table, Q, two_k) - report.main_term)
+        check = _check(config, "main-term-convolution", gap, adjusted / Q)
+        record(check, adjusted, Q, two_k, extra=extra)
 
 
 def _report_meta(config: ExperimentConfig, **extra) -> dict:

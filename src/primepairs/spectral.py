@@ -10,9 +10,13 @@ regroups over the cosets of the index-Q subgroup:
 
 with the pair count equal to (1/n) * sum_{0 <= xi < n/Q} e_n(-2k*xi) T(xi).
 T(0)/n is the main term; the rest is the error spectrum this module
-instruments.  Every identity here is exact in exact arithmetic; the
-functions verify their stated floating-point residuals and raise
-IdentityError (naming the identity) when a residual exceeds tolerance.
+instruments.  Every identity here is exact in exact arithmetic.  One
+function computes each identity's floating-point residual and tolerance
+as an ``IdentityCheck`` (``pair_count_checks``, ``psi_pair_checks``,
+``subgroup_restriction_check``, ``decomposition_checks``); the identity
+suite records those checks, and the functions that return the values
+(``pair_counts_via_spectrum``, ``psi_pair_via_spectrum``,
+``rho_identity_check``, ``decompositions``) raise IdentityError from them.
 
 Residue columns tie the two sides without any length-n transform.  With
 m = n/Q, column a of the ring is the class x = a (mod Q) (the Cooley-Tukey
@@ -28,10 +32,8 @@ rfft of the columns that hold a nonzero weight, gathered block by block
 from a 1-indexed weight vector (a ``transform.ColumnBlocks``): the bool
 bitmap for prime pairs, the von Mangoldt weights for psi pairs.  It is
 the one spectral correlation route, and the one route to T.  The
-spectral pair count (``pair_counts_via_spectrum``), the psi pair
-correlation (``psi_pair_via_spectrum``) and the identity suite's rows
-for both take it with Q from ``pair_count_modulus``; ``decompositions``
-(and ``decompose``, its one-shift form) and ``error_spectrum_stats``
+spectral pair counts and psi pair correlations take it with Q from
+``pair_count_modulus``; the decompositions and ``error_spectrum_stats``
 take it with the Q they are given, at every n, so the transform length
 is n/Q.
 The reconstruction sum of the decompositions, the direct correlation
@@ -44,14 +46,15 @@ number of CPUs.
 The subgroup samples F(r*n/Q) come from the same residue columns: by the
 index map they are the length-Q transform of the columns' bins 0,
 sum_a e_Q(-r*a) * C_a(0) (``subgroup_samples``), so
-``rho_identity_check`` transforms columns of length n/Q and never one of
-length n.  Both it and ``decompositions`` (with ``error_spectrum_stats``)
-read the table's own residue columns mod Q, ``PrimeTable.columns(Q)``,
-which the table keeps for the last Q asked for: when every holding class
-fits one block it keeps that block's spectra too, so every caller that
-reads one table at one Q, the identity suite's subgroup and
-decomposition rows among them, makes one batched rfft between them, and
-a table holds at most one block of column spectra.  The other
+``subgroup_restriction_check`` transforms columns of length n/Q and never
+one of length n.  Both it and ``decomposition_checks`` (with
+``error_spectrum_stats``) read the table's own residue columns mod Q,
+``PrimeTable.columns(Q)``, which the table keeps for the last Q asked
+for: when every holding class fits one block it keeps that block's
+spectra too, so every caller that reads one table at one Q, the identity
+suite's subgroup and decomposition rows among them, makes one batched
+rfft between them, and a table holds at most one block of column
+spectra.  The other
 identities read the table's one cached real spectrum
 (``PrimeTable.spectrum``, an rfft of the ring indicator) instead of
 transforming again: ``error_spectrum_stats`` counts its large bins,
@@ -83,7 +86,7 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import hl_constant, li2
-from .errors import IdentityError, UsageError
+from .errors import IdentityCheck, IdentityError, UsageError
 from .factored import _as_factored, euler_phi, factorize, is_prime_u64
 from .sieve import PrimeTable, pair_count_circular, residue_profile, von_mangoldt_vector
 from .transform import (
@@ -91,7 +94,6 @@ from .transform import (
     as_ring,
     check_extents,
     forward,
-    forward_real,
     inverse,
     require_divisor,
     spectrum_at,
@@ -142,6 +144,14 @@ def correlation_direct(ring: np.ndarray, two_k: int) -> float:
     shifted = np.roll(ring, -(two_k % ring.shape[0]))
     shifted *= ring
     return float(shifted.sum())
+
+
+def _required(checked):
+    """The values of (value, IdentityCheck) pairs in turn; raises
+    IdentityError at the first check that fails."""
+    for value, check in checked:
+        check.require()
+        yield value
 
 
 @lru_cache(maxsize=256)
@@ -267,18 +277,17 @@ def pair_count_rounding_budget(primes: int, Q: int, m: int) -> float:
     return eps * primes * (2 * FFT_ERROR_GROWTH * math.log2(max(m, 2)) + Q + m + 4)
 
 
-def pair_counts_via_spectrum(table: PrimeTable, shifts, tol: float = 1e-6) -> list[int]:
-    """Circular prime-pair counts of the table for every shift in
-    ``shifts``, evaluated through the residue-column spectra with
-    Q = pair_count_modulus(n): one batched transform of length-n/Q columns
-    serves every shift.
+def pair_count_checks(table: PrimeTable, shifts, tol: float = 1e-6) -> list[tuple]:
+    """(count, check) for every shift in ``shifts``: the table's circular
+    prime-pair count through the residue-column spectra with
+    Q = pair_count_modulus(n), one batched transform of length-n/Q columns
+    for every shift, rounded, and the check |raw - sieved| <= budget.
 
-    Each raw count must lie within a certified rounding budget of an
-    integer: ``pair_count_rounding_budget``, tightened to tol * n when that
-    is smaller (a tolerance never loosens it).  A model budget of 0.5 or
-    more would not certify the rounding, so it raises before any count is
-    rounded.  Each rounded count is checked for exact agreement with the
-    sieve's circular count before it is returned.
+    The budget is ``pair_count_rounding_budget``, tightened to tol * n
+    when that is smaller (a tolerance never loosens it); a model budget of
+    0.5 or more cannot certify the rounding, and raises.  Below 0.5 the
+    check holds exactly when raw rounds to the sieved count within the
+    budget: a nearest integer other than that count is over 0.5 away.
     """
     n = table.n
     shifts = list(shifts)
@@ -286,31 +295,25 @@ def pair_counts_via_spectrum(table: PrimeTable, shifts, tol: float = 1e-6) -> li
         if not 2 <= two_k < n:
             raise UsageError(f"need 2 <= 2k < n, got 2k={two_k}, n={n}")
     Q = pair_count_modulus(n)
-    m = n // Q
     raws = column_pair_counts(table.is_prime, Q, shifts)
-    model = pair_count_rounding_budget(table.pi(n), Q, m)
+    model = pair_count_rounding_budget(table.pi(n), Q, n // Q)
     if model >= 0.5:
         raise IdentityError(
             "spectral-pair-count", model, 0.5, f"rounding budget cannot certify, n={n}"
         )
     budget = min(model, tol * n)
-    counts = []
+    checked = []
     for two_k, raw in zip(shifts, raws):
-        nearest = round(raw)
-        if abs(raw - nearest) > budget:
-            raise IdentityError(
-                "spectral-pair-count", abs(raw - nearest), budget, f"rounding, n={n}, 2k={two_k}"
-            )
-        sieved = pair_count_circular(table, two_k)
-        if nearest != sieved:
-            raise IdentityError(
-                "spectral-pair-count",
-                abs(nearest - sieved),
-                0.0,
-                f"spectral {nearest} vs sieve {sieved}, n={n}, 2k={two_k}",
-            )
-        counts.append(int(nearest))
-    return counts
+        gap = abs(raw - pair_count_circular(table, two_k))
+        detail = f"rounding to the sieved count, n={n}, 2k={two_k}"
+        checked.append((round(raw), IdentityCheck("spectral-pair-count", gap, budget, detail)))
+    return checked
+
+
+def pair_counts_via_spectrum(table: PrimeTable, shifts, tol: float = 1e-6) -> list[int]:
+    """The spectral circular prime-pair counts of ``pair_count_checks``;
+    raises IdentityError if any check fails."""
+    return list(_required(pair_count_checks(table, shifts, tol)))
 
 
 def subgroup_samples(columns: ColumnBlocks) -> np.ndarray:
@@ -333,17 +336,16 @@ def subgroup_samples(columns: ColumnBlocks) -> np.ndarray:
     return forward(bins)
 
 
-def rho_identity_check(table: PrimeTable, Q: int, tol: float = 1e-6) -> float:
+def subgroup_restriction_check(table: PrimeTable, Q: int, tol: float = 1e-6) -> IdentityCheck:
     """Max deviation between the subgroup samples F(P)(r*n/Q) of the
     table and the mod-Q transform of its residue counts
-    rho(a) = pi(n, Q, a).
+    rho(a) = pi(n, Q, a), checked against tol * pi(n).
 
     The samples come from the table's residue-column spectra mod Q
     (``subgroup_samples`` of ``table.columns(Q)``, which
-    ``decompositions`` at the same Q reads too) and the counts from the
+    ``decomposition_checks`` at the same Q reads too) and the counts from the
     sieved primes, two independent computations; the transforms have
-    lengths n/Q and Q, and the cap applies to those.  Returns the
-    deviation and raises if it exceeds tol * pi(n).
+    lengths n/Q and Q, and the cap applies to those.
     """
     n = table.n
     require_divisor(n, Q, "subgroup identity")
@@ -351,9 +353,13 @@ def rho_identity_check(table: PrimeTable, Q: int, tol: float = 1e-6) -> float:
     rho = residue_profile(table, Q)
     deviation = float(np.abs(coset - forward(rho)).max())
     budget = tol * max(table.pi(n), 1)
-    if deviation > budget:
-        raise IdentityError("subgroup-restriction", deviation, budget, f"n={n}, Q={Q}")
-    return deviation
+    return IdentityCheck("subgroup-restriction", deviation, budget, f"n={n}, Q={Q}")
+
+
+def rho_identity_check(table: PrimeTable, Q: int, tol: float = 1e-6) -> float:
+    """The deviation of ``subgroup_restriction_check``; raises
+    IdentityError if it exceeds its tolerance."""
+    return subgroup_restriction_check(table, Q, tol).require().residual
 
 
 def main_term_convolution(table: PrimeTable, Q: int, two_k: int) -> float:
@@ -408,19 +414,21 @@ def is_primorial(Q) -> bool:
     return True
 
 
-def decompositions(
+def decomposition_checks(
     table: PrimeTable, Q: int, shifts, constant_cutoff: int = 10**6, tol: float = 1e-6
 ):
     """Yield, for each shift 2k in ``shifts`` in turn, the split of the
     table's spectral pair-count sum into the subgroup main term and the
-    per-frequency error spectrum, verifying exact reconstruction.  One
+    per-frequency error spectrum, with the check that the split
+    reconstructs the sieve's circular count within tol * n.  One
     ``column_pair_spectra`` call on ``table.columns(Q)``, which transforms
     residue columns of length n/Q only, serves every shift, and shares its
-    transform with ``rho_identity_check`` at the same Q.
+    transform with ``subgroup_restriction_check`` at the same Q.
 
     Requires Q | n with Q a primorial.  Q > sqrt(n) is allowed (the
     identity is exact for any Q | n) but logged, since the main term only
-    carries its asymptotic meaning for small Q.  The reconstruction sum
+    carries its asymptotic meaning for small Q.  T(0) must be real within
+    tol * n, or IdentityError is raised.  The reconstruction sum
     (1/n) sum_xi T(xi) e_n(-2k*xi) is a numpy reduction, so its digits do
     not depend on the number of CPUs.
     """
@@ -434,19 +442,15 @@ def decompositions(
             raise UsageError(f"need 2 <= 2k < n, got 2k={two_k}")
     if Q * Q > n:
         logger.warning("decompose called with Q=%d above sqrt(n=%d); identity still exact", Q, n)
+    budget, detail = tol * n, f"n={n}, Q={Q}"
     for two_k, (spectrum, terms) in zip(shifts, _error_spectra(table, Q, shifts)):
-        if abs(spectrum[0].imag) > tol * n:
-            raise IdentityError(
-                "main-term-realness", abs(spectrum[0].imag), tol * n, f"n={n}, Q={Q}"
-            )
+        IdentityCheck("main-term-realness", abs(spectrum[0].imag), budget, detail).require()
         main_term = float(spectrum[0].real) / n
         reconstructed = complex(terms.sum()) / n
         sieved = pair_count_circular(table, two_k)
         residual = abs(reconstructed - sieved)
-        if residual > tol * n:
-            raise IdentityError("decomposition-reconstruction", residual, tol * n, f"n={n}, Q={Q}")
         constant = hl_constant(two_k, constant_cutoff).value
-        yield DecompositionReport(
+        report = DecompositionReport(
             n=n,
             Q=Q,
             two_k=two_k,
@@ -457,6 +461,15 @@ def decompositions(
             reconstruction_residual=residual,
             pair_count_circular=sieved,
         )
+        yield report, IdentityCheck("decomposition-reconstruction", residual, budget, detail)
+
+
+def decompositions(
+    table: PrimeTable, Q: int, shifts, constant_cutoff: int = 10**6, tol: float = 1e-6
+):
+    """The reports of ``decomposition_checks`` in turn; raises
+    IdentityError at the first check that fails."""
+    return _required(decomposition_checks(table, Q, shifts, constant_cutoff, tol))
 
 
 def decompose(
@@ -481,12 +494,9 @@ def error_probe(table: PrimeTable, Q: int, two_k: int, xi: int, tol: float = 1e-
     rho = residue_profile(table, Q, xi=xi)
     correlation = complex(np.sum(rho * np.conj(np.roll(rho, -(two_k % Q)))))
     inverted = complex(inverse(np.abs(forward(rho)) ** 2)[(-two_k) % Q])
-    budget = tol * max(table.pi(n), 1) ** 2
     gap = abs(correlation - inverted)
-    if gap > budget:
-        raise IdentityError(
-            "twisted-correlation-factorization", gap, budget, f"n={n}, Q={Q}, xi={xi}"
-        )
+    budget = tol * max(table.pi(n), 1) ** 2
+    IdentityCheck("twisted-correlation-factorization", gap, budget, f"n={n}, Q={Q}, xi={xi}").require()
     return ErrorProbe(
         xi=xi, per_residue=rho, correlation=correlation, magnitude=abs(correlation)
     )
@@ -505,6 +515,7 @@ def error_spectrum_stats(table: PrimeTable, Q: int, two_k: int) -> dict:
     require_divisor(n, Q, "error spectrum")
     if Q >= n:
         raise UsageError(f"degenerate Q = n rejected, got Q={Q}, n={n}")
+    check_extents([n])  # the large-frequency count reads the length-n spectrum
     ((spectrum, terms),) = _error_spectra(table, Q, [two_k])
     tail = np.abs(spectrum[1:])
     offzero = complex(terms[1:].sum()) / n
@@ -536,22 +547,37 @@ def psi_pair_direct(table: PrimeTable, two_k: int) -> float:
     return correlation_direct(as_ring(von_mangoldt_vector(table.n, table)), two_k)
 
 
-def psi_pair_via_spectrum(table: PrimeTable, two_k: int, tol: float = 1e-6) -> float:
-    """Von Mangoldt pair correlation of the table's primes through the
+def psi_pair_checks(table: PrimeTable, shifts, tol: float = 1e-6) -> list[tuple]:
+    """(value, check) for every even shift 2k >= 0 in ``shifts``: the von
+    Mangoldt pair correlation of the table's primes through the
     residue-column spectra (``column_pair_counts`` on the von Mangoldt
-    weights, Q from ``pair_count_modulus``), verified against the direct
-    double sum within tol * n * log(n)^2.  The cap applies to the column
-    length n/Q."""
+    weights, Q from ``pair_count_modulus``, one batched transform for
+    every shift), and its gap to the direct double sum, checked against
+    tol * n * log(n)^2.  The cap applies to the column length n/Q, and is
+    checked before the weights are built."""
     n = table.n
-    if two_k % 2 or two_k < 0:
-        raise UsageError(f"2k must be even and nonnegative, got {two_k}")
+    shifts = list(shifts)
+    for two_k in shifts:
+        if two_k % 2 or two_k < 0:
+            raise UsageError(f"2k must be even and nonnegative, got {two_k}")
+    Q = pair_count_modulus(n)
+    check_extents([n // Q], "residue-column length")
     weights = von_mangoldt_vector(n, table)
-    (raw,) = column_pair_counts(weights, pair_count_modulus(n), [two_k])
+    raws = column_pair_counts(weights, Q, shifts)
+    ring = as_ring(weights)
     budget = tol * n * math.log(n) ** 2
-    gap = abs(raw - correlation_direct(as_ring(weights), two_k))
-    if gap > budget:
-        raise IdentityError("psi-spectral-identity", gap, budget, f"n={n}, 2k={two_k}")
-    return raw
+    checked = []
+    for two_k, raw in zip(shifts, raws):
+        gap = abs(raw - correlation_direct(ring, two_k))
+        checked.append((raw, IdentityCheck("psi-spectral-identity", gap, budget, f"n={n}, 2k={two_k}")))
+    return checked
+
+
+def psi_pair_via_spectrum(table: PrimeTable, two_k: int, tol: float = 1e-6) -> float:
+    """The von Mangoldt pair correlation at one shift of
+    ``psi_pair_checks``; raises IdentityError if its check fails."""
+    (value,) = _required(psi_pair_checks(table, [two_k], tol))
+    return value
 
 
 def half_spectrum_residual(table: PrimeTable) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from primepairs import PrimePairsError, ResourceLimitError, UsageError
-from primepairs import harness, reports, sieve
+from primepairs import harness, reports, sieve, spectral
 from primepairs.cli import main
 from primepairs.harness import (
     ExperimentConfig,
@@ -144,6 +144,80 @@ class TestIdentitySuite:
         got = [r["tolerance"] for r in rows if r["identity"] == "spectral-pair-count"]
         assert got == [min(model, tol * n)] * 2
 
+    # each tolerance's documented scale, from the row it is recorded on
+    SCALES = {
+        "spectral-pair-count": lambda row, tol: min(
+            pair_count_rounding_budget(
+                build_table(row["n"]).pi(row["n"]),
+                pair_count_modulus(row["n"]),
+                row["n"] // pair_count_modulus(row["n"]),
+            ),
+            tol * row["n"],
+        ),
+        "round-trip": lambda row, tol: tol,
+        "plancherel": lambda row, tol: tol,
+        "twisted-plancherel": lambda row, tol: tol,
+        "parity-half-spectrum": lambda row, tol: tol * max(build_table(row["n"]).pi(row["n"]), 1),
+        "subgroup-restriction": lambda row, tol: tol * max(build_table(row["n"]).pi(row["n"]), 1),
+        "decomposition-reconstruction": lambda row, tol: tol * row["n"],
+        "main-term-convolution": lambda row, tol: tol * (row["n"] / row["Q"]),
+        "psi-spectral-identity": lambda row, tol: tol * row["n"] * math.log(row["n"]) ** 2,
+    }
+
+    @pytest.fixture(scope="class")
+    def default_rows(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("defaults")
+        run(small_config("identity-suite", out, n_values=[31, 30030], z_schedule=[5, 7]))
+        return json.loads((out / "identity_suite.json").read_text())["results"]
+
+    @pytest.mark.parametrize("key", sorted(harness.DEFAULT_TOLERANCES))
+    def test_every_tolerance_reaches_its_rows(self, tmp_path, default_rows, key):
+        # an override of 1e-20 scales that identity's rows, and only those;
+        # its rows may fail, and are recorded, not raised.  At 1e-20 * n
+        # the pair counts' tolerance is below the rounding model, so it
+        # changes too.  31 is odd, so its parity row is at 32
+        assert set(self.SCALES) == set(harness.DEFAULT_TOLERANCES)
+        config = small_config(
+            "identity-suite", tmp_path, n_values=[31, 30030], z_schedule=[5, 7],
+            tolerances={key: 1e-20},
+        )
+        run(config)
+        rows = json.loads((tmp_path / "identity_suite.json").read_text())["results"]
+        assert len(rows) == len(default_rows)
+        hit = 0
+        for row, default in zip(rows, default_rows):
+            assert (row["identity"], row["n"], row["Q"], row["two_k"]) == (
+                default["identity"], default["n"], default["Q"], default["two_k"]
+            )
+            scale = self.SCALES[row["identity"]]
+            assert default["tolerance"] == scale(default, harness.DEFAULT_TOLERANCES[row["identity"]])
+            if row["identity"] == key:
+                hit += 1
+                assert row["tolerance"] == scale(row, 1e-20) != default["tolerance"]
+            else:
+                assert row["tolerance"] == default["tolerance"]
+        assert hit >= 2
+
+    def test_violation_recorded_not_raised(self, tmp_path):
+        # the reconstruction residuals at n = 30030 are about 1e-13, far
+        # above 1e-30 * n; run() would pass an IdentityError on to the
+        # caller, and must instead finish with FAIL rows of that identity
+        config = small_config(
+            "identity-suite", tmp_path, n_values=[30030], two_k_values=[2, 4, 6],
+            z_schedule=[5, 7], tolerances={"decomposition-reconstruction": 1e-30},
+        )
+        result = run(config)
+        assert result.exit_code == 2
+        assert result.failures == ["decomposition-reconstruction"]
+        payload = json.loads((tmp_path / "identity_suite.json").read_text())
+        assert payload["failing_identities"] == ["decomposition-reconstruction"]
+        rows = payload["results"]
+        failed = [r for r in rows if not r["passed"]]
+        assert [(r["identity"], r["Q"], r["two_k"]) for r in failed] == [
+            ("decomposition-reconstruction", Q, two_k) for Q in (6, 30) for two_k in (2, 4, 6)
+        ]
+        assert all(r["residual"] > 0 for r in failed)
+
     def test_twisted_plancherel_at_q_one(self, tmp_path):
         """z = 2 gives Q = 1, whose one residue class is all of Z/nZ."""
         result = run(small_config("identity-suite", tmp_path, n_values=[120], z_schedule=[2]))
@@ -164,13 +238,13 @@ class TestIdentitySuite:
         # push every direct psi value, and so every psi gap, past the
         # default budget 1e-6 * n * log(n)^2; the run must finish and
         # record FAIL rows
-        exact = harness.correlation_direct
+        exact = spectral.correlation_direct
 
         def perturbed(ring, two_k):
             n = ring.shape[0]
             return exact(ring, two_k) + 2e-6 * n * math.log(n) ** 2
 
-        monkeypatch.setattr(harness, "correlation_direct", perturbed)
+        monkeypatch.setattr(spectral, "correlation_direct", perturbed)
         code = main(["verify", "--n", "30,120", "--two-k", "2,6", "--z", "5", "--out", str(tmp_path)])
         assert code == 2
         payload = json.loads((tmp_path / "identity_suite.json").read_text())

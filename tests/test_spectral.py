@@ -34,14 +34,19 @@ from primepairs import (
     von_mangoldt_vector,
 )
 from primepairs import IdentityError, spectral, transform
+from primepairs.errors import IdentityCheck
 from primepairs.spectral import (
     column_pair_counts,
     column_pair_spectra,
     correlation_direct,
+    decomposition_checks,
     decompositions,
     is_primorial,
+    pair_count_checks,
     pair_count_modulus,
     pair_count_rounding_budget,
+    psi_pair_checks,
+    subgroup_restriction_check,
 )
 from primepairs.transform import ColumnBlocks, as_ring, forward, unit_phase
 
@@ -89,6 +94,59 @@ class TestRhoIdentity:
     def test_rejects_non_divisor(self, table_100):
         with pytest.raises(UsageError):
             rho_identity_check(table_100, 30)
+
+
+class TestIdentityChecks:
+    """Each identity's one check: the functions that return checks record
+    a violation, and the functions that return values raise it."""
+
+    def test_record(self):
+        assert IdentityCheck("x", 1.0, 1.0).passed
+        assert not IdentityCheck("x", 2.0, 1.0).passed
+        assert not IdentityCheck("x", math.nan, 1.0).passed
+        ok = IdentityCheck("x", 0.5, 1.0)
+        assert ok.require() is ok
+        with pytest.raises(IdentityError, match=r"^x: residual 2 exceeds tolerance 1 \(n=7\)$") as info:
+            IdentityCheck("x", 2.0, 1.0, "n=7").require()
+        assert (info.value.identity, info.value.residual, info.value.tolerance) == ("x", 2.0, 1.0)
+
+    def test_subgroup_restriction(self, monkeypatch):
+        t = build_table(3000)
+        check = subgroup_restriction_check(t, 30)
+        assert check.identity == "subgroup-restriction"
+        assert check.tolerance == 1e-6 * t.pi(3000)
+        assert check.residual == rho_identity_check(t, 30)
+        # one count off by one moves the counts' transform by 1 at every r
+        original = spectral.residue_profile
+
+        def off_by_one(table, Q):
+            return original(table, Q) + np.eye(Q)[0]
+
+        monkeypatch.setattr(spectral, "residue_profile", off_by_one)
+        check = subgroup_restriction_check(t, 30)
+        assert check.residual == pytest.approx(1.0) and not check.passed
+        with pytest.raises(IdentityError, match="subgroup-restriction"):
+            rho_identity_check(t, 30)
+
+    def test_decomposition_reconstruction(self):
+        # at n = 30030, Q = 6, 2k = 2 the reconstruction residual is about
+        # 1e-13, far above a tolerance of 1e-30 * n
+        t = build_table(30030)
+        ((report, check),) = decomposition_checks(t, 6, [2], tol=1e-30)
+        assert check.identity == "decomposition-reconstruction"
+        assert check.residual == report.reconstruction_residual > 0
+        assert check.tolerance == 1e-30 * 30030 and not check.passed
+        assert report.main_term == decompose(t, 6, 2).main_term
+        with pytest.raises(IdentityError, match="decomposition-reconstruction"):
+            decompose(t, 6, 2, tol=1e-30)
+
+    def test_pair_counts(self, table_10k):
+        checked = pair_count_checks(table_10k, [2, 4, 210])
+        assert [count for count, _ in checked] == pair_counts_via_spectrum(table_10k, [2, 4, 210])
+        Q = pair_count_modulus(10**4)
+        model = pair_count_rounding_budget(table_10k.pi(10**4), Q, 10**4 // Q)
+        assert {check.tolerance for _, check in checked} == {min(model, 1e-6 * 10**4)}
+        assert all(check.passed for _, check in checked)
 
 
 class TestMainTermConvolution:
@@ -244,6 +302,15 @@ class TestErrorSpectrumStats:
         with pytest.raises(UsageError):
             error_spectrum_stats(table_100, 100, 2)
 
+    def test_cap_checked_before_the_columns(self):
+        # the large-frequency count reads the length-n spectrum, so an n
+        # over the cap is rejected before the (11, 333334) column rfft
+        t = build_table(10000020)
+        with _counted_column_rffts() as batches:
+            with pytest.raises(ResourceLimitError, match="capped at 1e7, got 10000020$"):
+                error_spectrum_stats(t, 30, 2)
+        assert batches == []
+
     @pytest.mark.parametrize("Q", [1, 6, 30, 2310])
     def test_progression_scale_counts_units(self, table_9240, Q):
         # phi(Q) from the factorization gives, bit for bit, the scale of a
@@ -283,6 +350,24 @@ class TestPsiPair:
         # the kernel rejects it, as a resource limit, before any transform
         with pytest.raises(ResourceLimitError, match="residue-column length capped at 1e7, got 10000019$"):
             psi_pair_via_spectrum(table_10000019, 2)
+
+    def test_cap_checked_before_the_weights(self, table_10000019, monkeypatch):
+        # the von Mangoldt weights of 10000019 are about 80 MB; the column
+        # length is rejected before any of them is built
+        calls = []
+        monkeypatch.setattr(spectral, "von_mangoldt_vector", lambda *a: calls.append(a))
+        with pytest.raises(ResourceLimitError, match="residue-column length capped at 1e7, got 10000019$"):
+            psi_pair_via_spectrum(table_10000019, 2)
+        assert calls == []
+
+    def test_checks_of_several_shifts_match_one_shift_calls(self):
+        t = build_table(1009)
+        checked = psi_pair_checks(t, [0, 2, 6])
+        assert [value for value, _ in checked] == [psi_pair_via_spectrum(t, k) for k in (0, 2, 6)]
+        for two_k, (_, check) in zip((0, 2, 6), checked):
+            assert check.identity == "psi-spectral-identity"
+            assert check.residual == abs(psi_pair_via_spectrum(t, two_k) - psi_pair_direct(t, two_k))
+            assert check.tolerance == 1e-6 * 1009 * math.log(1009) ** 2
 
     def test_density_ratio_reported_scale(self):
         # psi-pair mass over C_2k * n is of order one already at modest n
@@ -703,6 +788,20 @@ class TestPairCountBudget:
         for tol in (1e-6, 1.0):
             with pytest.raises(IdentityError, match="rounding"):
                 pair_counts_via_spectrum(t, [2], tol=tol)
+
+    def test_off_by_one_count_fails_the_one_check(self, monkeypatch):
+        # a raw count that rounds exactly, but to a neighbour of the sieved
+        # count, is 1 away from it: one check rejects what the rounding
+        # alone would pass
+        n = 30030
+        t = build_table(n)
+        exact = column_pair_counts(t.is_prime, 30, [2])[0]
+        monkeypatch.setattr(spectral, "column_pair_counts", lambda *a: [exact + 1])
+        ((count, check),) = pair_count_checks(t, [2])
+        assert count == pair_count_circular(t, 2) + 1
+        assert check.residual == pytest.approx(1.0) and not check.passed
+        with pytest.raises(IdentityError, match="spectral-pair-count: residual 1 .*rounding"):
+            pair_counts_via_spectrum(t, [2])
 
     def test_counts_for_several_shifts(self, table_10k):
         shifts = [2, 4, 6, 210, 9998]
