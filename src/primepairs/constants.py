@@ -146,24 +146,24 @@ def mertens_ratio(z: int) -> tuple[float, float]:
     return float(ratio), math.exp(-EULER_GAMMA) / math.log(z)
 
 
-def li2(n: float, tol: float = 1e-6) -> float:
+def li2(n: float) -> float:
     """Offset pair logarithmic integral: integral of dt/log(t)^2 from 2 to n,
-    by adaptive Simpson refinement to absolute tolerance ``tol``.  Values
-    are memoized by argument: decompose asks for the same n repeatedly."""
+    by adaptive Simpson refinement to absolute tolerance 1e-6.  Values are
+    memoized by argument: decompose asks for the same n repeatedly."""
     # a plain function over the cached one keeps li2 visible to
     # bench/shim.py, which traces functions, not lru_cache wrappers
-    return _li2(float(n), tol)
+    return _li2(float(n))
 
 
 @lru_cache(maxsize=8)
-def _li2(n: float, tol: float) -> float:
+def _li2(n: float) -> float:
     if n <= 2:
         return 0.0
 
     def f(t: float) -> float:
         return 1.0 / math.log(t) ** 2
 
-    return _adaptive_simpson(f, 2.0, float(n), tol)
+    return _adaptive_simpson(f, 2.0, n, 1e-6)
 
 
 def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:

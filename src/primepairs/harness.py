@@ -28,7 +28,6 @@ from .sieve import (
     cache_path,
     load_or_build,
     load_table,
-    pair_count_circular,
     pair_count_linear,
     pi_progression,
     save_table,
@@ -376,8 +375,7 @@ def _subgroup_rows(
         worst = max(worst, abs(energy - count) / max(count, 1))
     record(_check(config, "twisted-plancherel", worst), adjusted, Q, None, extra=extra)
     reports = decomposition_checks(
-        sub_table, Q, config.two_k_values, config.cutoff,
-        _tol(config, "decomposition-reconstruction"),
+        sub_table, Q, config.two_k_values, _tol(config, "decomposition-reconstruction")
     )
     for two_k, (report, check) in zip(config.two_k_values, reports):
         record(check, adjusted, Q, two_k, extra=extra)
@@ -411,15 +409,19 @@ def _decompose_reports(
     """The reports of every shift for the primorial Q of z at the extent
     round_up_multiple(n, Q), appended to ``files`` and ``lines``; in a
     function of their own, so that nothing here still holds the table
-    when the next extent is loaded."""
+    when the next extent is loaded.  Each report carries the
+    Hardy-Littlewood predictions C_2k * n / log(n)^2 and C_2k * Li2(n)
+    of its main term, with C_2k truncated at ``config.cutoff``; they are
+    reported, never asserted."""
     Q = primorial(z).value
     adjusted = round_up_multiple(n, Q)
     table = tables.get(adjusted)
     reports = decompositions(
-        table, Q, config.two_k_values, constant_cutoff=config.cutoff,
-        tol=_tol(config, "decomposition-reconstruction"),
+        table, Q, config.two_k_values, _tol(config, "decomposition-reconstruction")
     )
     for two_k, report in zip(config.two_k_values, reports):
+        constant = hl_constant(two_k, config.cutoff).value
+        predicted_li2 = constant * li2(adjusted)
         meta = _report_meta(
             config,
             n=adjusted,
@@ -433,8 +435,8 @@ def _decompose_reports(
         payload = {
             **meta,
             "main_term": report.main_term,
-            "predicted_main_log2": report.predicted_main_log2,
-            "predicted_main_li2": report.predicted_main_li2,
+            "predicted_main_log2": constant * adjusted / math.log(adjusted) ** 2,
+            "predicted_main_li2": predicted_li2,
             "reconstruction_residual": report.reconstruction_residual,
             "pair_count_circular": report.pair_count_circular,
             "pair_count_linear": pair_count_linear(table, two_k),
@@ -451,7 +453,7 @@ def _decompose_reports(
         )
         lines.append(
             f"decompose n={adjusted} Q={Q} 2k={two_k}: main={report.main_term:.4f} "
-            f"predicted(li2)={report.predicted_main_li2 / adjusted:.4f} "
+            f"predicted(li2)={predicted_li2 / adjusted:.4f} "
             f"pairs={report.pair_count_circular} residual={report.reconstruction_residual:.2e}"
         )
 
@@ -484,10 +486,11 @@ def _run_spectrum_export(config: ExperimentConfig, out: Path) -> RunResult:
     files = []
     lines = []
     for n in config.n_values:
+        table = _table(config, n)
         if config.source_function == "prime":
-            ring = _table(config, n).ring_indicator()
+            ring = table.ring_indicator()
         else:
-            ring = as_ring(von_mangoldt_vector(n))
+            ring = as_ring(von_mangoldt_vector(table))
         meta = _report_meta(config, n=n, source_function=config.source_function)
         csv_path, json_path = write_spectrum_export(
             out / f"spectrum_n{n}_{config.source_function}",
@@ -526,7 +529,9 @@ def pairs_report(config: ExperimentConfig) -> list[tuple]:
     """Rows (n, 2k, linear, circular, spectral) with all three counts.  The
     spectral counts transform residue columns of length n/Q, Q from
     ``pair_count_modulus``, so the cap applies to n/Q; it is checked for
-    every n before any table is sieved."""
+    every n before any table is sieved.  The circular count is the sieved
+    one that each spectral count's check compared it against: the check
+    certifies the rounding, so the two columns hold one value."""
     check_extents(
         [n // pair_count_modulus(n) for n in config.n_values], "pairs transform length"
     )
@@ -537,9 +542,7 @@ def pairs_report(config: ExperimentConfig) -> list[tuple]:
             table, config.two_k_values, tol=_tol(config, "spectral-pair-count")
         )
         for two_k, count in zip(config.two_k_values, spectral):
-            rows.append(
-                (n, two_k, pair_count_linear(table, two_k), pair_count_circular(table, two_k), count)
-            )
+            rows.append((n, two_k, pair_count_linear(table, two_k), count, count))
     return rows
 
 

@@ -3,7 +3,7 @@
 A PrimeTable is an immutable bitmap of primality on {1..n}; on top of it
 sit prime and progression counts, linear and circular pair counts,
 twisted progression sums (``residue_profile`` returns a plain length-Q
-array), and the von Mangoldt weight vector.  The Z/nZ conventions these
+array), and its von Mangoldt weight vector.  The Z/nZ conventions these
 use are the ones ``transform`` defines: the ring layout (``as_ring``),
 the phase e_n(-k) (``unit_phase``), the Q | n check (``require_divisor``)
 and the transform (``forward_real``, the table's half spectrum).  Linear
@@ -21,7 +21,7 @@ Each segment starts as a wheel row of period 15015 slots (30030
 integers) that already strikes the multiples of 3, 5, 7, 11 and 13, so
 only the base primes from 17 up to sqrt(n) are struck; they come from
 a table of extent isqrt(n) built by this same sieve, the package's only
-one (``von_mangoldt_vector`` and the constants' prime list read it too).
+one (the constants' prime list reads it too).
 A segment is sieved in the first half of its own stretch of the bitmap
 and then spread onto the odd entries of that stretch; even entries stay
 False apart from 2.
@@ -403,20 +403,15 @@ def _and_count(ip: np.ndarray, a: int, b: int, length: int) -> int:
     return total
 
 
-def von_mangoldt_vector(n: int, table: PrimeTable | None = None) -> np.ndarray:
-    """Von Mangoldt weights Lambda(x) for 1 <= x <= n, natural log, as a
-    float64 array of length n+1 (index 0 unused), from the primes of
-    ``table``, which must have extent n, or else of ``build_table(n)``."""
-    if n < 1:
-        raise UsageError(f"need n >= 1, got {n}")
+def von_mangoldt_vector(table: PrimeTable) -> np.ndarray:
+    """Von Mangoldt weights Lambda(x) for 1 <= x <= n, n the table's
+    extent, natural log, as a float64 array of length n+1 (index 0
+    unused), from the table's primes."""
+    n = table.n
     if n > 10**8:
         raise ResourceLimitError(f"von Mangoldt vector capped at n <= 1e8, got {n}")
-    if table is not None and table.n != n:
-        raise UsageError(f"supplied table has extent {table.n}, expected {n}")
     lam = np.zeros(n + 1)
-    if n == 1:
-        return lam
-    primes = (build_table(n) if table is None else table).primes()
+    primes = table.primes()
     lam[primes] = np.log(primes.astype(np.float64))
     for p in primes[primes <= math.isqrt(n)]:
         p = int(p)

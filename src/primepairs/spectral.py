@@ -10,7 +10,10 @@ regroups over the cosets of the index-Q subgroup:
 
 with the pair count equal to (1/n) * sum_{0 <= xi < n/Q} e_n(-2k*xi) T(xi).
 T(0)/n is the main term; the rest is the error spectrum this module
-instruments.  Every identity here is exact in exact arithmetic.  One
+instruments.  Every identity here is exact in exact arithmetic, and each
+function takes only what its identity reads: the Hardy-Littlewood
+prediction that the main term is compared with is not part of the split,
+and the decompose reports compute it (``harness``).  One
 function computes each identity's floating-point residual and tolerance
 as an ``IdentityCheck`` (``pair_count_checks``, ``psi_pair_checks``,
 ``subgroup_restriction_check``, ``decomposition_checks``); the identity
@@ -85,7 +88,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constants import hl_constant, li2
 from .errors import IdentityCheck, IdentityError, UsageError
 from .factored import _as_factored, euler_phi, factorize, is_prime_u64
 from .sieve import PrimeTable, pair_count_circular, residue_profile, von_mangoldt_vector
@@ -110,18 +112,15 @@ FFT_ERROR_GROWTH = 16
 class DecompositionReport:
     """Main-term / error-spectrum split of the circular pair count.
 
-    ``error_spectrum`` holds T(xi) for 0 <= xi < n/Q (entry 0 is the main
-    term times n).  ``predicted_main_log2`` and ``predicted_main_li2`` are
-    the conjectural comparison values C_2k * n / log(n)^2 and C_2k * Li2(n);
-    they are reported, never asserted.
+    ``error_spectrum`` holds T(xi) for 0 <= xi < n/Q; entry 0 is the main
+    term times n, and is real: it is built from real bins 0 and the unit
+    phase 1.
     """
 
     n: int
     Q: int
     two_k: int
     main_term: float
-    predicted_main_log2: float
-    predicted_main_li2: float
     error_spectrum: np.ndarray
     reconstruction_residual: float
     pair_count_circular: int
@@ -182,7 +181,7 @@ def column_pair_spectra(columns: ColumnBlocks, shifts):
     sum_x f(x) * f(x + 2k mod n), and S(m - xi) = conj S(xi).
 
     ``columns`` holds the residue columns mod Q of the 1-indexed weights:
-    ``PrimeTable.is_prime`` for prime pairs, ``von_mangoldt_vector(n)``
+    ``PrimeTable.is_prime`` for prime pairs, ``von_mangoldt_vector(table)``
     for psi pairs.  Only the classes a that hold a nonzero weight are
     read, in the blocks of ``columns``, each one batched rfft through
     ``transform``.  The blocks live at once are a block of classes a and
@@ -414,9 +413,7 @@ def is_primorial(Q) -> bool:
     return True
 
 
-def decomposition_checks(
-    table: PrimeTable, Q: int, shifts, constant_cutoff: int = 10**6, tol: float = 1e-6
-):
+def decomposition_checks(table: PrimeTable, Q: int, shifts, tol: float = 1e-6):
     """Yield, for each shift 2k in ``shifts`` in turn, the split of the
     table's spectral pair-count sum into the subgroup main term and the
     per-frequency error spectrum, with the check that the split
@@ -427,8 +424,7 @@ def decomposition_checks(
 
     Requires Q | n with Q a primorial.  Q > sqrt(n) is allowed (the
     identity is exact for any Q | n) but logged, since the main term only
-    carries its asymptotic meaning for small Q.  T(0) must be real within
-    tol * n, or IdentityError is raised.  The reconstruction sum
+    carries its asymptotic meaning for small Q.  The reconstruction sum
     (1/n) sum_xi T(xi) e_n(-2k*xi) is a numpy reduction, so its digits do
     not depend on the number of CPUs.
     """
@@ -444,19 +440,15 @@ def decomposition_checks(
         logger.warning("decompose called with Q=%d above sqrt(n=%d); identity still exact", Q, n)
     budget, detail = tol * n, f"n={n}, Q={Q}"
     for two_k, (spectrum, terms) in zip(shifts, _error_spectra(table, Q, shifts)):
-        IdentityCheck("main-term-realness", abs(spectrum[0].imag), budget, detail).require()
         main_term = float(spectrum[0].real) / n
         reconstructed = complex(terms.sum()) / n
         sieved = pair_count_circular(table, two_k)
         residual = abs(reconstructed - sieved)
-        constant = hl_constant(two_k, constant_cutoff).value
         report = DecompositionReport(
             n=n,
             Q=Q,
             two_k=two_k,
             main_term=main_term,
-            predicted_main_log2=constant * n / math.log(n) ** 2,
-            predicted_main_li2=constant * li2(n),
             error_spectrum=spectrum,
             reconstruction_residual=residual,
             pair_count_circular=sieved,
@@ -464,28 +456,24 @@ def decomposition_checks(
         yield report, IdentityCheck("decomposition-reconstruction", residual, budget, detail)
 
 
-def decompositions(
-    table: PrimeTable, Q: int, shifts, constant_cutoff: int = 10**6, tol: float = 1e-6
-):
+def decompositions(table: PrimeTable, Q: int, shifts, tol: float = 1e-6):
     """The reports of ``decomposition_checks`` in turn; raises
     IdentityError at the first check that fails."""
-    return _required(decomposition_checks(table, Q, shifts, constant_cutoff, tol))
+    return _required(decomposition_checks(table, Q, shifts, tol))
 
 
-def decompose(
-    table: PrimeTable, Q: int, two_k: int, constant_cutoff: int = 10**6, tol: float = 1e-6
-) -> DecompositionReport:
+def decompose(table: PrimeTable, Q: int, two_k: int, tol: float = 1e-6) -> DecompositionReport:
     """The main-term / error-spectrum split for one shift:
     ``decompositions`` with the one shift."""
-    return next(decompositions(table, Q, [two_k], constant_cutoff, tol))
+    return next(decompositions(table, Q, [two_k], tol))
 
 
-def error_probe(table: PrimeTable, Q: int, two_k: int, xi: int, tol: float = 1e-6) -> ErrorProbe:
+def error_probe(table: PrimeTable, Q: int, two_k: int, xi: int) -> ErrorProbe:
     """Twisted residue correlation at frequency xi, checked two ways.
 
     Forms sum_a rho_xi(a) * conj(rho_xi(a + 2k)) from the table's twisted
     counts and independently inverts |F_Q(rho_xi)|^2 at -2k; the two must
-    agree within tol * pi(n)^2.
+    agree within 1e-6 * pi(n)^2.
     """
     n = table.n
     require_divisor(n, Q, "error probe")
@@ -495,7 +483,7 @@ def error_probe(table: PrimeTable, Q: int, two_k: int, xi: int, tol: float = 1e-
     correlation = complex(np.sum(rho * np.conj(np.roll(rho, -(two_k % Q)))))
     inverted = complex(inverse(np.abs(forward(rho)) ** 2)[(-two_k) % Q])
     gap = abs(correlation - inverted)
-    budget = tol * max(table.pi(n), 1) ** 2
+    budget = 1e-6 * max(table.pi(n), 1) ** 2
     IdentityCheck("twisted-correlation-factorization", gap, budget, f"n={n}, Q={Q}, xi={xi}").require()
     return ErrorProbe(
         xi=xi, per_residue=rho, correlation=correlation, magnitude=abs(correlation)
@@ -544,7 +532,7 @@ def error_spectrum_stats(table: PrimeTable, Q: int, two_k: int) -> dict:
 def psi_pair_direct(table: PrimeTable, two_k: int) -> float:
     """sum_x Lambda(x) * Lambda(x + 2k mod n) on Z/nZ = {1..n}, from the
     primes of the table."""
-    return correlation_direct(as_ring(von_mangoldt_vector(table.n, table)), two_k)
+    return correlation_direct(as_ring(von_mangoldt_vector(table)), two_k)
 
 
 def psi_pair_checks(table: PrimeTable, shifts, tol: float = 1e-6) -> list[tuple]:
@@ -562,7 +550,7 @@ def psi_pair_checks(table: PrimeTable, shifts, tol: float = 1e-6) -> list[tuple]
             raise UsageError(f"2k must be even and nonnegative, got {two_k}")
     Q = pair_count_modulus(n)
     check_extents([n // Q], "residue-column length")
-    weights = von_mangoldt_vector(n, table)
+    weights = von_mangoldt_vector(table)
     raws = column_pair_counts(weights, Q, shifts)
     ring = as_ring(weights)
     budget = tol * n * math.log(n) ** 2

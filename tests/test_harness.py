@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from primepairs import PrimePairsError, ResourceLimitError, UsageError
-from primepairs import harness, reports, sieve, spectral
+from primepairs import constants, harness, reports, sieve, spectral
 from primepairs.cli import main
+from primepairs.constants import hl_constant, li2
 from primepairs.harness import (
     ExperimentConfig,
     cache_admin,
@@ -25,7 +26,7 @@ from primepairs.harness import (
 )
 from primepairs.factored import primorial
 from primepairs.reports import complex_rows
-from primepairs.sieve import build_table, fnv1a64, pair_count_circular
+from primepairs.sieve import build_table, fnv1a64, pair_count_circular, pair_count_linear
 from primepairs.spectral import error_probe, pair_count_modulus, pair_count_rounding_budget
 
 import oracles
@@ -430,6 +431,46 @@ class TestModeOutputs:
         assert any(line.startswith("# prime_table_checksum=fnv1a64:") for line in header)
         assert "xi,re_T,im_T,abs_T" in header
 
+    def test_decompose_predictions_are_the_hardy_littlewood_expressions(self, tmp_path):
+        argv = ["decompose", "--n", "3000", "--z", "7", "--two-k", "2,4", "--cutoff", "10000"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        n = 3000  # a multiple of Q = 30, so the extent is not adjusted
+        for two_k in (2, 4):
+            report = json.loads((tmp_path / f"decompose_n{n}_Q30_k{two_k}.json").read_text())
+            c = hl_constant(two_k, 10000).value
+            assert report["predicted_main_log2"] == c * n / math.log(n) ** 2
+            assert report["predicted_main_li2"] == c * li2(n)
+
+    def test_exploratory_ratio_reported(self, tmp_path):
+        # the main term divided by the conjectural prediction should be of
+        # order one at desk scale; reported, not asserted tightly
+        n = 2310 * 64
+        argv = ["decompose", "--n", str(n), "--z", "13", "--two-k", "2", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        report = json.loads((tmp_path / f"decompose_n{n}_Q2310_k2.json").read_text())
+        assert 0.5 <= report["main_term"] / report["predicted_main_li2"] <= 2.0
+        assert report["predicted_main_log2"] > 0
+
+    def test_suite_computes_no_prediction(self, tmp_path, monkeypatch):
+        # the Hardy-Littlewood predictions belong to the decompose reports;
+        # the identity suite records no value that needs them
+        calls = []
+        for module in (harness, constants):
+            for name in ("hl_constant", "li2"):
+                def counted(*args, _name=name, _original=getattr(module, name)):
+                    calls.append(_name)
+                    return _original(*args)
+
+                monkeypatch.setattr(module, name, counted)
+        assert not hasattr(spectral, "hl_constant") and not hasattr(spectral, "li2")
+        argv = ["verify", "--n", "30030", "--z", "5,7", "--two-k", "2,4", "--out", str(tmp_path / "v")]
+        assert main(argv) == 0
+        assert calls == []
+        # the wrappers do see the decompose writer's calls
+        argv = ["decompose", "--n", "3000", "--z", "7", "--two-k", "2", "--out", str(tmp_path / "d")]
+        assert main(argv) == 0
+        assert sorted(calls) == ["hl_constant", "li2"]
+
     def test_constants_report_schema(self, tmp_path):
         result = run(
             small_config(
@@ -725,6 +766,27 @@ class TestPairsReport:
         rows = pairs_report(small_config("identity-suite", tmp_path, n_values=[100]))
         assert (100, 2, 8, 8, 8) in rows
 
+    def test_circular_count_sieved_once_per_shift(self, monkeypatch, capsys):
+        # the circular column is the count each spectral check compared
+        # against, not a second sieve count
+        table = build_table(30030)
+        expected = ["n,two_k,linear,circular,spectral"] + [
+            f"30030,{k},{pair_count_linear(table, k)},{pair_count_circular(table, k)},"
+            f"{pair_count_circular(table, k)}"
+            for k in (2, 4, 6)
+        ]
+        calls = []
+        for module in (sieve, spectral, harness):
+            if hasattr(module, "pair_count_circular"):
+                def counted(*args, _original=module.pair_count_circular):
+                    calls.append(args[1])
+                    return _original(*args)
+
+                monkeypatch.setattr(module, "pair_count_circular", counted)
+        assert main(["pairs", "--n", "30030", "--two-k", "2,4,6"]) == 0
+        assert capsys.readouterr().out.splitlines() == expected
+        assert calls == [2, 4, 6]
+
 
 class TestCli:
     def test_verify_verb_green(self, tmp_path, capsys):
@@ -880,6 +942,27 @@ class TestCli:
         assert code == 0
         sidecar = json.loads((tmp_path / "spectrum_n60_mangoldt.json").read_text())
         assert sidecar["source_function"] == "mangoldt"
+
+    def test_spectrum_mangoldt_reads_the_cache(self, tmp_path, monkeypatch):
+        argv = ["spectrum", "--n", "30030", "--function", "mangoldt"]
+        assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+        sieved = Counter()
+        build = sieve.build_table
+
+        def counted_build(n, *args, **kwargs):
+            sieved[n] += 1
+            return build(n, *args, **kwargs)
+
+        monkeypatch.setattr(sieve, "build_table", counted_build)
+        cache = tmp_path / "cache"
+        for run_name, sieves in (("miss", 1), ("hit", 0)):
+            sieved.clear()
+            assert main(argv + ["--cache-dir", str(cache), "--out", str(tmp_path / run_name)]) == 0
+            assert (cache / "primetable_30030.pspc").is_file()
+            assert sieved[30030] == sieves, run_name
+            for ext in ("csv", "json"):
+                name = f"spectrum_n30030_mangoldt.{ext}"
+                assert (tmp_path / run_name / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
     @pytest.mark.parametrize(
         "raw",

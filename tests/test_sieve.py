@@ -189,40 +189,40 @@ class TestPairCounts:
 
 class TestVonMangoldt:
     def test_point_values(self):
-        lam = von_mangoldt_vector(10)
+        lam = von_mangoldt_vector(build_table(10))
         assert lam[8] == pytest.approx(math.log(2))
         assert lam[6] == 0.0
         assert lam[7] == pytest.approx(math.log(7))
         assert lam[1] == 0.0
         assert lam[9] == pytest.approx(math.log(3))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 17, 288, 289, 290, 83521])
+    @pytest.mark.parametrize("n", [2, 3, 4, 16, 17, 288, 289, 290, 83521])
     def test_matches_trial_division(self, n):
         # von_mangoldt_vector and the constants' prime list both read
-        # build_table; n = 1 has no table and no prime
-        lam, expected = von_mangoldt_vector(n), np.array(oracles.von_mangoldt_naive(n))
+        # build_table
+        lam, expected = von_mangoldt_vector(build_table(n)), np.array(oracles.von_mangoldt_naive(n))
         assert np.array_equal(np.flatnonzero(lam), np.flatnonzero(expected))
         assert np.allclose(lam, expected, rtol=1e-15, atol=0)
-        if n >= 2:
-            assert _primes_below(n + 1).tolist() == oracles.primes_upto_naive(n)
-        else:
-            with pytest.raises(UsageError):
-                _primes_below(n + 1)
+        assert _primes_below(n + 1).tolist() == oracles.primes_upto_naive(n)
+
+    def test_no_prime_list_below_2(self):
+        with pytest.raises(UsageError):
+            _primes_below(2)
 
     def test_reads_supplied_table(self, monkeypatch):
-        table, expected = build_table(290), von_mangoldt_vector(290)
+        table = build_table(290)
         monkeypatch.setattr(sieve, "build_table", lambda *args, **kwargs: pytest.fail("sieved"))
-        assert np.array_equal(von_mangoldt_vector(290, table), expected)
-        with pytest.raises(UsageError, match="supplied table has extent 290, expected 289"):
-            von_mangoldt_vector(289, table)
+        expected = np.array(oracles.von_mangoldt_naive(290))
+        assert np.allclose(von_mangoldt_vector(table), expected, rtol=1e-15, atol=0)
 
-    def test_chebyshev_psi_near_n(self):
-        lam = von_mangoldt_vector(10**6)
+    def test_chebyshev_psi_near_n(self, table_1e6):
+        lam = von_mangoldt_vector(table_1e6)
         assert 0.99 <= lam.sum() / 10**6 <= 1.01
 
     def test_budget(self):
+        # the cap is checked before the table's primes are read
         with pytest.raises(ResourceLimitError):
-            von_mangoldt_vector(10**8 + 1)
+            von_mangoldt_vector(mock.Mock(spec=["n"], n=10**8 + 1))
 
 
 class TestTwistedCounts:
