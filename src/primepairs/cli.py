@@ -59,7 +59,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", action="append", help="extent(s), comma-separated, repeatable")
     parser.add_argument("--two-k", action="append", help="even shift(s) 2k, comma-separated")
     parser.add_argument("--z", action="append", help="primorial bound(s) z, comma-separated")
-    parser.add_argument("--cutoff", type=int, help="prime cutoff for constants")
     parser.add_argument("--out", help="output directory (or file for single-file verbs)")
     parser.add_argument("--cache-dir", help="prime-table cache directory")
     parser.add_argument(
@@ -91,6 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(verb, help=help_text)
         _add_common(p)
+        if verb in ("decompose", "constants", "sweep"):
+            p.add_argument("--cutoff", type=int, help="prime cutoff for constants")
         if verb == "pairs":
             p.add_argument("--format", choices=("csv", "json"), help="format of the --out file")
         if verb == "spectrum":
@@ -107,7 +108,7 @@ def _config_from_args(args: argparse.Namespace, mode: str) -> ExperimentConfig:
         raw["two_k_values"] = [v for part in args.two_k for v in _int_list(part)]
     if args.z:
         raw["z_schedule"] = [v for part in args.z for v in _int_list(part)]
-    if args.cutoff is not None:
+    if getattr(args, "cutoff", None) is not None:
         raw["cutoff"] = args.cutoff
     if args.out:
         raw["output_dir"] = args.out

@@ -365,12 +365,14 @@ def _subgroup_rows(
     # spectrum is the twisted progression sum, so its mean power equals
     # the plain class count.  That spectrum is e_n(-xi a) times the
     # length-n/Q transform of residue column a, so (1/m) sum |DFT_m|^2 is
-    # its mean power exactly; each class keeps its own direct transform
-    # of the column, independent of the batched ones of the other rows
+    # its mean power exactly.  The classes' columns go through one forward
+    # call, each row its own direct transform, independent of the column
+    # blocks the other rows read
     columns = residue_columns(sub_table.ring_indicator(), Q)
+    classes = sorted({0, 1 % Q, Q - 1})  # Q = 1 has the one class 0
     worst = 0.0
-    for a in {0, 1 % Q, Q - 1}:  # Q = 1 has the one class 0
-        energy = float(np.sum(np.abs(forward(columns[:, a])) ** 2)) / columns.shape[0]
+    for a, spectrum in zip(classes, forward(columns[:, classes].T)):
+        energy = float(np.sum(np.abs(spectrum) ** 2)) / columns.shape[0]
         count = pi_progression(sub_table, Q, a)
         worst = max(worst, abs(energy - count) / max(count, 1))
     record(_check(config, "twisted-plancherel", worst), adjusted, Q, None, extra=extra)
@@ -416,9 +418,13 @@ def _decompose_reports(
     Q = primorial(z).value
     adjusted = round_up_multiple(n, Q)
     table = tables.get(adjusted)
-    reports = decompositions(
-        table, Q, config.two_k_values, _tol(config, "decomposition-reconstruction")
+    # every shift's error spectrum is formed before any file is written,
+    # so the table's column spectra and the kernel's accumulators are
+    # freed while the rows are rendered
+    reports = list(
+        decompositions(table, Q, config.two_k_values, _tol(config, "decomposition-reconstruction"))
     )
+    table.release_columns()
     for two_k, report in zip(config.two_k_values, reports):
         constant = hl_constant(two_k, config.cutoff).value
         predicted_li2 = constant * li2(adjusted)

@@ -37,16 +37,20 @@ holds about 1.2 MiB of scratch whatever n is (its 128 KiB low-byte
 chain buffers and a 512 KiB int64 fold buffer), beside its cached
 512 KiB table of powers of P.  The table keeps no prefix counts: pi(x)
 counts the bitmap, about 10 ms at 1e8, and callers ask for it a handful
-of times per extent.  Builds that would exceed the configured byte
-budget are rejected up front.  The cached half spectrum, when asked for,
-costs 8 more bytes per entry (n/2 + 1 complex bins).  Spectral pair
+of times per extent.  The extent cap, 1e9, is the memory bound: an
+extent over it is rejected before any array is allocated.  The cached
+half spectrum, when asked for, costs 8 more bytes per entry (n/2 + 1
+complex bins).  Spectral pair
 counts, the decomposition's error spectrum and the subgroup samples read
 residue columns of the bitmap instead (``spectral``), so they add no
 array of length n.  The table keeps the residue columns mod the last Q
 asked for (``PrimeTable.columns``, a ``transform.ColumnBlocks``) and
 at most one block of their spectra: (n/Q/2 + 1) * 16 bytes per class
 that holds a prime, kept only when they all fit COLUMN_BLOCK_BYTES
-(64 MiB).  Asking for another Q replaces them.
+(64 MiB).  Asking for another Q replaces them, and
+``release_columns`` drops them: the decompose writer does so once every
+shift's error spectrum is formed, so no column spectrum is held while
+its rows are rendered.
 """
 
 from __future__ import annotations
@@ -68,7 +72,6 @@ from .transform import ColumnBlocks, as_ring, forward_real, require_divisor, uni
 logger = logging.getLogger(__name__)
 
 MAX_TABLE_EXTENT = 10**9
-DEFAULT_MEMORY_BUDGET = 6 * 2**30  # bytes
 SEGMENT_LENGTH = 1 << 20  # odd slots per sieve segment
 
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)
@@ -217,6 +220,11 @@ class PrimeTable:
             self._columns = ColumnBlocks(self.is_prime, Q)
         return self._columns
 
+    def release_columns(self) -> None:
+        """Drop the kept residue columns and their spectra; the next
+        ``columns`` call gathers and transforms them again."""
+        self._columns = None
+
     def bitmap_payload(self) -> bytes:
         """Packed bits of is_prime[1..n], MSB-first within each byte."""
         return np.packbits(self.is_prime[1 : self.n + 1]).tobytes()
@@ -228,7 +236,7 @@ class PrimeTable:
         return self._checksum
 
 
-def build_table(n: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> PrimeTable:
+def build_table(n: int) -> PrimeTable:
     """Sieve primality on {1..n} with a segmented Eratosthenes pass over
     odd slots (slot i stands for 2i + 1).
 
@@ -242,25 +250,19 @@ def build_table(n: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> PrimeTabl
     1 is cleared and 2 and the wheel primes are set back to prime.
     Nothing beyond the n+1 byte bitmap and the base primes is allocated.
 
-    Rejects n outside [2, 1e9] and builds whose bitmap would exceed
-    ``memory_budget`` bytes.
+    Rejects n outside [2, 1e9] before allocating: the extent cap is the
+    memory bound, about 1 GB of bitmap at 1e9.
     """
     if n < 2:
         raise UsageError(f"build_table requires n >= 2, got {n}")
     if n > MAX_TABLE_EXTENT:
         raise ResourceLimitError(f"table extent capped at 1e9, got {n}")
-    needed = (n + 1) + 2 * SEGMENT_LENGTH
-    if needed > memory_budget:
-        raise ResourceLimitError(
-            f"building a table of extent {n} needs about {needed} bytes, "
-            f"over the budget of {memory_budget}"
-        )
     is_prime = np.zeros(n + 1, dtype=bool)
     slots = (n + 1) // 2  # odd integers 1, 3, ..., up to n
     root = math.isqrt(n)
     base = np.empty(0, dtype=np.int64)
     if root >= _FIRST_BASE_PRIME:
-        base = build_table(root, memory_budget).primes()
+        base = build_table(root).primes()
         base = base[base >= _FIRST_BASE_PRIME]
     first = (base * base - 1) // 2  # slot of p^2, ascending in p
     residue = (base - 1) // 2  # slots of odd multiples of p are = residue (mod p)

@@ -188,7 +188,8 @@ def column_pair_spectra(columns: ColumnBlocks, shifts):
     the blocks that hold their partners b: for shifts below the span of a
     block, two.  So the memory is the weights plus
     chunk * (m//2 + 1) * 16 bytes per live block of chunk classes, and,
-    while a block is transformed, its real input of about the same size.
+    while a block is transformed, its gathered columns and one row batch
+    of at most 8 MiB of float input (``transform.ColumnBlocks``).
 
     t takes two values per shift, so each shift keeps two accumulators and
     two phase vectors.  Shifts go in groups whose accumulators fit one

@@ -27,12 +27,23 @@ one length-m transform of the column carries the class's whole energy.
 ``forward_real`` transforms a batch of such columns, one per row, in one
 call.  ``ColumnBlocks`` gathers the columns that hold a nonzero weight
 straight from a 1-indexed weight vector, in blocks of at most
-COLUMN_BLOCK_BYTES of spectra, and transforms each block in one such
-call; the spectral correlations (prime pairs and von Mangoldt pairs),
-the error spectrum and the subgroup samples all read it.  A PrimeTable
-keeps one, of its bitmap mod the last Q asked for
-(``PrimeTable.columns``), and with it the spectra of its block when
+COLUMN_BLOCK_BYTES of spectra, and fills each block's spectra with such
+calls on batches of rows; the spectral correlations (prime pairs and
+von Mangoldt pairs), the error spectrum and the subgroup samples all
+read it.  A PrimeTable keeps one, of its bitmap mod the last Q asked
+for (``PrimeTable.columns``), and with it the spectra of its block when
 every holding class fits one: the memory held is at most one block.
+
+Memory model of one block: its spectra, (m//2 + 1) * 16 bytes per
+column; the gathered columns, m entries of the weights' type per column
+(1 byte for the prime bitmap); and one row batch in flight, at most
+COLUMN_BLOCK_BYTES // 8 (8 MiB) of float input, which the rfft copies
+from bool, and its spectra until they are copied into the block's.  No
+float copy of the whole block is made.  Each row is its own transform,
+so the spectra are bit for bit those of one call on the block.  Every
+block of the identity suite fits one batch, which matters at its
+Bluestein lengths (166667, 33334): numpy 2 keeps no plan cache, so each
+call builds its plan anew.
 
 Every transform in the package is a call here, on plain arrays: this is
 the only module that names ``numpy.fft``, and each call checks its length.
@@ -128,10 +139,12 @@ class ColumnBlocks:
     x) and Q | n.  ``classes`` are the classes a (ascending) whose column
     holds a nonzero weight; ``chunk`` is the number of classes per block,
     as many column spectra of (m//2 + 1) * 16 bytes as fit
-    COLUMN_BLOCK_BYTES; ``spectra(j)`` is block j's column spectra, one
-    batched rfft (``forward_real``) of the columns of classes
-    chunk*j .. chunk*(j + 1) - 1, one per row.  The columns are gathered
-    from the weights, viewed as (m, Q) without a copy.
+    COLUMN_BLOCK_BYTES; ``spectra(j)`` is block j's column spectra, the
+    rffts (``forward_real``) of the columns of classes
+    chunk*j .. chunk*(j + 1) - 1, one per row, in batches of ``rows``
+    columns, as many as fit COLUMN_BLOCK_BYTES // 8 bytes of float input.
+    The columns are gathered from the weights, viewed as (m, Q) without
+    a copy.
 
     When every class fits one block, as at every extent of the identity
     suite, the spectra of the first transform are kept (``kept``, not
@@ -153,6 +166,7 @@ class ColumnBlocks:
         holding[0] |= bool(weights[n])
         self.classes = np.flatnonzero(holding)
         self.chunk = max(1, COLUMN_BLOCK_BYTES // ((self.m // 2 + 1) * 16))
+        self.rows = max(1, COLUMN_BLOCK_BYTES // 8 // (8 * self.m))
         self.kept: np.ndarray | None = None
 
     def spectra(self, block: int) -> np.ndarray:
@@ -161,11 +175,18 @@ class ColumnBlocks:
         chunk = self.chunk
         # np.take reads each row of the view once; the transposed copy puts
         # each column's m entries in a row, where the rfft reads them
-        picked = np.take(self._values, self.classes[block * chunk : (block + 1) * chunk], axis=1)
-        columns = np.ascontiguousarray(picked.T)
+        columns = np.ascontiguousarray(
+            np.take(self._values, self.classes[block * chunk : (block + 1) * chunk], axis=1).T
+        )
         if block == 0 and self.classes[0] == 0:
             columns[0, 0] = self.weights[-1]
-        spectra = forward_real(columns)
+        # the rfft takes a float copy of its input, so it is given at most
+        # ``rows`` columns at a time; each row is its own transform, so the
+        # spectra are those of one call on the whole block
+        rows = self.rows
+        spectra = np.empty((columns.shape[0], self.m // 2 + 1), dtype=complex)
+        for lo in range(0, columns.shape[0], rows):
+            spectra[lo : lo + rows] = forward_real(columns[lo : lo + rows])
         if self.classes.size <= chunk:
             spectra.flags.writeable = False
             self.kept = spectra

@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -337,15 +338,21 @@ class TestTransformBudget:
         assert ring_transforms("fft") == Counter(n_values)
         # every complex fft by length: that Plancherel one per n, and per
         # (n, z) two of length Q, of the column bins 0 and of the residue
-        # counts, and three residue-column transforms of length n/Q at
-        # the adjusted extent
+        # counts, and one batched call on the twisted-Plancherel rows'
+        # three residue columns of length n/Q at the adjusted extent
         lengths = Counter(n_values)
         for n in n_values:
             for z in z_values:
                 Q = primorial(z).value
                 lengths[Q] += 2
-                lengths[round_up_multiple(n, Q) // Q] += 3
-        assert Counter(a.shape[0] for fn, a in calls if fn == "fft") == lengths
+                lengths[round_up_multiple(n, Q) // Q] += 1
+        assert Counter(a.shape[-1] for fn, a in calls if fn == "fft") == lengths
+        twisted = [a.shape for fn, a in calls if fn == "fft" and a.ndim == 2]
+        assert twisted == [
+            (3, round_up_multiple(n, primorial(z).value) // primorial(z).value)
+            for n in n_values
+            for z in z_values
+        ]
         # batched column rffts by length: per n those of the pair counts and
         # of the von Mangoldt weights, of length n / pair_count_modulus(n),
         # and per (n, z) the one that the subgroup samples and the
@@ -359,10 +366,10 @@ class TestTransformBudget:
                 columns[round_up_multiple(n, Q) // Q] += 1
         assert Counter(a.shape[1] for fn, a in calls if fn == "rfft" and a.ndim == 2) == columns
         # per n: the two batched column rffts, the round-trip irfft and
-        # the Plancherel fft; per (n, z): the two length-Q transforms,
-        # three column transforms and the shared batched column rfft
-        budget = len(spectra) + 4 * len(n_values) + 6 * len(n_values) * len(z_values)
-        assert len(calls) == budget == 47
+        # the Plancherel fft; per (n, z): the two length-Q transforms, the
+        # batched twisted-Plancherel fft and the shared batched column rfft
+        budget = len(spectra) + 4 * len(n_values) + 4 * len(n_values) * len(z_values)
+        assert len(calls) == budget == 35
         # no transform of any length-n ring at an adjusted extent
         assert not {1020, 1050} & {a.shape[-1] for fn, a in calls}
 
@@ -430,6 +437,45 @@ class TestModeOutputs:
         header = csv_text.splitlines()
         assert any(line.startswith("# prime_table_checksum=fnv1a64:") for line in header)
         assert "xi,re_T,im_T,abs_T" in header
+
+    def test_decompose_writes_with_column_spectra_released(self, tmp_path, monkeypatch):
+        # every shift's error spectrum is formed before the first file is
+        # written, and by then the table has released its residue columns
+        # mod Q and their kept spectra
+        blocks, dead = [], []
+        columns = sieve.PrimeTable.columns
+        csv = harness.write_csv
+
+        def tracked(table, Q):
+            kept = columns(table, Q)
+            blocks.append(weakref.ref(kept))
+            return kept
+
+        def checked(*args, **kwargs):
+            dead.append(all(ref() is None for ref in blocks))
+            return csv(*args, **kwargs)
+
+        monkeypatch.setattr(sieve.PrimeTable, "columns", tracked)
+        monkeypatch.setattr(harness, "write_csv", checked)
+        argv = ["decompose", "--n", "30030", "--z", "5,7", "--two-k", "2,4,6", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert len(blocks) == 2  # Q = 6 and Q = 30, one kept block each
+        assert dead == [True] * 6
+
+    def test_failed_reconstruction_writes_no_shift(self, tmp_path, monkeypatch, capsys):
+        # the second shift's check fails: the run exits 2, and the first
+        # shift, which passed, gets no file either, since the
+        # decomposition runs to the end before anything is written
+        sieved = spectral.pair_count_circular
+
+        def off_by_one(table, two_k):
+            return sieved(table, two_k) + (two_k == 4)
+
+        monkeypatch.setattr(spectral, "pair_count_circular", off_by_one)
+        argv = ["decompose", "--n", "3000", "--z", "7", "--two-k", "2,4", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "decomposition-reconstruction" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_decompose_predictions_are_the_hardy_littlewood_expressions(self, tmp_path):
         argv = ["decompose", "--n", "3000", "--z", "7", "--two-k", "2,4", "--cutoff", "10000"]
@@ -915,6 +961,30 @@ class TestCli:
         config = small_config("spectrum-export", tmp_path, n_values=[30, 10**7 + 1])
         with pytest.raises(ResourceLimitError, match="got 10000001$"):
             run(config)
+
+    @pytest.mark.parametrize("verb", ["verify", "pairs", "spectrum"])
+    def test_cutoff_rejected_where_unread(self, tmp_path, capsys, verb):
+        # only decompose, constants and sweep compute a constant
+        argv = [verb, "--n", "30030", "--two-k", "2", "--cutoff", "5", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert "unrecognized arguments: --cutoff 5" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_runs_without_cutoff_keep_their_bytes_and_hash(self, tmp_path):
+        # the config keeps its default cutoff, so the hashes are those these
+        # runs had while the verbs still took the flag, and the files are
+        # those of the library run of the default config
+        cli, lib = tmp_path / "cli", tmp_path / "lib"
+        assert main(["verify", "--n", "30030", "--z", "5", "--two-k", "2", "--out", str(cli)]) == 0
+        assert main(["spectrum", "--n", "30030", "--out", str(cli)]) == 0
+        run(ExperimentConfig("identity-suite", [30030], [2], [5], output_dir=str(lib)))
+        run(ExperimentConfig("spectrum-export", [30030], output_dir=str(lib)))
+        names = ["identity_suite.json", "spectrum_n30030_prime.csv", "spectrum_n30030_prime.json"]
+        assert sorted(p.name for p in cli.iterdir()) == sorted(p.name for p in lib.iterdir()) == names
+        for name in names:
+            assert (cli / name).read_bytes() == (lib / name).read_bytes(), name
+        assert json.loads((cli / names[0]).read_text())["config_hash"] == "8fa103896e15f93f"
+        assert "# config_hash=e69701946e5d8a66\n" in (cli / names[1]).read_text()
 
     def test_constants_verb(self, tmp_path, capsys):
         code = main(

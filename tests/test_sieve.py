@@ -114,9 +114,17 @@ class TestBuildTable:
         # extent 17, and 17^4 takes them from one that recursed itself
         assert np.array_equal(build_table(n).is_prime, oracles.sieve_numpy_independent(n))
 
-    def test_memory_budget(self):
-        with pytest.raises(ResourceLimitError):
-            build_table(10**6, memory_budget=10**6)
+    def test_over_cap_raises_before_allocating(self):
+        # the extent cap is the memory bound: an extent over it raises
+        # before the 1 GB bitmap, or any other array, is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="capped at 1e9"):
+                build_table(10**9 + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
 
     def test_extent_bounds(self):
         with pytest.raises(UsageError):

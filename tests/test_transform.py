@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,9 +13,12 @@ from primepairs import (
     forward,
     inverse,
     plancherel_residual,
+    von_mangoldt_vector,
 )
+from primepairs import transform
 from primepairs.transform import (
     MAX_TRANSFORM_LENGTH,
+    ColumnBlocks,
     check_extents,
     forward_real,
     inverse_real,
@@ -249,3 +254,79 @@ class TestRealSpectrum:
     def test_length_budget(self):
         with pytest.raises(ResourceLimitError):
             forward_real(np.zeros(10**7 + 1, dtype=np.float32))
+
+
+class TestColumnBlocks:
+    """A block's spectra are filled by rffts of row batches of at most
+    COLUMN_BLOCK_BYTES // 8 bytes of float input each."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """The shapes of the ``forward_real`` calls, in order."""
+        shapes = []
+        original = transform.forward_real
+
+        def counted(f):
+            shapes.append(f.shape)
+            return original(f)
+
+        monkeypatch.setattr(transform, "forward_real", counted)
+        return shapes
+
+    # m = 1009 is prime, so pocketfft takes its Bluestein path; 1024 is 2^10
+    @pytest.mark.parametrize("m", [1009, 1024])
+    @pytest.mark.parametrize("source", ["prime", "mangoldt"])
+    def test_row_batches_equal_one_call(self, monkeypatch, m, source):
+        Q = 30
+        t = build_table(Q * m)
+        weights = t.is_prime if source == "prime" else von_mangoldt_vector(t)
+        # the classes' columns gathered from the ring layout, independently
+        classes = ColumnBlocks(weights, Q).classes
+        ring = as_ring(weights)
+        whole = np.fft.rfft(np.ascontiguousarray(residue_columns(ring, Q)[:, classes].T))
+        shapes = self._counted(monkeypatch)
+        # three rows per batch; the holding classes (8 units and 2, 3, 5,
+        # and for the weights also 4, 8, 16, 9, 21, 27 and 25) still fit one
+        # block of 23
+        monkeypatch.setattr(transform, "COLUMN_BLOCK_BYTES", 3 * 8 * m * 8)
+        columns = ColumnBlocks(weights, Q)
+        k = {"prime": 11, "mangoldt": 18}[source]
+        assert (columns.chunk, columns.rows, columns.classes.size) == (23, 3, k)
+        spectra = columns.spectra(0)
+        assert shapes == [(3, m)] * (k // 3) + [(k % 3, m)] * (k % 3 > 0)
+        assert spectra.dtype == whole.dtype and spectra.shape == whole.shape
+        assert spectra.tobytes() == whole.tobytes()
+        # the one block is kept and returned again without a transform
+        calls = len(shapes)
+        assert columns.spectra(0) is spectra and not spectra.flags.writeable
+        assert len(shapes) == calls
+
+    def test_default_batch_takes_a_small_block_whole(self, monkeypatch):
+        # 1000002 / 6 = 166667 is prime, a Bluestein length: even all 6
+        # classes (8.0 MB of float input) go in one rfft, so the suite's
+        # block of 4 at that length builds its plan once
+        shapes = self._counted(monkeypatch)
+        columns = ColumnBlocks(np.ones(1000003, dtype=bool), 6)
+        assert columns.rows >= 6
+        columns.spectra(0)
+        assert shapes == [(6, 166667)]
+
+    def test_traced_peak_holds_one_batch(self, monkeypatch, table_1e6):
+        # 1e6 mod 1000: 402 holding classes of 1000 entries, one block of
+        # spectra (3.2 MB), transformed 65 rows (0.5 MB of floats) at a time
+        monkeypatch.setattr(transform, "COLUMN_BLOCK_BYTES", 4 << 20)
+        columns = ColumnBlocks(table_1e6.is_prime, 1000)
+        k, m = columns.classes.size, columns.m
+        assert (k, columns.chunk, columns.rows) == (402, 523, 65)
+        forward_real(np.zeros(8))  # numpy.fft loads on first use
+        tracemalloc.start()
+        try:
+            spectra = columns.spectra(0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        batch = columns.rows * m * 8 + columns.rows * (m // 2 + 1) * 16
+        bound = spectra.nbytes + k * m + batch + (64 << 10)
+        assert peak <= bound
+        # a float copy of the whole block would not fit the bound
+        assert spectra.nbytes + k * m + k * m * 8 > bound
