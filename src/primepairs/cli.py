@@ -54,21 +54,32 @@ def _tolerance_pair(text: str) -> tuple[str, float]:
         raise UsageError(f"tolerance value must be a number, got {value!r}")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override its keys")
-    parser.add_argument("--n", action="append", help="extent(s), comma-separated, repeatable")
-    parser.add_argument("--two-k", action="append", help="even shift(s) 2k, comma-separated")
-    parser.add_argument("--z", action="append", help="primorial bound(s) z, comma-separated")
-    parser.add_argument("--out", help="output directory (or file for single-file verbs)")
-    parser.add_argument("--cache-dir", help="prime-table cache directory")
-    parser.add_argument(
-        "--tolerance",
+_FLAGS = {
+    "--n": dict(action="append", help="extent(s), comma-separated, repeatable"),
+    "--two-k": dict(action="append", help="even shift(s) 2k, comma-separated"),
+    "--z": dict(action="append", help="primorial bound(s) z, comma-separated"),
+    "--cache-dir": dict(help="prime-table cache directory"),
+    "--tolerance": dict(
         action="append",
         default=[],
         metavar="KEY=VAL",
         help=f"override a named tolerance; keys: {', '.join(sorted(DEFAULT_TOLERANCES))}",
-    )
-    parser.add_argument("--stamp", action="store_true", help="stamp reports with a timestamp")
+    ),
+    "--stamp": dict(action="store_true", help="stamp reports with a timestamp"),
+    "--cutoff": dict(type=int, help="prime cutoff for constants"),
+    "--format": dict(choices=("csv", "json"), help="format of the --out file"),
+    "--function": dict(choices=("prime", "mangoldt"), default="prime"),
+}
+
+# the flags each verb reads, beside --config and --out
+_VERB_FLAGS = {
+    "verify": ("--n", "--two-k", "--z", "--cache-dir", "--tolerance"),
+    "pairs": ("--n", "--two-k", "--cache-dir", "--tolerance", "--stamp", "--format"),
+    "decompose": ("--n", "--two-k", "--z", "--cache-dir", "--tolerance", "--stamp", "--cutoff"),
+    "constants": ("--two-k", "--z", "--cutoff"),
+    "spectrum": ("--n", "--cache-dir", "--stamp", "--function"),
+    "sweep": ("--n", "--two-k", "--cache-dir", "--stamp", "--cutoff"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,41 +100,36 @@ def build_parser() -> argparse.ArgumentParser:
         ("sweep", "pair-count vs prediction ratio sweep"),
     ):
         p = sub.add_parser(verb, help=help_text)
-        _add_common(p)
-        if verb in ("decompose", "constants", "sweep"):
-            p.add_argument("--cutoff", type=int, help="prime cutoff for constants")
-        if verb == "pairs":
-            p.add_argument("--format", choices=("csv", "json"), help="format of the --out file")
-        if verb == "spectrum":
-            p.add_argument("--function", choices=("prime", "mangoldt"), default="prime")
+        p.add_argument("--config", help="JSON config file; flags override its keys")
+        p.add_argument("--out", help="output directory (or file for single-file verbs)")
+        for flag in _VERB_FLAGS[verb]:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def _config_from_args(args: argparse.Namespace, mode: str) -> ExperimentConfig:
     raw = load_config_file(args.config) if args.config else {}
     raw["mode"] = mode
-    if args.n:
-        raw["n_values"] = [v for part in args.n for v in _int_list(part)]
-    if args.two_k:
-        raw["two_k_values"] = [v for part in args.two_k for v in _int_list(part)]
-    if args.z:
-        raw["z_schedule"] = [v for part in args.z for v in _int_list(part)]
-    if getattr(args, "cutoff", None) is not None:
-        raw["cutoff"] = args.cutoff
-    if args.out:
-        raw["output_dir"] = args.out
-    if args.cache_dir:
-        raw["cache_dir"] = args.cache_dir
-    if getattr(args, "format", None):
-        raw["out_format"] = args.format
-    if args.stamp:
-        raw["stamp"] = True
-    if getattr(args, "function", None):
-        raw["source_function"] = args.function
+    # a verb's namespace holds only the flags it registers
+    flags = vars(args)
+    for flag, key in (("n", "n_values"), ("two_k", "two_k_values"), ("z", "z_schedule")):
+        if flags.get(flag):
+            raw[key] = [v for part in flags[flag] for v in _int_list(part)]
+    if flags.get("cutoff") is not None:
+        raw["cutoff"] = flags["cutoff"]
+    for flag, key in (
+        ("out", "output_dir"),
+        ("cache_dir", "cache_dir"),
+        ("format", "out_format"),
+        ("stamp", "stamp"),
+        ("function", "source_function"),
+    ):
+        if flags.get(flag):
+            raw[key] = flags[flag]
     # a tolerances value that is no object is left for validate_config to report
     overrides = raw.get("tolerances", {})
     if isinstance(overrides, dict):
-        raw["tolerances"] = {**overrides, **dict(map(_tolerance_pair, args.tolerance))}
+        raw["tolerances"] = {**overrides, **dict(map(_tolerance_pair, flags.get("tolerance", [])))}
     try:
         config = ExperimentConfig(**raw)
     except TypeError as exc:

@@ -48,9 +48,9 @@ from .transform import (
     as_ring,
     check_extents,
     forward,
+    gather_columns,
     inverse_real,
     plancherel_residual,
-    residue_columns,
 )
 
 MODES = ("identity-suite", "decompose", "constants", "spectrum-export", "hl-ratio-sweep")
@@ -247,10 +247,10 @@ class _ExtentTable:
     before the next is loaded, so consecutive requests for one extent
     share a single sieve (or cache load).  The identity suite and
     decompose both take their tables through one.  Only the suite's
-    round-trip and parity rows read the cached spectrum, so it is
-    computed at n and n + n % 2 alone; the subgroup and decomposition
-    rows at an adjusted extent read residue columns, and no transform
-    there has length n."""
+    round-trip, Plancherel and parity rows read the cached spectrum, so
+    it is computed at n and n + n % 2 alone; the rows at an adjusted
+    extent read residue columns gathered from the bitmap, and no float
+    ring and no transform of length n is made there."""
 
     def __init__(self, config: ExperimentConfig) -> None:
         self._config = config
@@ -316,7 +316,7 @@ def _run_identity_suite(config: ExperimentConfig, out: Path) -> RunResult:
 
 
 def _extent_rows(config: ExperimentConfig, record, table: PrimeTable) -> None:
-    """Spectral pair counts, round trip and Plancherel at one extent."""
+    """Pair counts, round trip and Plancherel (on the cached spectrum) at one extent."""
     n = table.n
     # every shift from one batched transform of the length-n/Q columns
     counts = pair_count_checks(table, config.two_k_values, _tol(config, "spectral-pair-count"))
@@ -324,13 +324,14 @@ def _extent_rows(config: ExperimentConfig, record, table: PrimeTable) -> None:
         record(check, n, None, two_k)
 
     ring = table.ring_indicator()
+    half = table.spectrum()
 
-    round_trip = float(np.abs(inverse_real(table.spectrum(), n) - ring).max())
+    round_trip = float(np.abs(inverse_real(half, n) - ring).max())
     record(_check(config, "round-trip", round_trip), n, None, None)
 
-    # the energy identity keeps its own full transform: it is the direct
-    # route the cached spectrum is checked by
-    record(_check(config, "plancherel", plancherel_residual(ring)), n, None, None)
+    # the cached spectrum's power, folded over Z/nZ, against sum ring^2,
+    # the prime count: the energy identity checks that spectrum directly
+    record(_check(config, "plancherel", plancherel_residual(ring, half)), n, None, None)
 
 
 def _parity_row(config: ExperimentConfig, record, tables: _ExtentTable, n: int) -> None:
@@ -365,14 +366,14 @@ def _subgroup_rows(
     # spectrum is the twisted progression sum, so its mean power equals
     # the plain class count.  That spectrum is e_n(-xi a) times the
     # length-n/Q transform of residue column a, so (1/m) sum |DFT_m|^2 is
-    # its mean power exactly.  The classes' columns go through one forward
-    # call, each row its own direct transform, independent of the column
-    # blocks the other rows read
-    columns = residue_columns(sub_table.ring_indicator(), Q)
+    # its mean power exactly.  The classes' columns, gathered from the
+    # bitmap, go through one forward call, each row its own direct
+    # transform, independent of the column blocks the other rows read
     classes = sorted({0, 1 % Q, Q - 1})  # Q = 1 has the one class 0
+    columns = gather_columns(sub_table.is_prime, Q, classes).astype(np.float64)
     worst = 0.0
-    for a, spectrum in zip(classes, forward(columns[:, classes].T)):
-        energy = float(np.sum(np.abs(spectrum) ** 2)) / columns.shape[0]
+    for a, spectrum in zip(classes, forward(columns)):
+        energy = float(np.sum(np.abs(spectrum) ** 2)) / columns.shape[1]
         count = pi_progression(sub_table, Q, a)
         worst = max(worst, abs(energy - count) / max(count, 1))
     record(_check(config, "twisted-plancherel", worst), adjusted, Q, None, extra=extra)

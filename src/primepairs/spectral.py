@@ -89,12 +89,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import IdentityCheck, IdentityError, UsageError
-from .factored import _as_factored, euler_phi, factorize, is_prime_u64
+from .factored import euler_phi, factorize
 from .sieve import PrimeTable, pair_count_circular, residue_profile, von_mangoldt_vector
 from .transform import (
     ColumnBlocks,
     as_ring,
     check_extents,
+    fold_half,
     forward,
     inverse,
     require_divisor,
@@ -249,15 +250,11 @@ def column_pair_counts(weights: np.ndarray, Q: int, shifts) -> list[float]:
     circular correlations sum_x f(x) * f(x + 2k mod n) of the 1-indexed
     ``weights`` as floats carrying transform rounding (for the prime
     bitmap, the circular pair counts), each folded from its half
-    accumulator as soon as it is formed."""
+    accumulator (``fold_half``, S(m - xi) = conj S(xi)) as soon as it is
+    formed."""
     m = (weights.shape[0] - 1) // Q
-    counts = []
-    for half in column_pair_spectra(ColumnBlocks(weights, Q), shifts):
-        total = 2.0 * float(half.real.sum()) - half[0].real
-        if m % 2 == 0:
-            total -= half[-1].real  # the Nyquist bin has no mirror
-        counts.append(float(total) / m)
-    return counts
+    spectra = column_pair_spectra(ColumnBlocks(weights, Q), shifts)
+    return [fold_half(half.real, m) / m for half in spectra]
 
 
 def pair_count_rounding_budget(primes: int, Q: int, m: int) -> float:
@@ -398,22 +395,6 @@ def _error_spectra(table: PrimeTable, Q: int, shifts):
         yield spectrum, terms
 
 
-def is_primorial(Q) -> bool:
-    """True when Q is a product of the first consecutive primes (1 counts,
-    as the empty product)."""
-    f = _as_factored(Q)
-    if not f.is_squarefree():
-        return False
-    expect = 2
-    for p in f.primes:
-        while not is_prime_u64(expect):
-            expect += 1
-        if p != expect:
-            return False
-        expect += 1
-    return True
-
-
 def decomposition_checks(table: PrimeTable, Q: int, shifts, tol: float = 1e-6):
     """Yield, for each shift 2k in ``shifts`` in turn, the split of the
     table's spectral pair-count sum into the subgroup main term and the
@@ -423,16 +404,14 @@ def decomposition_checks(table: PrimeTable, Q: int, shifts, tol: float = 1e-6):
     residue columns of length n/Q only, serves every shift, and shares its
     transform with ``subgroup_restriction_check`` at the same Q.
 
-    Requires Q | n with Q a primorial.  Q > sqrt(n) is allowed (the
-    identity is exact for any Q | n) but logged, since the main term only
+    Requires Q | n; the identity is exact for any such Q, primorial or
+    not.  Q > sqrt(n) is allowed but logged, since the main term only
     carries its asymptotic meaning for small Q.  The reconstruction sum
     (1/n) sum_xi T(xi) e_n(-2k*xi) is a numpy reduction, so its digits do
     not depend on the number of CPUs.
     """
     n = table.n
     require_divisor(n, Q, "decomposition")
-    if not is_primorial(Q):
-        raise UsageError(f"Q must be a primorial, got {Q}")
     shifts = list(shifts)
     for two_k in shifts:
         if not 2 <= two_k < n:

@@ -18,15 +18,15 @@ not divide n (Fourier analysis on Z/QZ ties to Z/nZ only when Q | n);
 ``check_extents`` enforces the one length cap, ``MAX_TRANSFORM_LENGTH``,
 raising ResourceLimitError for every caller;
 ``as_ring`` lays a function on {1..n} out by residue; and
-``residue_columns`` reads the subgroup side off a ring.  With Q | n and
-m = n/Q, the Cooley-Tukey index map x = a + j*Q (0 <= a < Q, 0 <= j < m)
-views the ring as an (m, Q) array whose column a is the class
-x = a (mod Q), because slot 0 holds x = n = 0 (mod Q).  A vector masked
-to that class has the spectrum e_n(-xi*a) * DFT_m(column a)(xi mod m), so
-one length-m transform of the column carries the class's whole energy.
-``forward_real`` transforms a batch of such columns, one per row, in one
-call.  ``ColumnBlocks`` gathers the columns that hold a nonzero weight
-straight from a 1-indexed weight vector, in blocks of at most
+``gather_columns`` reads the subgroup side off a 1-indexed weight vector.
+With Q | n and m = n/Q, the Cooley-Tukey index map x = a + j*Q
+(0 <= a < Q, 0 <= j < m) views the ring as an (m, Q) array whose column
+a is the class x = a (mod Q), because slot 0 holds x = n = 0 (mod Q).  A
+vector masked to that class has the spectrum e_n(-xi*a) * DFT_m(column
+a)(xi mod m), so one length-m transform of the column carries the
+class's whole energy.  ``forward_real`` transforms a batch of such
+columns, one per row, in one call.  ``ColumnBlocks`` gathers the columns
+that hold a nonzero weight, in blocks of at most
 COLUMN_BLOCK_BYTES of spectra, and fills each block's spectra with such
 calls on batches of rows; the spectral correlations (prime pairs and
 von Mangoldt pairs), the error spectrum and the subgroup samples all
@@ -60,15 +60,15 @@ Real input has a Hermitian spectrum, F(n - xi) = conj F(xi), so its whole
 spectrum is fixed by the half 0 <= xi <= n//2 that ``forward_real`` (one
 rfft) returns.  A PrimeTable caches that half spectrum of its ring
 indicator (``PrimeTable.spectrum``), and the length-n identities on a
-table read it: ``inverse_real`` inverts it (the round trip) and
-``spectrum_at`` samples F at any frequency (the parity relation).  No
-correlation, no error spectrum and no subgroup sample is computed at
-length n: the prime and von Mangoldt pair correlations, the
-coset-regrouped error spectrum and the samples F(r*n/Q) of the subgroup
-restriction read residue columns instead.
-``forward``, ``inverse`` and ``plancherel_residual`` stay full complex
-transforms, at length n, Q or n/Q: the direct routes the identities are
-checked by.
+table read it: ``inverse_real`` inverts it (the round trip),
+``spectrum_at`` samples F at any frequency (the parity relation) and
+``plancherel_residual`` folds its power over Z/nZ (the energy).  No
+correlation, no error spectrum, no subgroup sample and no class energy
+is computed at length n: the prime and von Mangoldt pair correlations,
+the coset-regrouped error spectrum, the samples F(r*n/Q) of the subgroup
+restriction and the twisted energies read residue columns instead.
+``forward`` and ``inverse`` stay full complex transforms, at length Q or
+n/Q, and at length n for the spectrum export alone.
 """
 
 from __future__ import annotations
@@ -121,14 +121,20 @@ def as_ring(values_one_indexed: np.ndarray) -> np.ndarray:
     return out
 
 
-def residue_columns(ring: np.ndarray, Q: int) -> np.ndarray:
-    """The ring of length n viewed, without a copy, as an (n/Q, Q) array
-    whose column a holds x = a, a + Q, ... (mod n): the class a mod Q in
-    residue layout.  Requires Q | n."""
-    ring = np.asarray(ring)
-    n = ring.shape[0]
+def gather_columns(weights: np.ndarray, Q: int, classes) -> np.ndarray:
+    """The residue columns mod Q (Q | n) of the ascending ``classes`` of a
+    1-indexed weight vector of length n + 1, one per row, in the weights'
+    type: row i holds x = a, a + Q, ..., a + n - Q for a = classes[i],
+    except that class 0 holds x = n in slot 0, as in residue layout."""
+    n = weights.shape[0] - 1
     require_divisor(n, Q, "residue columns")
-    return ring.reshape(n // Q, Q)
+    classes = np.asarray(classes, dtype=np.int64)
+    # np.take reads each row of the (n/Q, Q) view once; the transposed copy
+    # puts each column's entries in a row, where a transform reads them
+    columns = np.ascontiguousarray(np.take(weights[:n].reshape(n // Q, Q), classes, axis=1).T)
+    if classes.size and classes[0] == 0:
+        columns[0, 0] = weights[n]
+    return columns
 
 
 class ColumnBlocks:
@@ -143,8 +149,7 @@ class ColumnBlocks:
     rffts (``forward_real``) of the columns of classes
     chunk*j .. chunk*(j + 1) - 1, one per row, in batches of ``rows``
     columns, as many as fit COLUMN_BLOCK_BYTES // 8 bytes of float input.
-    The columns are gathered from the weights, viewed as (m, Q) without
-    a copy.
+    The columns are gathered from the weights by ``gather_columns``.
 
     When every class fits one block, as at every extent of the identity
     suite, the spectra of the first transform are kept (``kept``, not
@@ -161,8 +166,7 @@ class ColumnBlocks:
         self.Q = Q
         self.m = n // Q
         # the weights as residue columns, except that slot 0 holds x = n, not 0
-        self._values = weights[:n].reshape(self.m, Q)
-        holding = self._values.any(axis=0)
+        holding = weights[:n].reshape(self.m, Q).any(axis=0)
         holding[0] |= bool(weights[n])
         self.classes = np.flatnonzero(holding)
         self.chunk = max(1, COLUMN_BLOCK_BYTES // ((self.m // 2 + 1) * 16))
@@ -173,13 +177,7 @@ class ColumnBlocks:
         if self.kept is not None:
             return self.kept  # the one block
         chunk = self.chunk
-        # np.take reads each row of the view once; the transposed copy puts
-        # each column's m entries in a row, where the rfft reads them
-        columns = np.ascontiguousarray(
-            np.take(self._values, self.classes[block * chunk : (block + 1) * chunk], axis=1).T
-        )
-        if block == 0 and self.classes[0] == 0:
-            columns[0, 0] = self.weights[-1]
+        columns = gather_columns(self.weights, self.Q, self.classes[block * chunk : (block + 1) * chunk])
         # the rfft takes a float copy of its input, so it is given at most
         # ``rows`` columns at a time; each row is its own transform, so the
         # spectra are those of one call on the whole block
@@ -244,11 +242,26 @@ def inverse(spectrum: np.ndarray) -> np.ndarray:
     return np.fft.ifft(spectrum)
 
 
-def plancherel_residual(f: np.ndarray) -> float:
+def fold_half(half: np.ndarray, n: int) -> float:
+    """sum over xi in Z/nZ of a real g with g(n - xi) = g(xi), given its
+    half g(xi), 0 <= xi <= n//2: twice the half's sum, less bin 0 and, for
+    even n, the Nyquist bin n/2, which have no mirror."""
+    total = 2.0 * float(half.sum()) - half[0]
+    if n % 2 == 0:
+        total -= half[-1]  # the Nyquist bin has no mirror
+    return float(total)
+
+
+def plancherel_residual(f: np.ndarray, half: np.ndarray) -> float:
     """Relative defect of the energy identity (1/n) sum |F(xi)|^2 =
-    sum |f(x)|^2; zero input returns 0 exactly."""
+    sum f(x)^2 for a real vector f of length n and its half spectrum
+    ``half``, the power |F|^2 folded over Z/nZ by ``fold_half``; runs no
+    transform.  Zero input returns 0 exactly."""
     f = np.asarray(f)
+    n = f.shape[0]
+    if half.shape[0] != n // 2 + 1:
+        raise UsageError(f"half spectrum of length {half.shape[0]} does not fit n={n}")
     energy = float(np.sum(np.abs(f) ** 2))
-    spectral = float(np.sum(np.abs(forward(f)) ** 2)) / f.shape[0]
+    spectral = fold_half(np.abs(half) ** 2, n) / n
     gap = abs(spectral - energy)
     return gap / energy if energy > 0 else gap

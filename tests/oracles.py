@@ -151,6 +151,19 @@ def dft_direct(values: np.ndarray) -> np.ndarray:
     return kernel @ v
 
 
+def plancherel_residual_full_route(f: np.ndarray) -> float:
+    """Relative defect of (1/n) sum |F(xi)|^2 = sum |f(x)|^2 from one
+    full-length complex transform of a real or complex f, every bin summed
+    as it is: the route that the library's folded half spectrum
+    (``transform.plancherel_residual``) is checked against.  Zero input
+    returns 0 exactly."""
+    f = np.asarray(f)
+    energy = float(np.sum(np.abs(f) ** 2))
+    spectral = float(np.sum(np.abs(np.fft.fft(f)) ** 2)) / f.shape[0]
+    gap = abs(spectral - energy)
+    return gap / energy if energy > 0 else gap
+
+
 def pair_correlation_via_spectrum(ring: np.ndarray, two_k: int) -> complex:
     """(1/n) * sum_xi |F(ring)(xi)|^2 * exp(-2*pi*i*2k*xi/n) for a real
     weight vector in residue layout, from one full-length complex

@@ -220,6 +220,40 @@ class TestIdentitySuite:
         ]
         assert all(r["residual"] > 0 for r in failed)
 
+    SUITE_ARGV = ["verify", "--n", "30030", "--z", "5,7", "--two-k", "2,4"]
+
+    def _failed(self, tmp_path):
+        rows = json.loads((tmp_path / "identity_suite.json").read_text())["results"]
+        return {row["identity"] for row in rows if not row["passed"]}
+
+    def test_perturbed_cached_spectrum_fails_its_rows(self, tmp_path, monkeypatch, capsys):
+        # one unit added to bin 0 of each table's cached half spectrum: the
+        # round trip is then off by 1/n everywhere and the folded energy by
+        # (2 pi(n) + 1)/n, far past the 1e-8 of both rows; the parity row
+        # reads that spectrum too.  The other rows read no length-n spectrum
+        cached = sieve.PrimeTable.spectrum
+
+        def perturbed(table):
+            if table._spectrum is None:
+                cached(table)
+                table._spectrum[0] += 1
+            return table._spectrum
+
+        monkeypatch.setattr(sieve.PrimeTable, "spectrum", perturbed)
+        assert main(self.SUITE_ARGV + ["--out", str(tmp_path)]) == 2
+        assert self._failed(tmp_path) == {"round-trip", "plancherel", "parity-half-spectrum"}
+        out = capsys.readouterr().out
+        assert "[FAIL] plancherel n=30030" in out and "[FAIL] round-trip n=30030" in out
+
+    def test_perturbed_class_count_fails_twisted_plancherel(self, tmp_path, monkeypatch, capsys):
+        # one prime too many in class 1: that class's column energy is off
+        # by 1/count relative, far past 1e-8, at every Q
+        exact = harness.pi_progression
+        monkeypatch.setattr(harness, "pi_progression", lambda table, q, a: exact(table, q, a) + (a == 1))
+        assert main(self.SUITE_ARGV + ["--out", str(tmp_path)]) == 2
+        assert self._failed(tmp_path) == {"twisted-plancherel"}
+        assert capsys.readouterr().out.count("[FAIL] twisted-plancherel") == 2
+
     def test_twisted_plancherel_at_q_one(self, tmp_path):
         """z = 2 gives Q = 1, whose one residue class is all of Z/nZ."""
         result = run(small_config("identity-suite", tmp_path, n_values=[120], z_schedule=[2]))
@@ -305,6 +339,16 @@ class TestTransformBudget:
             return table
 
         monkeypatch.setattr(sieve, "build_table", counted_build)
+        # the extents at which the package lays out a float ring
+        rings = Counter()
+        ring_indicator = sieve.PrimeTable.ring_indicator
+
+        def counted_ring(table):
+            if sys._getframe(1).f_globals["__name__"] != __name__:
+                rings[table.n] += 1
+            return ring_indicator(table)
+
+        monkeypatch.setattr(sieve.PrimeTable, "ring_indicator", counted_ring)
         n_values, z_values = [2310, 1001], [5, 7, 11]
         code = main(
             [
@@ -334,13 +378,14 @@ class TestTransformBudget:
         # whose subgroup rows read residue columns
         spectra = [2310, 1001, 1002]
         assert ring_transforms("rfft") == Counter(spectra)
-        # the energy identity's independent full transform, once per n
-        assert ring_transforms("fft") == Counter(n_values)
-        # every complex fft by length: that Plancherel one per n, and per
-        # (n, z) two of length Q, of the column bins 0 and of the residue
-        # counts, and one batched call on the twisted-Plancherel rows'
-        # three residue columns of length n/Q at the adjusted extent
-        lengths = Counter(n_values)
+        # the energy identity folds that cached spectrum: no complex
+        # transform of a ring
+        assert ring_transforms("fft") == Counter()
+        # every complex fft by length: per (n, z) two of length Q, of the
+        # column bins 0 and of the residue counts, and one batched call on
+        # the twisted-Plancherel rows' three residue columns of length n/Q
+        # at the adjusted extent, gathered from the bitmap
+        lengths = Counter()
         for n in n_values:
             for z in z_values:
                 Q = primorial(z).value
@@ -365,13 +410,18 @@ class TestTransformBudget:
                 Q = primorial(z).value
                 columns[round_up_multiple(n, Q) // Q] += 1
         assert Counter(a.shape[1] for fn, a in calls if fn == "rfft" and a.ndim == 2) == columns
-        # per n: the two batched column rffts, the round-trip irfft and
-        # the Plancherel fft; per (n, z): the two length-Q transforms, the
-        # batched twisted-Plancherel fft and the shared batched column rfft
-        budget = len(spectra) + 4 * len(n_values) + 4 * len(n_values) * len(z_values)
-        assert len(calls) == budget == 35
-        # no transform of any length-n ring at an adjusted extent
+        # per n: the two batched column rffts and the round-trip irfft;
+        # per (n, z): the two length-Q transforms, the batched
+        # twisted-Plancherel fft and the shared batched column rfft
+        budget = len(spectra) + 3 * len(n_values) + 4 * len(n_values) * len(z_values)
+        assert len(calls) == budget == 33
+        # no float ring at an adjusted extent: the twisted-Plancherel rows
+        # gather their columns from the bitmap
+        assert set(rings) == {2310, 1001, 1002}
+        # no transform of any length-n ring at an adjusted extent, and no
+        # complex one of length n at all
         assert not {1020, 1050} & {a.shape[-1] for fn, a in calls}
+        assert not set(built) & {a.shape[-1] for fn, a in calls if fn in ("fft", "ifft")}
 
     def test_subgroup_rows_share_one_column_rfft(self, tmp_path, monkeypatch, calls):
         # at 30030 both Q = 6 and Q = 30 divide n: the 4 holding classes
@@ -904,8 +954,9 @@ class TestCli:
 
     def test_format_only_on_pairs(self, tmp_path, capsys):
         for verb in ("verify", "decompose", "constants", "spectrum", "sweep"):
-            argv = [verb, "--n", "30", "--two-k", "2", "--format", "json", "--out", str(tmp_path / verb)]
+            argv = [verb, "--format", "json", "--out", str(tmp_path / verb)]
             assert main(argv) == 1, verb
+            assert "unrecognized arguments: --format json" in capsys.readouterr().err, verb
             assert not (tmp_path / verb).exists()
         out_file = tmp_path / "pairs.json"
         argv = ["pairs", "--n", "100,120", "--two-k", "2,6", "--format", "json", "--out", str(out_file)]
@@ -964,8 +1015,10 @@ class TestCli:
 
     @pytest.mark.parametrize("verb", ["verify", "pairs", "spectrum"])
     def test_cutoff_rejected_where_unread(self, tmp_path, capsys, verb):
-        # only decompose, constants and sweep compute a constant
-        argv = [verb, "--n", "30030", "--two-k", "2", "--cutoff", "5", "--out", str(tmp_path)]
+        # only decompose, constants and sweep compute a constant; spectrum
+        # reads no 2k either
+        shifts = [] if verb == "spectrum" else ["--two-k", "2"]
+        argv = [verb, "--n", "30030", *shifts, "--cutoff", "5", "--out", str(tmp_path)]
         assert main(argv) == 1
         assert "unrecognized arguments: --cutoff 5" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
@@ -986,6 +1039,53 @@ class TestCli:
         assert json.loads((cli / names[0]).read_text())["config_hash"] == "8fa103896e15f93f"
         assert "# config_hash=e69701946e5d8a66\n" in (cli / names[1]).read_text()
 
+    @pytest.mark.parametrize(
+        "verb, flag",
+        [
+            ("pairs", ["--z", "5"]),
+            ("spectrum", ["--z", "5"]),
+            ("sweep", ["--z", "5"]),
+            ("spectrum", ["--two-k", "2"]),
+            ("constants", ["--n", "30"]),
+            ("constants", ["--cache-dir", "cache"]),
+            ("constants", ["--tolerance", "plancherel=1e-8"]),
+            ("constants", ["--stamp"]),
+            ("spectrum", ["--tolerance", "plancherel=1e-8"]),
+            ("sweep", ["--tolerance", "plancherel=1e-8"]),
+            ("verify", ["--stamp"]),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v[0].lstrip("-"),
+    )
+    def test_flags_rejected_where_unread(self, tmp_path, monkeypatch, capsys, verb, flag):
+        # each verb registers only the flags it reads
+        monkeypatch.chdir(tmp_path)
+        base = {
+            "pairs": ["--n", "30030", "--two-k", "2"],
+            "spectrum": ["--n", "30030"],
+            "sweep": ["--n", "30030", "--two-k", "2"],
+            "constants": ["--two-k", "2", "--z", "5"],
+            "verify": ["--n", "30030", "--two-k", "2", "--z", "5"],
+        }[verb]
+        assert main([verb, *base, *flag, "--out", str(tmp_path / "out")]) == 1
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_runs_without_removed_flags_keep_their_bytes_and_hash(self, tmp_path):
+        # the hashes are those these runs had while the verbs still took
+        # the flags, and the files are those of the library run of the
+        # same config (verify and spectrum: the test above)
+        cli, lib = tmp_path / "cli", tmp_path / "lib"
+        assert main(["constants", "--two-k", "2", "--z", "5,7", "--cutoff", "10000", "--out", str(cli)]) == 0
+        assert main(["sweep", "--n", "30030", "--two-k", "2", "--out", str(cli)]) == 0
+        run(ExperimentConfig("constants", two_k_values=[2], z_schedule=[5, 7], cutoff=10000, output_dir=str(lib)))
+        run(ExperimentConfig("hl-ratio-sweep", [30030], [2], output_dir=str(lib)))
+        names = ["constants_k2.json", "hl_ratio_sweep.csv"]
+        assert sorted(p.name for p in cli.iterdir()) == sorted(p.name for p in lib.iterdir()) == names
+        for name in names:
+            assert (cli / name).read_bytes() == (lib / name).read_bytes(), name
+        assert json.loads((cli / names[0]).read_text())["config_hash"] == "a085ba2aee2dc468"
+        assert "# config_hash=3582351143d03b93\n" in (cli / names[1]).read_text()
+
     def test_constants_verb(self, tmp_path, capsys):
         code = main(
             [
@@ -996,8 +1096,6 @@ class TestCli:
                 "10000",
                 "--z",
                 "5,7",
-                "--n",
-                "30",
                 "--out",
                 str(tmp_path),
             ]
@@ -1007,7 +1105,7 @@ class TestCli:
 
     def test_spectrum_verb_mangoldt(self, tmp_path):
         code = main(
-            ["spectrum", "--n", "60", "--function", "mangoldt", "--out", str(tmp_path), "--two-k", "2"]
+            ["spectrum", "--n", "60", "--function", "mangoldt", "--out", str(tmp_path)]
         )
         assert code == 0
         sidecar = json.loads((tmp_path / "spectrum_n60_mangoldt.json").read_text())
@@ -1086,7 +1184,12 @@ class TestCli:
         lines = (tmp_path / "spectrum_n5_prime.csv").read_text().splitlines()
         assert len([line for line in lines if not line.startswith("#")]) == 1 + 5
         assert main(["spectrum", "--n", "1", "--out", str(tmp_path)]) == 1
-        assert main(["constants", "--n", "3", "--two-k", "2", "--cutoff", "1000", "--out", str(tmp_path)]) == 0
+        # constants reads no n and registers no --n: an n below the floor
+        # from a config file passes
+        config = tmp_path / "n3.json"
+        config.write_text(json.dumps({"n_values": [3]}))
+        argv = ["constants", "--config", str(config), "--two-k", "2", "--cutoff", "1000"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
         capsys.readouterr()
         assert main(["sweep", "--n", "5", "--two-k", "4", "--out", str(tmp_path)]) == 1
         assert "max(2k)+2 = 6" in capsys.readouterr().err

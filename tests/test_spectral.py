@@ -41,7 +41,6 @@ from primepairs.spectral import (
     correlation_direct,
     decomposition_checks,
     decompositions,
-    is_primorial,
     pair_count_checks,
     pair_count_modulus,
     pair_count_rounding_budget,
@@ -194,9 +193,35 @@ class TestDecompose:
         naive = t.pi(n) ** 2 / n
         assert report.main_term == pytest.approx(2 * naive, rel=0.01)
 
-    def test_requires_primorial_modulus(self):
-        with pytest.raises(UsageError, match="primorial"):
-            decompose(build_table(3000), 10, 2)
+    # Q | n need not be a primorial: odd squarefree moduli, prime powers
+    # and a non-squarefree composite, and Q = n, where the main term is
+    # the whole count
+    @pytest.mark.parametrize(
+        "n, Q, two_k",
+        [
+            (3000, 15, 2), (3500, 35, 4), (3850, 77, 6),
+            (1000, 4, 2), (1000, 8, 4), (360, 12, 2), (24, 24, 22),
+        ],
+    )
+    def test_any_divisor_modulus(self, n, Q, two_k):
+        t = build_table(n)
+        report = decompose(t, Q, two_k)
+        sieved = pair_count_circular(t, two_k)
+        assert report.pair_count_circular == sieved
+        assert report.reconstruction_residual < 1e-9 * n
+        # both sides are Q * sum_r rho(r) rho(r + 2k), an integer
+        convolution = n * main_term_convolution(t, Q, two_k)
+        assert n * report.main_term == pytest.approx(convolution, rel=1e-12)
+        assert round(n * report.main_term) == round(convolution)
+        if Q == n:
+            assert round(convolution) == n * sieved
+
+    def test_non_primorial_main_term_hand_value(self):
+        # n = 360, Q = 12: n * main term = 12 * sum_r rho(r) rho(r + 2)
+        t = build_table(360)
+        assert round(360 * decompose(t, 12, 2).main_term) == 7752
+        rho = [pi_progression(t, 12, r) for r in range(12)]
+        assert 12 * sum(rho[r] * rho[(r + 2) % 12] for r in range(12)) == 7752
 
     def test_requires_divisibility(self):
         with pytest.raises(UsageError):
@@ -807,16 +832,6 @@ class TestPairCountBudget:
         ]
         with pytest.raises(UsageError):
             pair_counts_via_spectrum(table_10k, [2, 10**4])
-
-
-class TestIsPrimorial:
-    def test_accepts_primorials(self):
-        for q in (1, 2, 6, 30, 210, 2310, 30030):
-            assert is_primorial(q)
-
-    def test_rejects_others(self):
-        for q in (4, 10, 15, 60, 105, 4620):
-            assert not is_primorial(q)
 
 
 class TestUpperExtent:

@@ -20,10 +20,11 @@ from primepairs.transform import (
     MAX_TRANSFORM_LENGTH,
     ColumnBlocks,
     check_extents,
+    fold_half,
     forward_real,
+    gather_columns,
     inverse_real,
     require_divisor,
-    residue_columns,
     spectrum_at,
     unit_phase,
 )
@@ -110,19 +111,36 @@ class TestInverse:
 
 
 class TestPlancherel:
-    def test_prime_indicator_energy(self):
+    """The energy identity on a real vector and its half spectrum, whose
+    power is folded over Z/nZ, runs no transform; the full complex
+    transform is the oracle's route."""
+
+    def test_prime_indicator_energy(self, monkeypatch):
         t = build_table(6)
-        ring = t.ring_indicator()
-        assert plancherel_residual(ring) < 1e-12
-        energy = np.abs(forward(ring)) ** 2
-        assert energy.sum() / 6 == pytest.approx(3.0)  # pi(6) = 3
+        ring, half = t.ring_indicator(), t.spectrum()
+        monkeypatch.setattr(np, "fft", None)  # no transform may run
+        assert plancherel_residual(ring, half) < 1e-12
+        assert fold_half(np.abs(half) ** 2, 6) / 6 == pytest.approx(3.0)  # pi(6) = 3
 
     def test_zero_vector(self):
-        assert plancherel_residual(np.zeros(8)) == 0.0
+        assert plancherel_residual(np.zeros(8), np.zeros(5, dtype=complex)) == 0.0
 
-    def test_random_complex(self):
-        f = _rng().normal(size=1000) + 1j * _rng().normal(size=1000)
-        assert plancherel_residual(f) < 1e-10
+    def test_random_real(self):
+        for n in (1, 2, 7, 1000, 1001):
+            f = _rng().normal(size=n)
+            assert plancherel_residual(f, forward_real(f)) < 1e-10
+            assert oracles.plancherel_residual_full_route(f) < 1e-10
+
+    def test_fold_is_the_full_sum(self):
+        # odd and even n: bin 0, and for even n the Nyquist bin, once
+        for n in range(1, 21):
+            f = _rng().normal(size=n)
+            power = np.abs(np.fft.fft(f)) ** 2
+            assert fold_half(np.abs(forward_real(f)) ** 2, n) == pytest.approx(power.sum(), rel=1e-12)
+
+    def test_half_must_fit(self):
+        with pytest.raises(UsageError, match="does not fit n=8"):
+            plancherel_residual(np.zeros(8), np.zeros(4, dtype=complex))
 
 
 class TestRingLayout:
@@ -154,7 +172,8 @@ PRIMORIALS = (1, 2, 6, 30, 210, 2310)
 
 
 class TestResidueColumns:
-    """The (n/Q, Q) view of a ring whose column a is the class a mod Q."""
+    """The residue columns mod Q of a 1-indexed weight vector, one per
+    row, gathered by ``gather_columns``; class 0 holds x = n in slot 0."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -168,13 +187,18 @@ class TestResidueColumns:
     @example(Q=6, m=14, seed=0)  # even m
     def test_columns_are_the_classes(self, Q, m, seed):
         n = Q * m
-        ring = np.random.default_rng(seed).random(n)
-        view = residue_columns(ring, Q)
-        assert view.shape == (m, Q)
-        assert np.shares_memory(view, ring)
-        slots = np.arange(n) % Q
+        rng = np.random.default_rng(seed)
+        weights = rng.random(n + 1)
+        columns = gather_columns(weights, Q, np.arange(Q))
+        assert columns.shape == (Q, m) and columns.flags.c_contiguous
         for a in range(Q):
-            assert np.array_equal(view[:, a], ring[slots == a]), a
+            x = a + Q * np.arange(m)
+            if a == 0:
+                x[0] = n
+            assert np.array_equal(columns[a], weights[x]), a
+        # a subset of classes gathers the same rows
+        subset = np.flatnonzero(rng.random(Q) < 0.5)
+        assert np.array_equal(gather_columns(weights, Q, subset), columns[subset])
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -189,18 +213,19 @@ class TestResidueColumns:
         ring masked to class a, taken by a full length-n transform, and
         both equal the count of ones in the class."""
         n = Q * m
-        ring = np.random.default_rng(seed).integers(0, 2, n).astype(np.float64)
-        view = residue_columns(ring, Q)
+        weights = np.random.default_rng(seed).integers(0, 2, n + 1).astype(bool)
+        ring = as_ring(weights)
+        columns = gather_columns(weights, Q, np.arange(Q)).astype(np.float64)
         for a in range(Q):
-            column = float(np.sum(np.abs(forward(view[:, a])) ** 2)) / m
+            column = float(np.sum(np.abs(forward(columns[a])) ** 2)) / m
             masked = oracles.class_energy_masked(ring, Q, a)
             assert column == pytest.approx(masked, rel=1e-12, abs=1e-12), a
-            assert masked == pytest.approx(np.count_nonzero(view[:, a]), rel=1e-12, abs=1e-12)
+            assert masked == pytest.approx(np.count_nonzero(columns[a]), rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("n, Q", [(30, 7), (30, 4), (12, 0), (2, 6)])
     def test_non_divisor_rejected(self, n, Q):
         with pytest.raises(UsageError, match="requires Q [|] n"):
-            residue_columns(np.zeros(n), Q)
+            gather_columns(np.zeros(n + 1), Q, [0])
 
 
 class TestConventions:
@@ -283,7 +308,7 @@ class TestColumnBlocks:
         # the classes' columns gathered from the ring layout, independently
         classes = ColumnBlocks(weights, Q).classes
         ring = as_ring(weights)
-        whole = np.fft.rfft(np.ascontiguousarray(residue_columns(ring, Q)[:, classes].T))
+        whole = np.fft.rfft(np.ascontiguousarray(ring.reshape(m, Q)[:, classes].T))
         shapes = self._counted(monkeypatch)
         # three rows per batch; the holding classes (8 units and 2, 3, 5,
         # and for the weights also 4, 8, 16, 9, 21, 27 and 25) still fit one
