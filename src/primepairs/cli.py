@@ -68,7 +68,8 @@ _FLAGS = {
     "--stamp": dict(action="store_true", help="stamp reports with a timestamp"),
     "--cutoff": dict(type=int, help="prime cutoff for constants"),
     "--format": dict(choices=("csv", "json"), help="format of the --out file"),
-    "--function": dict(choices=("prime", "mangoldt"), default="prime"),
+    # no default, so that a config file's source_function applies
+    "--function": dict(choices=("prime", "mangoldt"), help="source function (default: prime)"),
 }
 
 # the flags each verb reads, beside --config and --out

@@ -35,7 +35,8 @@ from .sieve import (
 )
 from .spectral import (
     decomposition_checks,
-    decompositions,
+    decomposition_step,
+    half_accumulators,
     half_spectrum_residual,
     main_term_convolution,
     pair_count_checks,
@@ -419,13 +420,17 @@ def _decompose_reports(
     Q = primorial(z).value
     adjusted = round_up_multiple(n, Q)
     table = tables.get(adjusted)
-    # every shift's error spectrum is formed before any file is written,
-    # so the table's column spectra and the kernel's accumulators are
-    # freed while the rows are rendered
-    reports = list(
-        decompositions(table, Q, config.two_k_values, _tol(config, "decomposition-reconstruction"))
-    )
+    # the column pass runs the kernel to the end, and the table's column
+    # spectra are released before the T step forms any error spectrum;
+    # every shift's report is formed before any file is written
+    halves = half_accumulators(table, Q, config.two_k_values)
     table.release_columns()
+    tol = _tol(config, "decomposition-reconstruction")
+    reports = []
+    for report, check in decomposition_step(table, Q, config.two_k_values, halves, tol):
+        check.require()
+        reports.append(report)
+    del halves  # the rows are rendered from T alone
     for two_k, report in zip(config.two_k_values, reports):
         constant = hl_constant(two_k, config.cutoff).value
         predicted_li2 = constant * li2(adjusted)

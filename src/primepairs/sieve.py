@@ -48,9 +48,12 @@ asked for (``PrimeTable.columns``, a ``transform.ColumnBlocks``) and
 at most one block of their spectra: (n/Q/2 + 1) * 16 bytes per class
 that holds a prime, kept only when they all fit COLUMN_BLOCK_BYTES
 (64 MiB).  Asking for another Q replaces them, and
-``release_columns`` drops them: the decompose writer does so once every
-shift's error spectrum is formed, so no column spectrum is held while
-its rows are rendered.
+``release_columns`` drops them: the decompose writer does so between the
+column pass, which leaves every shift's half accumulator S, and the T
+step, so no column spectrum is held while an error spectrum T (16 bytes
+per entry of n/Q) is formed or its rows are rendered.  The prime list
+(``primes``, 8 bytes per prime) is the int64 index array of the bitmap
+itself, not a copy of it.
 """
 
 from __future__ import annotations
@@ -195,7 +198,8 @@ class PrimeTable:
     def primes(self) -> np.ndarray:
         """All primes <= n as an int64 array (computed once, then cached)."""
         if self._primes is None:
-            self._primes = np.flatnonzero(self.is_prime).astype(np.int64)
+            # flatnonzero gives intp, int64 on 64-bit platforms: no copy there
+            self._primes = np.flatnonzero(self.is_prime).astype(np.int64, copy=False)
         return self._primes
 
     def ring_indicator(self) -> np.ndarray:

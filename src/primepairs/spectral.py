@@ -38,7 +38,11 @@ the one spectral correlation route, and the one route to T.  The
 spectral pair counts and psi pair correlations take it with Q from
 ``pair_count_modulus``; the decompositions and ``error_spectrum_stats``
 take it with the Q they are given, at every n, so the transform length
-is n/Q.
+is n/Q.  A decomposition is two steps: the column pass
+(``half_accumulators``) runs the kernel to the end and returns every
+shift's S, and the T step (``decomposition_step``) forms each T from its
+S alone, so a caller may release the table's column spectra between
+them, as the decompose writer does.
 The reconstruction sum of the decompositions, the direct correlation
 (``correlation_direct``), the residue-count convolution
 (``main_term_convolution``) and the folded pair value
@@ -171,6 +175,14 @@ def pair_count_modulus(n: int) -> int:
     return min((d for d in density if d * d <= n), key=lambda d: (density[d], -d))
 
 
+def _phase_row(m: int, half: int, t: int) -> np.ndarray:
+    """unit_phase(m, t * xi) for 0 <= xi < half, with the index vector
+    scaled in place, so that it makes one index vector, not two."""
+    k = np.arange(half, dtype=np.int64)
+    k *= t
+    return unit_phase(m, k)
+
+
 def column_pair_spectra(columns: ColumnBlocks, shifts):
     """Yield, for each shift 2k in ``shifts`` (any 2k >= 0) in turn, the
     half accumulator S(xi), 0 <= xi <= m//2 with m = n/Q:
@@ -190,7 +202,13 @@ def column_pair_spectra(columns: ColumnBlocks, shifts):
     block, two.  So the memory is the weights plus
     chunk * (m//2 + 1) * 16 bytes per live block of chunk classes, and,
     while a block is transformed, its gathered columns and one row batch
-    of at most 8 MiB of float input (``transform.ColumnBlocks``).
+    (``transform.ColumnBlocks``: the block, or rows whose float input and
+    spectra fit 8 MiB).  A group's accumulators and the product, each
+    (m//2 + 1) * 16 bytes, are allocated once the first block's spectra
+    exist, so none is held while it is transformed; no block is held by
+    the kernel once the shifts are yielded, and each S is formed in place
+    in its shift's first accumulator.  A shift that pairs no class yields
+    zeros.
 
     t takes two values per shift, so each shift keeps two accumulators and
     two phase vectors.  Shifts go in groups whose accumulators fit one
@@ -209,8 +227,6 @@ def column_pair_spectra(columns: ColumnBlocks, shifts):
 
     shifts = list(shifts)
     group = max(1, chunk // 2)  # two accumulators per shift fit one block
-    xi = np.arange(half, dtype=np.int64)
-    product = np.empty(half, dtype=complex)
     for first in range(0, len(shifts), group):
         batch = shifts[first : first + group]
         # every pair (a, b) of weight-holding classes, by the position of a,
@@ -226,7 +242,10 @@ def column_pair_spectra(columns: ColumnBlocks, shifts):
         order = np.argsort(np.concatenate(a_pos), kind="stable")
         a_pos, b_pos, slot = (np.concatenate(v)[order] for v in (a_pos, b_pos, slot))
 
-        acc = np.zeros((2 * len(batch), half), dtype=complex)
+        # the accumulators, one array each, and the product are allocated
+        # once the first block's spectra exist, so they are not held while
+        # it is transformed
+        acc = product = None
         live: dict[int, np.ndarray] = {}
         bounds = np.searchsorted(a_pos, np.arange(0, classes.size + chunk, chunk))
         for block, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
@@ -236,13 +255,28 @@ def column_pair_spectra(columns: ColumnBlocks, shifts):
             live = {k: v for k, v in live.items() if k in needed}
             for k in sorted(needed - live.keys()):
                 live[k] = columns.spectra(k)
+            if acc is None:
+                acc = [np.zeros(half, dtype=complex) for _ in range(2 * len(batch))]
+                product = np.empty(half, dtype=complex)
             for a, b, j in zip(a_pos[lo:hi].tolist(), b_pos[lo:hi].tolist(), slot[lo:hi].tolist()):
                 np.conjugate(live[b // chunk][b % chunk], out=product)
                 product *= live[a // chunk][a % chunk]
                 acc[j] += product
+        live = product = None  # no block is held while the shifts are yielded
+        if acc is None:  # no class pairs with a partner at any shift
+            acc = [np.zeros(half, dtype=complex) for _ in range(2 * len(batch))]
         for s, two_k in enumerate(batch):
+            # S is formed in place in the shift's first accumulator, and the
+            # kernel lets go of both; the phase stays the first factor, since
+            # a complex product with fused multiply-adds is not symmetric
             t = two_k // Q
-            yield unit_phase(m, t * xi) * acc[2 * s] + unit_phase(m, (t + 1) * xi) * acc[2 * s + 1]
+            spectrum, upper = acc[2 * s], acc[2 * s + 1]
+            acc[2 * s] = acc[2 * s + 1] = None
+            np.multiply(_phase_row(m, half, t), spectrum, out=spectrum)
+            np.multiply(_phase_row(m, half, t + 1), upper, out=upper)
+            spectrum += upper
+            upper = None
+            yield spectrum
 
 
 def column_pair_counts(weights: np.ndarray, Q: int, shifts) -> list[float]:
@@ -372,43 +406,37 @@ def main_term_convolution(table: PrimeTable, Q: int, two_k: int) -> float:
     return float(Q / n * shifted.sum())
 
 
-def _error_spectra(table: PrimeTable, Q: int, shifts):
-    """Yield, for each shift in turn, T(xi) = Q * e_n(+2k*xi) * S(xi) for
-    0 <= xi < n/Q and the terms T(xi) * e_n(-2k*xi) of the reconstruction
-    sum, from one ``column_pair_spectra`` call on the table's residue
-    columns mod Q (``table.columns(Q)``): S(m - xi) = conj S(xi) fills
-    the upper half, and the one phase vector, conjugated in place, turns
-    into the terms."""
-    n = table.n
+def _error_spectrum(n: int, Q: int, two_k: int, half: np.ndarray):
+    """T(xi) = Q * e_n(+2k*xi) * S(xi) for 0 <= xi < n/Q, formed in place
+    in one array from the half accumulator S (S(m - xi) = conj S(xi)
+    fills the upper half), and the terms T(xi) * e_n(-2k*xi) of the
+    reconstruction sum, into which the one phase vector turns, conjugated
+    in place."""
     m = n // Q
-    xi = np.arange(m, dtype=np.int64)
-    spectra = column_pair_spectra(table.columns(Q), shifts)
-    for two_k, half in zip(shifts, spectra):
-        spectrum = np.empty(m, dtype=complex)
-        spectrum[: half.shape[0]] = half
-        np.conjugate(half[1 : m - half.shape[0] + 1][::-1], out=spectrum[half.shape[0] :])
-        spectrum *= Q
-        phase = unit_phase(n, -two_k * xi)
-        spectrum *= phase
-        terms = np.conjugate(phase, out=phase)
-        terms *= spectrum
-        yield spectrum, terms
+    spectrum = np.empty(m, dtype=complex)
+    spectrum[: half.shape[0]] = half
+    np.conjugate(half[1 : m - half.shape[0] + 1][::-1], out=spectrum[half.shape[0] :])
+    spectrum *= Q
+    phase = unit_phase(n, -two_k * np.arange(m, dtype=np.int64))
+    spectrum *= phase
+    terms = np.conjugate(phase, out=phase)
+    terms *= spectrum
+    return spectrum, terms
 
 
-def decomposition_checks(table: PrimeTable, Q: int, shifts, tol: float = 1e-6):
-    """Yield, for each shift 2k in ``shifts`` in turn, the split of the
-    table's spectral pair-count sum into the subgroup main term and the
-    per-frequency error spectrum, with the check that the split
-    reconstructs the sieve's circular count within tol * n.  One
+def half_accumulators(table: PrimeTable, Q: int, shifts) -> list[np.ndarray]:
+    """The column pass of the decomposition: every shift's half
+    accumulator S(xi), 0 <= xi <= m//2 with m = n/Q, from one
     ``column_pair_spectra`` call on ``table.columns(Q)``, which transforms
-    residue columns of length n/Q only, serves every shift, and shares its
-    transform with ``subgroup_restriction_check`` at the same Q.
+    residue columns of length m only.  The kernel is run to the end, so
+    its accumulators and blocks are gone on return; the columns the table
+    keeps are not, and a caller that reads no other identity at this Q
+    may release them (``PrimeTable.release_columns``) before the T step,
+    ``decomposition_step``, forms the error spectra.
 
-    Requires Q | n; the identity is exact for any such Q, primorial or
-    not.  Q > sqrt(n) is allowed but logged, since the main term only
-    carries its asymptotic meaning for small Q.  The reconstruction sum
-    (1/n) sum_xi T(xi) e_n(-2k*xi) is a numpy reduction, so its digits do
-    not depend on the number of CPUs.
+    Requires Q | n and 2 <= 2k < n for every shift; the identity is exact
+    for any such Q, primorial or not.  Q > sqrt(n) is allowed but logged,
+    since the main term only carries its asymptotic meaning for small Q.
     """
     n = table.n
     require_divisor(n, Q, "decomposition")
@@ -418,8 +446,22 @@ def decomposition_checks(table: PrimeTable, Q: int, shifts, tol: float = 1e-6):
             raise UsageError(f"need 2 <= 2k < n, got 2k={two_k}")
     if Q * Q > n:
         logger.warning("decompose called with Q=%d above sqrt(n=%d); identity still exact", Q, n)
+    return list(column_pair_spectra(table.columns(Q), shifts))
+
+
+def decomposition_step(table: PrimeTable, Q: int, shifts, halves, tol: float = 1e-6):
+    """The T step of the decomposition: yield, for each shift 2k in
+    ``shifts`` in turn with its half accumulator S in ``halves`` (from
+    ``half_accumulators``), the split of the table's spectral pair-count
+    sum into the subgroup main term and the per-frequency error spectrum
+    T, formed from S alone, with the check that the split reconstructs
+    the sieve's circular count within tol * n.  The reconstruction sum
+    (1/n) sum_xi T(xi) e_n(-2k*xi) is a numpy reduction, so its digits do
+    not depend on the number of CPUs."""
+    n = table.n
     budget, detail = tol * n, f"n={n}, Q={Q}"
-    for two_k, (spectrum, terms) in zip(shifts, _error_spectra(table, Q, shifts)):
+    for two_k, half in zip(shifts, halves, strict=True):
+        spectrum, terms = _error_spectrum(n, Q, two_k, half)
         main_term = float(spectrum[0].real) / n
         reconstructed = complex(terms.sum()) / n
         sieved = pair_count_circular(table, two_k)
@@ -434,6 +476,16 @@ def decomposition_checks(table: PrimeTable, Q: int, shifts, tol: float = 1e-6):
             pair_count_circular=sieved,
         )
         yield report, IdentityCheck("decomposition-reconstruction", residual, budget, detail)
+
+
+def decomposition_checks(table: PrimeTable, Q: int, shifts, tol: float = 1e-6):
+    """The column pass (``half_accumulators``) followed by the T step
+    (``decomposition_step``): yield, for each shift in turn, its
+    ``DecompositionReport`` and reconstruction check.  The pass reads
+    ``table.columns(Q)``, so it shares its transform with
+    ``subgroup_restriction_check`` at the same Q."""
+    shifts = list(shifts)
+    yield from decomposition_step(table, Q, shifts, half_accumulators(table, Q, shifts), tol)
 
 
 def decompositions(table: PrimeTable, Q: int, shifts, tol: float = 1e-6):
@@ -484,7 +536,8 @@ def error_spectrum_stats(table: PrimeTable, Q: int, two_k: int) -> dict:
     if Q >= n:
         raise UsageError(f"degenerate Q = n rejected, got Q={Q}, n={n}")
     check_extents([n])  # the large-frequency count reads the length-n spectrum
-    ((spectrum, terms),) = _error_spectra(table, Q, [two_k])
+    (half,) = column_pair_spectra(table.columns(Q), [two_k])
+    spectrum, terms = _error_spectrum(n, Q, two_k, half)
     tail = np.abs(spectrum[1:])
     offzero = complex(terms[1:].sum()) / n
     # the cached half power, each bin counted with its mirror n - xi

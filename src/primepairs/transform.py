@@ -36,14 +36,17 @@ every holding class fits one: the memory held is at most one block.
 
 Memory model of one block: its spectra, (m//2 + 1) * 16 bytes per
 column; the gathered columns, m entries of the weights' type per column
-(1 byte for the prime bitmap); and one row batch in flight, at most
-COLUMN_BLOCK_BYTES // 8 (8 MiB) of float input, which the rfft copies
-from bool, and its spectra until they are copied into the block's.  No
-float copy of the whole block is made.  Each row is its own transform,
-so the spectra are bit for bit those of one call on the block.  Every
-block of the identity suite fits one batch, which matters at its
-Bluestein lengths (166667, 33334): numpy 2 keeps no plan cache, so each
-call builds its plan anew.
+(1 byte for the prime bitmap); and one row batch in flight, its float
+input, which the rfft copies from bool, and its spectra until they are
+copied into the block's.  A block whose float input fits
+COLUMN_BLOCK_BYTES // 8 (8 MiB) is one batch; a larger one goes in
+batches whose float input and spectra together fit that size (at
+9699690 with Q = 30, one row of 323323 a call), so no float copy of the
+whole block is made and a batch in flight holds at most 8 MiB.  Each
+row is its own transform, so the spectra are bit for bit those of one
+call on the block.  Every block of the identity suite fits one batch,
+which matters at its Bluestein lengths (166667, 33334): numpy 2 keeps
+no plan cache, so each call builds its plan anew.
 
 Every transform in the package is a call here, on plain arrays: this is
 the only module that names ``numpy.fft``, and each call checks its length.
@@ -86,7 +89,8 @@ COLUMN_BLOCK_BYTES = 64 << 20
 def unit_phase(n: int, k) -> np.ndarray:
     """The kernel e_n(-k) = exp(-2*pi*i*k/n) for an integer array k, with
     k reduced mod n in exact integer arithmetic before the float angle."""
-    return np.exp((-2j * np.pi / n) * (np.asarray(k, dtype=np.int64) % n))
+    phase = (-2j * np.pi / n) * (np.asarray(k, dtype=np.int64) % n)
+    return np.exp(phase, out=phase)
 
 
 def require_divisor(n: int, Q: int, what: str) -> None:
@@ -148,8 +152,10 @@ class ColumnBlocks:
     COLUMN_BLOCK_BYTES; ``spectra(j)`` is block j's column spectra, the
     rffts (``forward_real``) of the columns of classes
     chunk*j .. chunk*(j + 1) - 1, one per row, in batches of ``rows``
-    columns, as many as fit COLUMN_BLOCK_BYTES // 8 bytes of float input.
-    The columns are gathered from the weights by ``gather_columns``.
+    columns: the whole block when its float input fits
+    COLUMN_BLOCK_BYTES // 8 bytes, else as many as fit that size with
+    their spectra.  The columns are gathered from the weights by
+    ``gather_columns``.
 
     When every class fits one block, as at every extent of the identity
     suite, the spectra of the first transform are kept (``kept``, not
@@ -169,8 +175,14 @@ class ColumnBlocks:
         holding = weights[:n].reshape(self.m, Q).any(axis=0)
         holding[0] |= bool(weights[n])
         self.classes = np.flatnonzero(holding)
-        self.chunk = max(1, COLUMN_BLOCK_BYTES // ((self.m // 2 + 1) * 16))
-        self.rows = max(1, COLUMN_BLOCK_BYTES // 8 // (8 * self.m))
+        spectrum = (self.m // 2 + 1) * 16
+        self.chunk = max(1, COLUMN_BLOCK_BYTES // spectrum)
+        # a block whose float input fits the batch size goes whole, so its
+        # plan is built once; a larger one goes in batches whose float input
+        # and spectra together fit it
+        block, batch = min(self.chunk, self.classes.size), COLUMN_BLOCK_BYTES // 8
+        fits = block * 8 * self.m <= batch
+        self.rows = max(1, block if fits else batch // (8 * self.m + spectrum))
         self.kept: np.ndarray | None = None
 
     def spectra(self, block: int) -> np.ndarray:
@@ -178,9 +190,9 @@ class ColumnBlocks:
             return self.kept  # the one block
         chunk = self.chunk
         columns = gather_columns(self.weights, self.Q, self.classes[block * chunk : (block + 1) * chunk])
-        # the rfft takes a float copy of its input, so it is given at most
-        # ``rows`` columns at a time; each row is its own transform, so the
-        # spectra are those of one call on the whole block
+        # the rfft takes a float copy of its input and returns new spectra,
+        # so it is given at most ``rows`` columns at a time; each row is its
+        # own transform, so the spectra are those of one call on the block
         rows = self.rows
         spectra = np.empty((columns.shape[0], self.m // 2 + 1), dtype=complex)
         for lo in range(0, columns.shape[0], rows):

@@ -512,6 +512,32 @@ class TestModeOutputs:
         assert len(blocks) == 2  # Q = 6 and Q = 30, one kept block each
         assert dead == [True] * 6
 
+    def test_decompose_forms_error_spectra_with_column_spectra_released(
+        self, tmp_path, monkeypatch
+    ):
+        # the column pass runs the kernel to the end, and the table releases
+        # its residue columns mod Q and their kept spectra before the T step
+        # forms the first error spectrum
+        blocks, dead = [], []
+        columns = sieve.PrimeTable.columns
+        form = spectral._error_spectrum
+
+        def tracked(table, Q):
+            kept = columns(table, Q)
+            blocks.append(weakref.ref(kept))
+            return kept
+
+        def checked(*args):
+            dead.append(all(ref() is None for ref in blocks))
+            return form(*args)
+
+        monkeypatch.setattr(sieve.PrimeTable, "columns", tracked)
+        monkeypatch.setattr(spectral, "_error_spectrum", checked)
+        argv = ["decompose", "--n", "30030", "--z", "5,7", "--two-k", "2,4,6", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert len(blocks) == 2  # Q = 6 and Q = 30, one kept block each
+        assert dead == [True] * 6
+
     def test_failed_reconstruction_writes_no_shift(self, tmp_path, monkeypatch, capsys):
         # the second shift's check fails: the run exits 2, and the first
         # shift, which passed, gets no file either, since the
@@ -1110,6 +1136,20 @@ class TestCli:
         assert code == 0
         sidecar = json.loads((tmp_path / "spectrum_n60_mangoldt.json").read_text())
         assert sidecar["source_function"] == "mangoldt"
+
+    def test_spectrum_reads_the_config_source_function(self, tmp_path):
+        # --function has no default of its own, so the config file's key
+        # applies when the flag is not given, and the flag overrides it
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"source_function": "mangoldt"}))
+        argv = ["spectrum", "--n", "30", "--config", str(config)]
+        assert main(argv + ["--out", str(tmp_path / "file")]) == 0
+        assert [p.name for p in sorted((tmp_path / "file").iterdir())] == [
+            "spectrum_n30_mangoldt.csv",
+            "spectrum_n30_mangoldt.json",
+        ]
+        assert main(argv + ["--function", "prime", "--out", str(tmp_path / "flag")]) == 0
+        assert (tmp_path / "flag" / "spectrum_n30_prime.csv").is_file()
 
     def test_spectrum_mangoldt_reads_the_cache(self, tmp_path, monkeypatch):
         argv = ["spectrum", "--n", "30030", "--function", "mangoldt"]

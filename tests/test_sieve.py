@@ -471,6 +471,16 @@ class TestMemoryModel:
         assert per_entry < 0.1
         assert count == oracles.PAIR_COUNTS_1E6[6]
 
+    def test_primes_make_no_second_copy(self, table_1e6):
+        # the int64 prime list is the index array itself, not a copy of it;
+        # a fresh table, so that no cached list is returned
+        table = sieve.PrimeTable(self.N, table_1e6.is_prime)
+        primes, per_entry = self._traced(table.primes)
+        pi = table.pi(self.N)
+        assert primes.dtype == np.int64 and primes.shape == (pi,)
+        assert np.array_equal(primes, np.flatnonzero(oracles.sieve_numpy_independent(self.N)))
+        assert per_entry * (self.N + 1) < 1.5 * pi * 8
+
 
 class TestFnv1a64:
     """The numpy block kernel against the per-byte definition."""

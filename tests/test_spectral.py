@@ -698,6 +698,22 @@ class TestColumnKernel:
         assert abs(raw - direct) <= tolerance
         assert abs(psi_pair_via_spectrum(t, two_k) - direct) <= tolerance
 
+    def test_shift_pairing_no_class_yields_zeros(self):
+        # no holding class a has a holding partner a + 2k mod Q, so nothing
+        # is accumulated; the kernel still yields S = 0 for each such shift,
+        # in a group of its own or beside a shift that pairs
+        weights = np.zeros(61)
+        weights[1] = 1.0  # x = 1 only: class 1 of Q = 6, columns of m = 10
+        for shifts in ([2], [2, 4], [2, 0]):
+            spectra = list(column_pair_spectra(ColumnBlocks(weights, 6), shifts))
+            assert [half.shape for half in spectra] == [(6,)] * len(shifts)
+            for two_k, half in zip(shifts, spectra):
+                assert not half.any() if two_k else np.allclose(half, 1.0)
+            assert column_pair_counts(weights, 6, shifts) == [float(two_k == 0) for two_k in shifts]
+        # the bitmap at n = Q = 4: 2 + 2 = 4 and 3 + 2 = 5 = 1 (mod 4) hold no prime
+        (half,) = column_pair_spectra(ColumnBlocks(build_table(4).is_prime, 4), [2])
+        assert half.shape == (1,) and not half.any()
+
     def test_small_blocks_agree_with_one_block(self):
         # when every class fits one block, one batched transform serves
         # every shift; any block size gives the same accumulators

@@ -310,13 +310,13 @@ class TestColumnBlocks:
         ring = as_ring(weights)
         whole = np.fft.rfft(np.ascontiguousarray(ring.reshape(m, Q)[:, classes].T))
         shapes = self._counted(monkeypatch)
-        # three rows per batch; the holding classes (8 units and 2, 3, 5,
-        # and for the weights also 4, 8, 16, 9, 21, 27 and 25) still fit one
-        # block of 23
-        monkeypatch.setattr(transform, "COLUMN_BLOCK_BYTES", 3 * 8 * m * 8)
+        # batches of three rows of float input and their spectra; the
+        # holding classes (8 units and 2, 3, 5, and for the weights also 4,
+        # 8, 16, 9, 21, 27 and 25) fit one block of 47, but not one batch
+        monkeypatch.setattr(transform, "COLUMN_BLOCK_BYTES", 3 * (8 * m + (m // 2 + 1) * 16) * 8)
         columns = ColumnBlocks(weights, Q)
         k = {"prime": 11, "mangoldt": 18}[source]
-        assert (columns.chunk, columns.rows, columns.classes.size) == (23, 3, k)
+        assert (columns.chunk, columns.rows, columns.classes.size) == (47, 3, k)
         spectra = columns.spectra(0)
         assert shapes == [(3, m)] * (k // 3) + [(k % 3, m)] * (k % 3 > 0)
         assert spectra.dtype == whole.dtype and spectra.shape == whole.shape
@@ -338,11 +338,12 @@ class TestColumnBlocks:
 
     def test_traced_peak_holds_one_batch(self, monkeypatch, table_1e6):
         # 1e6 mod 1000: 402 holding classes of 1000 entries, one block of
-        # spectra (3.2 MB), transformed 65 rows (0.5 MB of floats) at a time
+        # spectra (3.2 MB), transformed 32 rows (0.26 MB of floats and 0.26
+        # MB of spectra) at a time
         monkeypatch.setattr(transform, "COLUMN_BLOCK_BYTES", 4 << 20)
         columns = ColumnBlocks(table_1e6.is_prime, 1000)
         k, m = columns.classes.size, columns.m
-        assert (k, columns.chunk, columns.rows) == (402, 523, 65)
+        assert (k, columns.chunk, columns.rows) == (402, 523, 32)
         forward_real(np.zeros(8))  # numpy.fft loads on first use
         tracemalloc.start()
         try:
@@ -355,3 +356,24 @@ class TestColumnBlocks:
         assert peak <= bound
         # a float copy of the whole block would not fit the bound
         assert spectra.nbytes + k * m + k * m * 8 > bound
+
+    def test_oversized_block_batches_fit_the_batch_size(self, monkeypatch):
+        # 6 classes of 200000 (9.6 MB of float input) do not fit one batch
+        # of COLUMN_BLOCK_BYTES // 8 (8 MiB), so they go 2 rows a call: the
+        # float input and the spectra of a batch (3.2 MB a row) fit it
+        shapes = self._counted(monkeypatch)
+        columns = ColumnBlocks(np.ones(6 * 200000 + 1, dtype=bool), 6)
+        k, m, batch = 6, columns.m, transform.COLUMN_BLOCK_BYTES // 8
+        row = 8 * m + (m // 2 + 1) * 16
+        assert columns.rows == 2 and k * 8 * m > batch >= columns.rows * row
+        forward_real(np.zeros(8))  # numpy.fft loads on first use
+        tracemalloc.start()
+        try:
+            spectra = columns.spectra(0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert shapes == [(2, m)] * 3
+        # beside the block's spectra and its gathered bool columns, one
+        # batch's float input and spectra are in flight
+        assert peak - spectra.nbytes - k * m <= batch + (64 << 10)
