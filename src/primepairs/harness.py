@@ -35,8 +35,7 @@ from .sieve import (
 )
 from .spectral import (
     decomposition_checks,
-    decomposition_step,
-    half_accumulators,
+    decompositions,
     half_spectrum_residual,
     main_term_convolution,
     pair_count_checks,
@@ -350,8 +349,8 @@ def _subgroup_rows(
     """Subgroup, twisted-energy, reconstruction and main-term rows for the
     primorial Q of z at the extent round_up_multiple(n, Q).  The subgroup
     and reconstruction rows read the table's residue columns mod Q
-    (``PrimeTable.columns``), so where they fit one block they are
-    transformed once; the next Q or the next table releases them."""
+    (``PrimeTable.columns``), in that order, so where they fit one block
+    they are transformed once."""
     Q = primorial(z).value
     adjusted = round_up_multiple(n, Q)
     sub_table = tables.get(adjusted)
@@ -420,17 +419,9 @@ def _decompose_reports(
     Q = primorial(z).value
     adjusted = round_up_multiple(n, Q)
     table = tables.get(adjusted)
-    # the column pass runs the kernel to the end, and the table's column
-    # spectra are released before the T step forms any error spectrum;
     # every shift's report is formed before any file is written
-    halves = half_accumulators(table, Q, config.two_k_values)
-    table.release_columns()
     tol = _tol(config, "decomposition-reconstruction")
-    reports = []
-    for report, check in decomposition_step(table, Q, config.two_k_values, halves, tol):
-        check.require()
-        reports.append(report)
-    del halves  # the rows are rendered from T alone
+    reports = list(decompositions(table, Q, config.two_k_values, tol))
     for two_k, report in zip(config.two_k_values, reports):
         constant = hl_constant(two_k, config.cutoff).value
         predicted_li2 = constant * li2(adjusted)

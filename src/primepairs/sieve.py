@@ -43,17 +43,11 @@ half spectrum, when asked for, costs 8 more bytes per entry (n/2 + 1
 complex bins).  Spectral pair
 counts, the decomposition's error spectrum and the subgroup samples read
 residue columns of the bitmap instead (``spectral``), so they add no
-array of length n.  The table keeps the residue columns mod the last Q
-asked for (``PrimeTable.columns``, a ``transform.ColumnBlocks``) and
-at most one block of their spectra: (n/Q/2 + 1) * 16 bytes per class
-that holds a prime, kept only when they all fit COLUMN_BLOCK_BYTES
-(64 MiB).  Asking for another Q replaces them, and
-``release_columns`` drops them: the decompose writer does so between the
-column pass, which leaves every shift's half accumulator S, and the T
-step, so no column spectrum is held while an error spectrum T (16 bytes
-per entry of n/Q) is formed or its rows are rendered.  The prime list
-(``primes``, 8 bytes per prime) is the int64 index array of the bitmap
-itself, not a copy of it.
+array of length n.  The table may keep residue columns mod one Q and
+at most one block of their spectra, (n/Q/2 + 1) * 16 bytes per class
+that holds a prime; ``PrimeTable.columns`` says for how long.  The
+prime list (``primes``, 8 bytes per prime) is the int64 index array of
+the bitmap itself, not a copy of it.
 """
 
 from __future__ import annotations
@@ -216,17 +210,21 @@ class PrimeTable:
 
     def columns(self, Q: int) -> ColumnBlocks:
         """The residue columns mod Q of the bitmap that hold a prime, with
-        their length-n/Q spectra: the ColumnBlocks of the last Q asked for
-        is kept, and with it the spectra of its block when every class
-        fits one, so the identities that read one table at one Q transform
-        its columns once.  Another Q replaces it."""
+        their length-n/Q spectra, as a ColumnBlocks, which keeps the
+        spectra of its block when every class fits one (COLUMN_BLOCK_BYTES,
+        64 MiB).  The table keeps the columns of the last Q until a
+        decomposition at that Q has read them (``release_columns``), so a
+        subgroup check and then a decomposition at one Q transform them
+        once; another Q replaces them."""
         if self._columns is None or self._columns.Q != Q:
             self._columns = ColumnBlocks(self.is_prime, Q)
         return self._columns
 
     def release_columns(self) -> None:
-        """Drop the kept residue columns and their spectra; the next
-        ``columns`` call gathers and transforms them again."""
+        """Drop the kept residue columns and their spectra, as
+        ``spectral.decomposition_checks`` does once its kernel has read
+        them; the next ``columns`` call gathers and transforms them
+        again."""
         self._columns = None
 
     def bitmap_payload(self) -> bytes:

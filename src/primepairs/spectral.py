@@ -36,13 +36,11 @@ from a 1-indexed weight vector (a ``transform.ColumnBlocks``): the bool
 bitmap for prime pairs, the von Mangoldt weights for psi pairs.  It is
 the one spectral correlation route, and the one route to T.  The
 spectral pair counts and psi pair correlations take it with Q from
-``pair_count_modulus``; the decompositions and ``error_spectrum_stats``
-take it with the Q they are given, at every n, so the transform length
-is n/Q.  A decomposition is two steps: the column pass
-(``half_accumulators``) runs the kernel to the end and returns every
-shift's S, and the T step (``decomposition_step``) forms each T from its
-S alone, so a caller may release the table's column spectra between
-them, as the decompose writer does.
+``pair_count_modulus``; ``decomposition_checks``, the one
+decomposition routine (``decompositions``, ``decompose`` and
+``error_spectrum_stats`` read it), takes it with the Q it is given, at
+every n, so the transform length is n/Q, and forms each T from its S
+alone once the kernel has run to the end.
 The reconstruction sum of the decompositions, the direct correlation
 (``correlation_direct``), the residue-count convolution
 (``main_term_convolution``) and the folded pair value
@@ -54,15 +52,11 @@ The subgroup samples F(r*n/Q) come from the same residue columns: by the
 index map they are the length-Q transform of the columns' bins 0,
 sum_a e_Q(-r*a) * C_a(0) (``subgroup_samples``), so
 ``subgroup_restriction_check`` transforms columns of length n/Q and never
-one of length n.  Both it and ``decomposition_checks`` (with
-``error_spectrum_stats``) read the table's own residue columns mod Q,
-``PrimeTable.columns(Q)``, which the table keeps for the last Q asked
-for: when every holding class fits one block it keeps that block's
-spectra too, so every caller that reads one table at one Q, the identity
-suite's subgroup and decomposition rows among them, makes one batched
-rfft between them, and a table holds at most one block of column
-spectra.  The other
-identities read the table's one cached real spectrum
+one of length n.  Both it and ``decomposition_checks`` read the table's
+own residue columns mod Q, ``PrimeTable.columns(Q)``, which states how
+long the table keeps them; a subgroup check followed by a decomposition
+at the same Q, the identity suite's order, shares one transform.  The
+other identities read the table's one cached real spectrum
 (``PrimeTable.spectrum``, an rfft of the ring indicator) instead of
 transforming again: ``error_spectrum_stats`` counts its large bins,
 ``half_spectrum_pair_value`` reads its power directly, and
@@ -156,6 +150,16 @@ def _required(checked):
     for value, check in checked:
         check.require()
         yield value
+
+
+def _pair_shifts(n: int, shifts) -> list:
+    """``shifts`` as a list, each an even 2k with 2 <= 2k < n, the shifts
+    a pair count on Z/nZ takes; raises UsageError before any transform."""
+    shifts = list(shifts)
+    for two_k in shifts:
+        if two_k % 2 or not 2 <= two_k < n:
+            raise UsageError(f"need even 2 <= 2k < n, got 2k={two_k}, n={n}")
+    return shifts
 
 
 @lru_cache(maxsize=256)
@@ -321,10 +325,7 @@ def pair_count_checks(table: PrimeTable, shifts, tol: float = 1e-6) -> list[tupl
     budget: a nearest integer other than that count is over 0.5 away.
     """
     n = table.n
-    shifts = list(shifts)
-    for two_k in shifts:
-        if not 2 <= two_k < n:
-            raise UsageError(f"need 2 <= 2k < n, got 2k={two_k}, n={n}")
+    shifts = _pair_shifts(n, shifts)
     Q = pair_count_modulus(n)
     raws = column_pair_counts(table.is_prime, Q, shifts)
     model = pair_count_rounding_budget(table.pi(n), Q, n // Q)
@@ -424,43 +425,34 @@ def _error_spectrum(n: int, Q: int, two_k: int, half: np.ndarray):
     return spectrum, terms
 
 
-def half_accumulators(table: PrimeTable, Q: int, shifts) -> list[np.ndarray]:
-    """The column pass of the decomposition: every shift's half
-    accumulator S(xi), 0 <= xi <= m//2 with m = n/Q, from one
-    ``column_pair_spectra`` call on ``table.columns(Q)``, which transforms
-    residue columns of length m only.  The kernel is run to the end, so
-    its accumulators and blocks are gone on return; the columns the table
-    keeps are not, and a caller that reads no other identity at this Q
-    may release them (``PrimeTable.release_columns``) before the T step,
-    ``decomposition_step``, forms the error spectra.
+def decomposition_checks(table: PrimeTable, Q: int, shifts, tol: float = 1e-6):
+    """Yield, for each shift 2k in ``shifts`` in turn, the split of the
+    table's spectral pair-count sum into the subgroup main term and the
+    per-frequency error spectrum T, as a ``DecompositionReport``, with the
+    check that the split reconstructs the sieve's circular count within
+    tol * n.
 
-    Requires Q | n and 2 <= 2k < n for every shift; the identity is exact
-    for any such Q, primorial or not.  Q > sqrt(n) is allowed but logged,
-    since the main term only carries its asymptotic meaning for small Q.
+    One ``column_pair_spectra`` call on ``table.columns(Q)``, residue
+    columns of length m = n/Q only, gives every shift's half accumulator
+    S; the kernel runs to the end, the table then releases its columns,
+    and only then is each T formed from its S alone.  The reconstruction
+    sum (1/n) sum_xi T(xi) e_n(-2k*xi) is a numpy reduction, so its digits
+    do not depend on the number of CPUs.
+
+    Requires Q | n and an even 2k with 2 <= 2k < n for every shift,
+    checked before any transform; the identity is exact for any such Q,
+    primorial or not.  Q > sqrt(n) is allowed but logged, since the main
+    term only carries its asymptotic meaning for small Q.
     """
     n = table.n
     require_divisor(n, Q, "decomposition")
-    shifts = list(shifts)
-    for two_k in shifts:
-        if not 2 <= two_k < n:
-            raise UsageError(f"need 2 <= 2k < n, got 2k={two_k}")
+    shifts = _pair_shifts(n, shifts)
     if Q * Q > n:
         logger.warning("decompose called with Q=%d above sqrt(n=%d); identity still exact", Q, n)
-    return list(column_pair_spectra(table.columns(Q), shifts))
-
-
-def decomposition_step(table: PrimeTable, Q: int, shifts, halves, tol: float = 1e-6):
-    """The T step of the decomposition: yield, for each shift 2k in
-    ``shifts`` in turn with its half accumulator S in ``halves`` (from
-    ``half_accumulators``), the split of the table's spectral pair-count
-    sum into the subgroup main term and the per-frequency error spectrum
-    T, formed from S alone, with the check that the split reconstructs
-    the sieve's circular count within tol * n.  The reconstruction sum
-    (1/n) sum_xi T(xi) e_n(-2k*xi) is a numpy reduction, so its digits do
-    not depend on the number of CPUs."""
-    n = table.n
+    halves = list(column_pair_spectra(table.columns(Q), shifts))
+    table.release_columns()
     budget, detail = tol * n, f"n={n}, Q={Q}"
-    for two_k, half in zip(shifts, halves, strict=True):
+    for two_k, half in zip(shifts, halves):
         spectrum, terms = _error_spectrum(n, Q, two_k, half)
         main_term = float(spectrum[0].real) / n
         reconstructed = complex(terms.sum()) / n
@@ -476,16 +468,6 @@ def decomposition_step(table: PrimeTable, Q: int, shifts, halves, tol: float = 1
             pair_count_circular=sieved,
         )
         yield report, IdentityCheck("decomposition-reconstruction", residual, budget, detail)
-
-
-def decomposition_checks(table: PrimeTable, Q: int, shifts, tol: float = 1e-6):
-    """The column pass (``half_accumulators``) followed by the T step
-    (``decomposition_step``): yield, for each shift in turn, its
-    ``DecompositionReport`` and reconstruction check.  The pass reads
-    ``table.columns(Q)``, so it shares its transform with
-    ``subgroup_restriction_check`` at the same Q."""
-    shifts = list(shifts)
-    yield from decomposition_step(table, Q, shifts, half_accumulators(table, Q, shifts), tol)
 
 
 def decompositions(table: PrimeTable, Q: int, shifts, tol: float = 1e-6):
@@ -529,29 +511,34 @@ def error_spectrum_stats(table: PrimeTable, Q: int, two_k: int) -> dict:
     the off-zero reconstruction sum, the progression scale
     n / (phi(Q) log n), and the count of frequencies xi > 0 whose power
     |F(P)(xi)|^2 / n reaches n / log(n)^2 (the energy-constrained level
-    with C = 1).  Purely informational; nothing here is asserted.
+    with C = 1).  T is the ``decomposition_checks`` report's, so the
+    shift must be one it takes.  Purely informational; nothing here is
+    asserted, its reconstruction check included.
     """
     n = table.n
     require_divisor(n, Q, "error spectrum")
     if Q >= n:
         raise UsageError(f"degenerate Q = n rejected, got Q={Q}, n={n}")
     check_extents([n])  # the large-frequency count reads the length-n spectrum
-    (half,) = column_pair_spectra(table.columns(Q), [two_k])
-    spectrum, terms = _error_spectrum(n, Q, two_k, half)
+    ((report, _),) = decomposition_checks(table, Q, [two_k])
+    spectrum = report.error_spectrum
     tail = np.abs(spectrum[1:])
+    # the reconstruction terms T(xi) * e_n(-2k*xi) off xi = 0
+    terms = np.conjugate(unit_phase(n, -two_k * np.arange(n // Q, dtype=np.int64)))
+    terms *= spectrum
     offzero = complex(terms[1:].sum()) / n
     # the cached half power, each bin counted with its mirror n - xi
     reaches = np.abs(table.spectrum()[1:]) ** 2 / n >= n / math.log(n) ** 2
     large = 2 * int(np.count_nonzero(reaches))
     if n % 2 == 0:
         large -= int(reaches[-1])  # the Nyquist bin is its own mirror
-    quantiles = np.quantile(tail, [0.5, 0.9, 0.99]) if tail.size else np.zeros(3)
+    quantiles = np.quantile(tail, [0.5, 0.9, 0.99])
     return {
         "n": n,
         "Q": Q,
         "two_k": two_k,
-        "max_abs_T_over_n": float(tail.max() / n) if tail.size else 0.0,
-        "argmax_xi": int(np.argmax(tail) + 1) if tail.size else 0,
+        "max_abs_T_over_n": float(tail.max() / n),
+        "argmax_xi": int(np.argmax(tail) + 1),
         "abs_T_q50": float(quantiles[0]),
         "abs_T_q90": float(quantiles[1]),
         "abs_T_q99": float(quantiles[2]),

@@ -30,9 +30,8 @@ that hold a nonzero weight, in blocks of at most
 COLUMN_BLOCK_BYTES of spectra, and fills each block's spectra with such
 calls on batches of rows; the spectral correlations (prime pairs and
 von Mangoldt pairs), the error spectrum and the subgroup samples all
-read it.  A PrimeTable keeps one, of its bitmap mod the last Q asked
-for (``PrimeTable.columns``), and with it the spectra of its block when
-every holding class fits one: the memory held is at most one block.
+read it.  A PrimeTable may keep one of its bitmap, with at most one
+block of spectra; ``PrimeTable.columns`` says for how long.
 
 Memory model of one block: its spectra, (m//2 + 1) * 16 bytes per
 column; the gathered columns, m entries of the weights' type per column
@@ -235,6 +234,7 @@ def inverse_real(half: np.ndarray, n: int) -> np.ndarray:
     Z/nZ whose half ``half`` is, as a real vector of length n."""
     if half.shape[0] != n // 2 + 1:
         raise UsageError(f"half spectrum of length {half.shape[0]} does not fit n={n}")
+    check_extents([n])
     return np.fft.irfft(half, n)
 
 

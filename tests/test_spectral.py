@@ -326,6 +326,12 @@ class TestErrorSpectrumStats:
         with pytest.raises(UsageError):
             error_spectrum_stats(table_100, 100, 2)
 
+    @pytest.mark.parametrize("two_k", [3, -2, 0, 9240, 10**6])
+    def test_invalid_shift_rejected(self, table_9240, two_k):
+        # the shifts of the decomposition, whose T it reads
+        with pytest.raises(UsageError, match=f"got 2k={two_k}, n=9240$"):
+            error_spectrum_stats(table_9240, 30, two_k)
+
     def test_cap_checked_before_the_columns(self):
         # the large-frequency count reads the length-n spectrum, so an n
         # over the cap is rejected before the (11, 333334) column rfft
@@ -538,11 +544,14 @@ class TestHermitianPaths:
         # the subgroup samples and then the decompositions read one table's
         # columns and give, bit for bit, what each gets from columns of its
         # own; with more than one block the table keeps no spectra, and
-        # with one it transforms its columns once for both
+        # with one it transforms its columns once for both.  The
+        # decompositions then release them
         n, Q, shifts = 9240, 210, [2, 4, 420]
         with _classes_per_block(block, n // Q), _counted_column_rffts() as batches:
             t = build_table(n)
-            shared = spectral.subgroup_samples(t.columns(Q))
+            columns = t.columns(Q)
+            shared = spectral.subgroup_samples(columns)
+            kept = columns.kept
             shared_reports = list(decompositions(t, Q, shifts))
             shared_batches = len(batches)
             alone = spectral.subgroup_samples(ColumnBlocks(t.is_prime, Q))
@@ -551,28 +560,58 @@ class TestHermitianPaths:
         for a, b in zip(shared_reports, alone_reports, strict=True):
             assert a.error_spectrum.tobytes() == b.error_spectrum.tobytes()
             assert (a.main_term, a.reconstruction_residual) == (b.main_term, b.reconstruction_residual)
-        columns = t.columns(Q)
         # the 48 units mod 210 and the classes of 2, 3, 5 and 7
         assert columns.classes.size == 52
         if block is None:
-            assert columns.kept is not None and not columns.kept.flags.writeable
+            assert kept is not None and not kept.flags.writeable
             assert batches == [(52, n // Q)] * 3
         else:
-            assert columns.kept is None
+            assert kept is None
             assert shared_batches == len(batches) - shared_batches >= 2 * -(-52 // block)
+        # the table holds no column spectra after the decompositions
+        released = weakref.ref(columns)
+        del columns
+        assert released() is None
 
     def test_one_column_rfft_per_table_and_modulus(self):
-        # two decompose calls and a subgroup check on one table at one Q
-        # read the columns the table keeps: the 8 units mod 30 and the
-        # classes of 2, 3 and 5, transformed once
+        # a subgroup check and then a decomposition on one table at one Q,
+        # the identity suite's order, read the columns the table keeps: the
+        # 8 units mod 30 and the classes of 2, 3 and 5, transformed once.
+        # The decomposition releases them, so the next one transforms again
         t = build_table(9240)
         with _counted_column_rffts() as batches:
-            first = decompose(t, 30, 2)
-            second = decompose(t, 30, 4)
+            columns = t.columns(30)
             rho_identity_check(t, 30)
-        assert batches == [(11, 9240 // 30)]
-        assert first.pair_count_circular == pair_count_circular(t, 2)
-        assert second.pair_count_circular == pair_count_circular(t, 4)
+            first = list(decompositions(t, 30, [2, 4]))
+            assert batches == [(11, 9240 // 30)]
+            fresh = t.columns(30)
+            assert fresh is not columns and fresh.kept is None
+            second = list(decompositions(t, 30, [2, 4]))
+        assert batches == [(11, 9240 // 30)] * 2
+        for a, b, two_k in zip(first, second, [2, 4], strict=True):
+            assert a.pair_count_circular == pair_count_circular(t, two_k)
+            assert a.error_spectrum.tobytes() == b.error_spectrum.tobytes()
+
+    @pytest.mark.parametrize("two_k", [3, 0, 9240])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda t, two_k: pair_count_checks(t, [2, two_k]),
+            lambda t, two_k: pair_counts_via_spectrum(t, [two_k]),
+            lambda t, two_k: next(decomposition_checks(t, 30, [2, two_k])),
+            lambda t, two_k: list(decompositions(t, 30, [two_k])),
+            lambda t, two_k: decompose(t, 30, two_k),
+            lambda t, two_k: error_spectrum_stats(t, 30, two_k),
+        ],
+    )
+    def test_shifts_checked_before_any_column_rfft(self, table_9240, entry, two_k):
+        # an odd shift, 2k = 0 and 2k = n are rejected before the first
+        # batched column rfft (a (19, 154) batch for the pair counts, an
+        # (11, 308) one for the decompositions)
+        with _counted_column_rffts() as batches:
+            with pytest.raises(UsageError, match=f"need even 2 <= 2k < n, got 2k={two_k}, n=9240$"):
+                entry(table_9240, two_k)
+        assert batches == []
 
     def test_another_modulus_replaces_the_columns(self):
         # the table keeps the columns of the last Q only: asking for

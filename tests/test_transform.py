@@ -280,6 +280,17 @@ class TestRealSpectrum:
         with pytest.raises(ResourceLimitError):
             forward_real(np.zeros(10**7 + 1, dtype=np.float32))
 
+    def test_inverse_real_length_budget(self, monkeypatch):
+        # the half of a length-10000002 spectrum is rejected before the
+        # irfft runs, as forward_real rejects that length
+        def irfft(*args, **kwargs):
+            raise AssertionError("irfft ran past the cap")
+
+        monkeypatch.setattr(np.fft, "irfft", irfft)
+        half = np.broadcast_to(np.zeros(1, dtype=complex), (5000002,))
+        with pytest.raises(ResourceLimitError, match="capped at 1e7, got 10000002$"):
+            inverse_real(half, 10000002)
+
 
 class TestColumnBlocks:
     """A block's spectra are filled by rffts of row batches of at most
