@@ -99,17 +99,10 @@ def singular_series_divisor_sum(Q, two_k: int) -> Fraction:
         raise ResourceLimitError(
             f"divisor enumeration capped at 2^{MAX_DIVISOR_OMEGA} divisors, Q has omega={f.omega}"
         )
-    primes = f.primes
-    total = Fraction(0)
-    for mask in range(1 << len(primes)):
-        c_d = 1
-        phi_d = 1
-        for i, p in enumerate(primes):
-            if mask >> i & 1:
-                c_d *= _prime_ramanujan(p, two_k)
-                phi_d *= p - 1
-        total += Fraction(c_d, phi_d * phi_d)
-    return total
+    return sum(
+        Fraction(math.prod(_prime_ramanujan(p, two_k) for p in d.primes), euler_phi(d) ** 2)
+        for d in f.divisors()
+    )
 
 
 def singular_series_product(Q, two_k: int) -> Fraction:

@@ -3,12 +3,17 @@
 Everything here is integer or rational arithmetic: factorization, the
 Moebius and Euler-phi functions, primorials, the pair-sieving density
 function nu, Ramanujan sums, and the coprime-pair count over a squarefree
-modulus (closed form and brute-force enumeration).  All functions are pure
-and safe to call concurrently.
+modulus (closed form and brute-force enumeration).  The one walk over the
+divisors of a factored integer is ``FactoredInteger.divisors()``; its
+readers (inclusion-exclusion here, the singular-series divisor sum in
+``constants``, the pair-count modulus in ``spectral``) take ``mobius``,
+``nu`` and ``euler_phi`` of each divisor.  All functions are pure and
+safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,6 +86,15 @@ class FactoredInteger:
 
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)
+
+    def divisors(self):
+        """Every positive divisor exactly once, each as a FactoredInteger,
+        1 first and the value itself last: a generator over the exponent
+        vectors (``itertools.product`` of 0..e per prime), so the divisors
+        are never held as a list."""
+        for exponents in itertools.product(*(range(e + 1) for _, e in self.factors)):
+            factors = tuple((p, j) for (p, _), j in zip(self.factors, exponents) if j)
+            yield FactoredInteger(math.prod(p**j for p, j in factors), factors)
 
 
 def factorize(m: int) -> FactoredInteger:
@@ -280,20 +294,7 @@ def coprime_pair_count_inclusion_exclusion(Q, two_k: int) -> int:
     f = _as_factored(Q)
     if not f.is_squarefree():
         raise UsageError(f"inclusion-exclusion form requires squarefree Q, got {f.value}")
-    total = 0
-    primes = f.primes
-    for mask in range(1 << len(primes)):
-        d = 1
-        nu_d = 1
-        bits = 0
-        for i, p in enumerate(primes):
-            if mask >> i & 1:
-                d *= p
-                nu_d *= 1 if two_k % p == 0 else 2
-                bits += 1
-        mu_d = -1 if bits % 2 else 1
-        total += mu_d * (f.value // d) * nu_d
-    return total
+    return sum(mobius(d) * (f.value // d.value) * nu(d, two_k) for d in f.divisors())
 
 
 def _check_even_positive(two_k: int) -> None:

@@ -168,15 +168,8 @@ def pair_count_modulus(n: int) -> int:
     divisors Q <= sqrt(n), the one with the smallest phi(Q)/Q, so that the
     fewest residue columns hold primes, and the largest such Q on a tie,
     so that the columns are shortest.  Q = 1 for prime n."""
-    # each divisor with its phi(Q)/Q, the product of (p - 1)/p over its primes
-    density = {1: Fraction(1)}
-    for p, e in factorize(n).factors:
-        density = {
-            d * p**j: ratio * Fraction(p - 1, p) if j else ratio
-            for d, ratio in density.items()
-            for j in range(e + 1)
-        }
-    return min((d for d in density if d * d <= n), key=lambda d: (density[d], -d))
+    divisors = (d for d in factorize(n).divisors() if d.value * d.value <= n)
+    return min(divisors, key=lambda d: (Fraction(euler_phi(d), d.value), -d.value)).value
 
 
 def _phase_row(m: int, half: int, t: int) -> np.ndarray:
@@ -396,15 +389,13 @@ def rho_identity_check(table: PrimeTable, Q: int, tol: float = 1e-6) -> float:
 
 def main_term_convolution(table: PrimeTable, Q: int, two_k: int) -> float:
     """(Q/n) * sum_r rho(r) * rho(r + 2k mod Q): the main term evaluated
-    as a residue-count autocorrelation, independent of any length-n
-    transform."""
+    as a residue-count autocorrelation (``correlation_direct`` on the
+    residue profile), independent of any length-n transform.  Requires Q | n
+    and an even 2k with 2 <= 2k < n, checked before the profile is made."""
     n = table.n
     require_divisor(n, Q, "main-term convolution")
-    rho = residue_profile(table, Q)
-    # a numpy reduction, not BLAS, so the sum's order is fixed
-    shifted = np.roll(rho, -(two_k % Q))
-    shifted *= rho
-    return float(Q / n * shifted.sum())
+    _pair_shifts(n, [two_k])
+    return Q / n * correlation_direct(residue_profile(table, Q), two_k)
 
 
 def _error_spectrum(n: int, Q: int, two_k: int, half: np.ndarray):
@@ -487,10 +478,12 @@ def error_probe(table: PrimeTable, Q: int, two_k: int, xi: int) -> ErrorProbe:
 
     Forms sum_a rho_xi(a) * conj(rho_xi(a + 2k)) from the table's twisted
     counts and independently inverts |F_Q(rho_xi)|^2 at -2k; the two must
-    agree within 1e-6 * pi(n)^2.
+    agree within 1e-6 * pi(n)^2.  Requires Q | n, an even 2k with
+    2 <= 2k < n and 0 < xi < n/Q, checked before any profile or transform.
     """
     n = table.n
     require_divisor(n, Q, "error probe")
+    _pair_shifts(n, [two_k])
     if not 0 < xi < n // Q:
         raise UsageError(f"need 0 < xi < n/Q, got xi={xi}")
     rho = residue_profile(table, Q, xi=xi)
@@ -527,11 +520,9 @@ def error_spectrum_stats(table: PrimeTable, Q: int, two_k: int) -> dict:
     terms = np.conjugate(unit_phase(n, -two_k * np.arange(n // Q, dtype=np.int64)))
     terms *= spectrum
     offzero = complex(terms[1:].sum()) / n
-    # the cached half power, each bin counted with its mirror n - xi
-    reaches = np.abs(table.spectrum()[1:]) ** 2 / n >= n / math.log(n) ** 2
-    large = 2 * int(np.count_nonzero(reaches))
-    if n % 2 == 0:
-        large -= int(reaches[-1])  # the Nyquist bin is its own mirror
+    # the cached half power off xi = 0, each bin counted with its mirror n - xi
+    reaches = np.abs(table.spectrum()) ** 2 / n >= n / math.log(n) ** 2
+    reaches[0] = False
     quantiles = np.quantile(tail, [0.5, 0.9, 0.99])
     return {
         "n": n,
@@ -545,7 +536,7 @@ def error_spectrum_stats(table: PrimeTable, Q: int, two_k: int) -> dict:
         "offzero_sum_re": offzero.real,
         "offzero_sum_im": offzero.imag,
         "progression_scale": n / (euler_phi(Q) * math.log(n)),
-        "large_frequency_count": large,
+        "large_frequency_count": int(fold_half(reaches, n)),
     }
 
 
@@ -610,10 +601,12 @@ def half_spectrum_pair_value(table: PrimeTable, two_k: int) -> complex:
     """(2/n) * sum_{0 <= xi < n/2} |F(P)(xi)|^2 * e_n(-2k xi) on the
     table's cached spectrum: the folded form of the spectral pair count;
     differs from the full value by a bounded bookkeeping term contributed
-    by the prime 2."""
+    by the prime 2.  Requires even n >= 4 and an even 2k with
+    2 <= 2k < n, checked before the spectrum is read."""
     n = table.n
     if n < 4 or n % 2:
         raise UsageError(f"folded pair value needs even n >= 4, got {n}")
+    _pair_shifts(n, [two_k])
     half = n // 2
     power = np.abs(table.spectrum()[:half]) ** 2
     # a numpy reduction, not BLAS, so the sum's order is fixed

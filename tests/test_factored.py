@@ -1,5 +1,7 @@
+import inspect
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -62,6 +64,31 @@ class TestFactorize:
             FactoredInteger(6, ((3, 1), (2, 1)))
         with pytest.raises(UsageError):
             FactoredInteger(6, ((2, 1),))
+
+
+class TestDivisors:
+    @given(st.integers(min_value=1, max_value=10**5))
+    @settings(max_examples=100, deadline=None)
+    def test_each_divisor_once_and_factored(self, n):
+        f = factorize(n)
+        walk = list(f.divisors())
+        values = [d.value for d in walk]
+        assert len(set(values)) == len(values)
+        assert sorted(values) == [d for d in range(1, n + 1) if n % d == 0]
+        assert len(walk) == math.prod(e + 1 for _, e in f.factors)
+        assert all(math.prod(p**e for p, e in d.factors) == d.value for d in walk)
+        assert values[0] == 1 and values[-1] == n
+
+    def test_walk_is_lazy(self):
+        # primorial(50) has 2**15 divisors; the first comes after building
+        # one FactoredInteger, not all of them
+        walk = primorial(50).divisors()
+        assert inspect.isgenerator(walk)
+        built = []
+        original = FactoredInteger.__post_init__
+        with mock.patch.object(FactoredInteger, "__post_init__", lambda f: built.append(original(f))):
+            first = next(walk)
+        assert first == FactoredInteger(1, ()) and len(built) == 1
 
 
 class TestMultiplicativeFunctions:

@@ -273,12 +273,16 @@ class TestIdentitySuite:
     def test_psi_violation_recorded_not_raised(self, tmp_path, monkeypatch, capsys):
         # push every direct psi value, and so every psi gap, past the
         # default budget 1e-6 * n * log(n)^2; the run must finish and
-        # record FAIL rows
+        # record FAIL rows.  main_term_convolution reads correlation_direct
+        # too, so only the psi checks' calls are perturbed
         exact = spectral.correlation_direct
 
         def perturbed(ring, two_k):
+            direct = exact(ring, two_k)
+            if sys._getframe(1).f_code.co_name != "psi_pair_checks":
+                return direct
             n = ring.shape[0]
-            return exact(ring, two_k) + 2e-6 * n * math.log(n) ** 2
+            return direct + 2e-6 * n * math.log(n) ** 2
 
         monkeypatch.setattr(spectral, "correlation_direct", perturbed)
         code = main(["verify", "--n", "30,120", "--two-k", "2,6", "--z", "5", "--out", str(tmp_path)])

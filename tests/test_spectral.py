@@ -602,16 +602,22 @@ class TestHermitianPaths:
             lambda t, two_k: list(decompositions(t, 30, [two_k])),
             lambda t, two_k: decompose(t, 30, two_k),
             lambda t, two_k: error_spectrum_stats(t, 30, two_k),
+            lambda t, two_k: half_spectrum_pair_value(t, two_k),
+            lambda t, two_k: main_term_convolution(t, 30, two_k),
+            lambda t, two_k: error_probe(t, 30, two_k, 1),
         ],
     )
-    def test_shifts_checked_before_any_column_rfft(self, table_9240, entry, two_k):
+    def test_shifts_checked_before_any_column_rfft(self, entry, two_k):
         # an odd shift, 2k = 0 and 2k = n are rejected before the first
-        # batched column rfft (a (19, 154) batch for the pair counts, an
-        # (11, 308) one for the decompositions)
-        with _counted_column_rffts() as batches:
+        # numpy.fft call (a (19, 154) column batch for the pair counts, an
+        # (11, 308) one for the decompositions, the table's length-n rfft
+        # for the folded pair value, forward for the error probe), and
+        # before any residue profile; a fresh table has no cached spectrum
+        t = build_table(9240)
+        with _counted_fft_calls() as calls, mock.patch.object(spectral, "residue_profile") as profile:
             with pytest.raises(UsageError, match=f"need even 2 <= 2k < n, got 2k={two_k}, n=9240$"):
-                entry(table_9240, two_k)
-        assert batches == []
+                entry(t, two_k)
+        assert calls == [] and not profile.called
 
     def test_another_modulus_replaces_the_columns(self):
         # the table keeps the columns of the last Q only: asking for
@@ -643,6 +649,23 @@ def _classes_per_block(block, m):
     if block is None:
         return contextlib.nullcontext()
     return mock.patch.object(transform, "COLUMN_BLOCK_BYTES", block * (m // 2 + 1) * 16)
+
+
+@contextlib.contextmanager
+def _counted_fft_calls():
+    """The names of the numpy.fft entry points called while the context
+    is open, in order."""
+    calls = []
+    with contextlib.ExitStack() as stack:
+        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            stack.enter_context(mock.patch.object(np.fft, name, counted))
+        yield calls
 
 
 @contextlib.contextmanager
@@ -824,7 +847,7 @@ class TestColumnKernel:
         assert pair_count_modulus(4) == 2
         assert pair_count_modulus(64) == 8  # 2, 4 and 8 tie: the largest
         # smallest phi(Q)/Q among Q <= sqrt(n), largest on a tie, by brute force
-        for n in range(2, 400):
+        for n in range(2, 3001):
             best = min(
                 (q for q in _divisors(n) if q * q <= n),
                 key=lambda q: (Fraction(oracles.phi_naive(q), q), -q),
