@@ -45,7 +45,6 @@ from .sieve import (
 from .transform import (
     as_ring,
     forward,
-    inverse,
     plancherel_residual,
 )
 from .constants import (
@@ -59,12 +58,8 @@ from .constants import (
 )
 from .spectral import (
     DecompositionReport,
-    ErrorProbe,
     decompose,
     decompositions,
-    error_probe,
-    error_spectrum_stats,
-    half_spectrum_pair_value,
     half_spectrum_residual,
     main_term_convolution,
     pair_counts_via_spectrum,
@@ -103,7 +98,6 @@ __all__ = [
     "pair_count_circular",
     "von_mangoldt_vector",
     "forward",
-    "inverse",
     "plancherel_residual",
     "as_ring",
     "TruncatedConstant",
@@ -114,16 +108,12 @@ __all__ = [
     "mertens_ratio",
     "li2",
     "DecompositionReport",
-    "ErrorProbe",
     "pair_counts_via_spectrum",
     "rho_identity_check",
     "main_term_convolution",
     "decompose",
     "decompositions",
-    "error_probe",
-    "error_spectrum_stats",
     "psi_pair_via_spectrum",
     "psi_pair_direct",
     "half_spectrum_residual",
-    "half_spectrum_pair_value",
 ]

@@ -456,7 +456,7 @@ def _decompose_reports(
         )
         lines.append(
             f"decompose n={adjusted} Q={Q} 2k={two_k}: main={report.main_term:.4f} "
-            f"predicted(li2)={predicted_li2 / adjusted:.4f} "
+            f"predicted(li2)={predicted_li2:.4f} "
             f"pairs={report.pair_count_circular} residual={report.reconstruction_residual:.2e}"
         )
 

@@ -37,14 +37,12 @@ bitmap for prime pairs, the von Mangoldt weights for psi pairs.  It is
 the one spectral correlation route, and the one route to T.  The
 spectral pair counts and psi pair correlations take it with Q from
 ``pair_count_modulus``; ``decomposition_checks``, the one
-decomposition routine (``decompositions``, ``decompose`` and
-``error_spectrum_stats`` read it), takes it with the Q it is given, at
-every n, so the transform length is n/Q, and forms each T from its S
-alone once the kernel has run to the end.
-The reconstruction sum of the decompositions, the direct correlation
-(``correlation_direct``), the residue-count convolution
-(``main_term_convolution``) and the folded pair value
-(``half_spectrum_pair_value``) are numpy reductions, not BLAS products,
+decomposition routine (``decompositions`` and ``decompose`` read it),
+takes it with the Q it is given, at every n, so the transform length is
+n/Q, and forms each T from its S alone once the kernel has run to the
+end.  The reconstruction sum of the decompositions, the direct
+correlation (``correlation_direct``) and the residue-count convolution
+(``main_term_convolution``) are numpy reductions, not BLAS products,
 which OpenBLAS splits across threads: their digits do not depend on the
 number of CPUs.
 
@@ -56,24 +54,22 @@ one of length n.  Both it and ``decomposition_checks`` read the table's
 own residue columns mod Q, ``PrimeTable.columns(Q)``, which states how
 long the table keeps them; a subgroup check followed by a decomposition
 at the same Q, the identity suite's order, shares one transform.  The
-other identities read the table's one cached real spectrum
+parity relation reads the table's one cached real spectrum
 (``PrimeTable.spectrum``, an rfft of the ring indicator) instead of
-transforming again: ``error_spectrum_stats`` counts its large bins,
-``half_spectrum_pair_value`` reads its power directly, and
-``half_spectrum_residual`` takes the samples F(n - m) as conj F(m).
-The length-Q transforms of residue profiles, the independent side of the
-subgroup identities, are ``transform.forward`` and ``inverse`` calls like
-every other.  The phase weights e_n(-k), the Q | n check and the 1e7
-extent cap are the ones ``transform`` defines (``unit_phase``,
+transforming again: ``half_spectrum_residual`` takes the samples
+F(n - m) as conj F(m).  The length-Q transform of the residue profile,
+the independent side of the subgroup identity, is a ``transform.forward``
+call like every other.  The phase weights e_n(-k), the Q | n check and
+the 1e7 extent cap are the ones ``transform`` defines (``unit_phase``,
 ``require_divisor``, ``check_extents``); the cap is checked where each
 transform's length is known, so an over-cap transform raises
 ResourceLimitError before it runs.
 
-Conjugation note: for a complex twisted profile rho the subgroup inversion
-produces sum_a rho(a) * conj(rho(a + 2k)); the conjugate on the shifted
-factor is required for the two evaluation routes to agree and is what this
-module implements (for the untwisted xi = 0 profile rho is real and the
-distinction vanishes).
+Conjugation note: at a frequency 0 < xi < n/Q the subgroup inversion
+gives T(xi) = Q * sum_a rho(a) * conj(rho(a + 2k)) for the complex
+twisted profile rho = ``residue_profile(table, Q, xi=xi)``; the conjugate
+sits on the shifted factor (for the untwisted xi = 0 profile rho is real
+and the distinction vanishes).
 """
 
 from __future__ import annotations
@@ -95,7 +91,6 @@ from .transform import (
     check_extents,
     fold_half,
     forward,
-    inverse,
     require_divisor,
     spectrum_at,
     unit_phase,
@@ -123,16 +118,6 @@ class DecompositionReport:
     error_spectrum: np.ndarray
     reconstruction_residual: float
     pair_count_circular: int
-
-
-@dataclass(eq=False)
-class ErrorProbe:
-    """Twisted residue profile at one frequency and its pair correlation."""
-
-    xi: int
-    per_residue: np.ndarray
-    correlation: complex
-    magnitude: float
 
 
 def correlation_direct(ring: np.ndarray, two_k: int) -> float:
@@ -473,73 +458,6 @@ def decompose(table: PrimeTable, Q: int, two_k: int, tol: float = 1e-6) -> Decom
     return next(decompositions(table, Q, [two_k], tol))
 
 
-def error_probe(table: PrimeTable, Q: int, two_k: int, xi: int) -> ErrorProbe:
-    """Twisted residue correlation at frequency xi, checked two ways.
-
-    Forms sum_a rho_xi(a) * conj(rho_xi(a + 2k)) from the table's twisted
-    counts and independently inverts |F_Q(rho_xi)|^2 at -2k; the two must
-    agree within 1e-6 * pi(n)^2.  Requires Q | n, an even 2k with
-    2 <= 2k < n and 0 < xi < n/Q, checked before any profile or transform.
-    """
-    n = table.n
-    require_divisor(n, Q, "error probe")
-    _pair_shifts(n, [two_k])
-    if not 0 < xi < n // Q:
-        raise UsageError(f"need 0 < xi < n/Q, got xi={xi}")
-    rho = residue_profile(table, Q, xi=xi)
-    correlation = complex(np.sum(rho * np.conj(np.roll(rho, -(two_k % Q)))))
-    inverted = complex(inverse(np.abs(forward(rho)) ** 2)[(-two_k) % Q])
-    gap = abs(correlation - inverted)
-    budget = 1e-6 * max(table.pi(n), 1) ** 2
-    IdentityCheck("twisted-correlation-factorization", gap, budget, f"n={n}, Q={Q}, xi={xi}").require()
-    return ErrorProbe(
-        xi=xi, per_residue=rho, correlation=correlation, magnitude=abs(correlation)
-    )
-
-
-def error_spectrum_stats(table: PrimeTable, Q: int, two_k: int) -> dict:
-    """Diagnostic summary of the table's error spectrum T(xi), 0 < xi < n/Q.
-
-    Reports the max of |T(xi)|/n with its argmax, quantiles of |T(xi)|,
-    the off-zero reconstruction sum, the progression scale
-    n / (phi(Q) log n), and the count of frequencies xi > 0 whose power
-    |F(P)(xi)|^2 / n reaches n / log(n)^2 (the energy-constrained level
-    with C = 1).  T is the ``decomposition_checks`` report's, so the
-    shift must be one it takes.  Purely informational; nothing here is
-    asserted, its reconstruction check included.
-    """
-    n = table.n
-    require_divisor(n, Q, "error spectrum")
-    if Q >= n:
-        raise UsageError(f"degenerate Q = n rejected, got Q={Q}, n={n}")
-    check_extents([n])  # the large-frequency count reads the length-n spectrum
-    ((report, _),) = decomposition_checks(table, Q, [two_k])
-    spectrum = report.error_spectrum
-    tail = np.abs(spectrum[1:])
-    # the reconstruction terms T(xi) * e_n(-2k*xi) off xi = 0
-    terms = np.conjugate(unit_phase(n, -two_k * np.arange(n // Q, dtype=np.int64)))
-    terms *= spectrum
-    offzero = complex(terms[1:].sum()) / n
-    # the cached half power off xi = 0, each bin counted with its mirror n - xi
-    reaches = np.abs(table.spectrum()) ** 2 / n >= n / math.log(n) ** 2
-    reaches[0] = False
-    quantiles = np.quantile(tail, [0.5, 0.9, 0.99])
-    return {
-        "n": n,
-        "Q": Q,
-        "two_k": two_k,
-        "max_abs_T_over_n": float(tail.max() / n),
-        "argmax_xi": int(np.argmax(tail) + 1),
-        "abs_T_q50": float(quantiles[0]),
-        "abs_T_q90": float(quantiles[1]),
-        "abs_T_q99": float(quantiles[2]),
-        "offzero_sum_re": offzero.real,
-        "offzero_sum_im": offzero.imag,
-        "progression_scale": n / (euler_phi(Q) * math.log(n)),
-        "large_frequency_count": int(fold_half(reaches, n)),
-    }
-
-
 def psi_pair_direct(table: PrimeTable, two_k: int) -> float:
     """sum_x Lambda(x) * Lambda(x + 2k mod n) on Z/nZ = {1..n}, from the
     primes of the table."""
@@ -595,21 +513,3 @@ def half_spectrum_residual(table: PrimeTable) -> float:
     upper = spectrum_at(values, n, np.arange(half, n, dtype=np.int64))
     expected = 2.0 * unit_phase(n, 2 * np.arange(half, dtype=np.int64))
     return float(np.abs(upper + values[:half] - expected).max())
-
-
-def half_spectrum_pair_value(table: PrimeTable, two_k: int) -> complex:
-    """(2/n) * sum_{0 <= xi < n/2} |F(P)(xi)|^2 * e_n(-2k xi) on the
-    table's cached spectrum: the folded form of the spectral pair count;
-    differs from the full value by a bounded bookkeeping term contributed
-    by the prime 2.  Requires even n >= 4 and an even 2k with
-    2 <= 2k < n, checked before the spectrum is read."""
-    n = table.n
-    if n < 4 or n % 2:
-        raise UsageError(f"folded pair value needs even n >= 4, got {n}")
-    _pair_shifts(n, [two_k])
-    half = n // 2
-    power = np.abs(table.spectrum()[:half]) ** 2
-    # a numpy reduction, not BLAS, so the sum's order is fixed
-    terms = unit_phase(n, two_k * np.arange(half, dtype=np.int64))
-    terms *= power
-    return complex(2.0 * terms.sum() / n)

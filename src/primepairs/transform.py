@@ -6,6 +6,9 @@ downstream may re-derive phases:
     forward:  F(xi) = sum_{x in Z_n} f(x) * exp(-2*pi*i*xi*x/n)
     inverse:  f(x)  = (1/n) * sum_{xi} F(xi) * exp(+2*pi*i*xi*x/n)
 
+The one inverse is ``inverse_real``, of a Hermitian spectrum given by its
+half.
+
 Z/nZ is identified with {1,...,n}; arrays are stored in residue layout,
 where slot j holds the value at x = j for 1 <= j < n and slot 0 holds the
 value at x = n (the phase factors agree because exp(-2*pi*i*xi*n/n) = 1).
@@ -69,8 +72,8 @@ correlation, no error spectrum, no subgroup sample and no class energy
 is computed at length n: the prime and von Mangoldt pair correlations,
 the coset-regrouped error spectrum, the samples F(r*n/Q) of the subgroup
 restriction and the twisted energies read residue columns instead.
-``forward`` and ``inverse`` stay full complex transforms, at length Q or
-n/Q, and at length n for the spectrum export alone.
+``forward`` stays a full complex transform, at length Q or n/Q, and at
+length n for the spectrum export alone.
 """
 
 from __future__ import annotations
@@ -244,14 +247,6 @@ def spectrum_at(half: np.ndarray, n: int, xi: np.ndarray) -> np.ndarray:
     upper = m > n // 2
     values = half[np.where(upper, n - m, m)]
     return np.where(upper, np.conj(values), values)
-
-
-def inverse(spectrum: np.ndarray) -> np.ndarray:
-    """Inverse transform (with the 1/n factor) of a length-n spectrum,
-    returning a complex vector."""
-    spectrum = np.asarray(spectrum)
-    _length(spectrum)
-    return np.fft.ifft(spectrum)
 
 
 def fold_half(half: np.ndarray, n: int) -> float:

@@ -28,7 +28,7 @@ from primepairs.harness import (
 from primepairs.factored import primorial
 from primepairs.reports import complex_rows
 from primepairs.sieve import build_table, fnv1a64, pair_count_circular, pair_count_linear
-from primepairs.spectral import error_probe, pair_count_modulus, pair_count_rounding_budget
+from primepairs.spectral import pair_count_modulus, pair_count_rounding_budget
 
 import oracles
 from oracles import csv_body, render_csv
@@ -447,12 +447,12 @@ class TestTransformBudget:
         rffts = Counter(a.shape for fn, a in inside if fn == "rfft")
         assert rffts == Counter({(4, 5005): 1, (11, 1001): 1})
 
-    def test_every_transform_goes_through_transform_module(self, tmp_path, calls, callers, table_9240):
+    def test_every_transform_goes_through_transform_module(self, tmp_path, calls, callers):
         argv = ["verify", "--n", "2310,1001", "--z", "5,7,11", "--two-k", "2,4,6", "--out", str(tmp_path)]
         assert main(argv) == 0
-        error_probe(table_9240, 30, 2, 77)
-        # the class masks, the mod-Q transforms and error_probe's fft/ifft
-        assert {name for name, _ in calls} >= {"fft", "ifft", "rfft", "irfft"}
+        # the length-Q and twisted-Plancherel ffts, the column rffts and the
+        # round-trip irfft; the package makes no ifft
+        assert {name for name, _ in calls} == {"fft", "rfft", "irfft"}
         assert set(callers) == {"primepairs.transform"}
 
 
@@ -566,6 +566,19 @@ class TestModeOutputs:
             c = hl_constant(two_k, 10000).value
             assert report["predicted_main_log2"] == c * n / math.log(n) ** 2
             assert report["predicted_main_li2"] == c * li2(n)
+
+    def test_decompose_line_prints_the_reported_prediction(self, tmp_path, capsys):
+        # the line's li2 prediction is the JSON's, a count like main=
+        argv = ["decompose", "--n", "3000", "--z", "5,7", "--two-k", "2,4", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("decompose ")]
+        assert len(lines) == 4
+        for line in lines:
+            fields = dict(field.split("=", 1) for field in line.replace(":", "").split()[1:])
+            stem = f"decompose_n{fields['n']}_Q{fields['Q']}_k{fields['2k']}"
+            report = json.loads((tmp_path / f"{stem}.json").read_text())
+            assert fields["predicted(li2)"] == f"{report['predicted_main_li2']:.4f}"
+            assert fields["main"] == f"{report['main_term']:.4f}"
 
     def test_exploratory_ratio_reported(self, tmp_path):
         # the main term divided by the conjectural prediction should be of

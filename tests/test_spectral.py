@@ -18,9 +18,6 @@ from primepairs import (
     UsageError,
     build_table,
     decompose,
-    error_probe,
-    error_spectrum_stats,
-    half_spectrum_pair_value,
     half_spectrum_residual,
     main_term_convolution,
     pair_count_circular,
@@ -29,6 +26,7 @@ from primepairs import (
     pi_progression,
     psi_pair_direct,
     psi_pair_via_spectrum,
+    residue_profile,
     rho_identity_check,
     twisted_progression_count,
     von_mangoldt_vector,
@@ -234,29 +232,24 @@ class TestDecompose:
         assert report.reconstruction_residual < 1e-6 * 2310 * 2
 
 
+def _twisted_correlation(t, Q, two_k, xi):
+    """sum_a rho_xi(a) * conj(rho_xi(a + 2k mod Q)) over the twisted
+    residue profile at xi, a direct sum over the primes with no transform:
+    T(xi) / Q, by the subgroup inversion at xi."""
+    rho = residue_profile(t, Q, xi=xi)
+    return complex(np.sum(rho * np.conj(np.roll(rho, -(two_k % Q)))))
+
+
 class TestErrorProbe:
-    def test_two_paths_agree_random_instances(self):
-        rng = np.random.default_rng(99)
-        tables = {n: build_table(n) for n in (900, 3000, 4620)}
-        cases = 0
-        while cases < 50:
-            n = int(rng.choice(list(tables)))
-            Q = int(rng.choice([2, 6, 30]))
-            if n % Q:
-                continue
-            xi = int(rng.integers(1, n // Q))
-            two_k = int(rng.choice([2, 4, 6, 12]))
-            probe = error_probe(tables[n], Q, two_k, xi)
-            assert probe.magnitude == abs(probe.correlation)
-            cases += 1
+    """The error spectrum probed at one frequency xi by the twisted
+    residue profile, against the column kernel's T(xi)."""
 
     def test_matches_coset_regroup_value(self):
         n, Q, two_k = 3000, 30, 2
         t = build_table(n)
         report = decompose(t, Q, two_k)
         for xi in (1, 7, 42):
-            probe = error_probe(t, Q, two_k, xi)
-            assert Q * probe.correlation == pytest.approx(
+            assert Q * _twisted_correlation(t, Q, two_k, xi) == pytest.approx(
                 complex(report.error_spectrum[xi]), abs=1e-6 * t.pi(n) ** 2
             )
 
@@ -266,89 +259,23 @@ class TestErrorProbe:
         rho = np.array([pi_progression(t, Q, a) for a in range(Q)], dtype=float)
         majorant = float(np.dot(rho, np.roll(rho, -two_k)))
         for xi in (1, 13, 99):
-            probe = error_probe(t, Q, two_k, xi)
-            assert probe.magnitude <= majorant + 1e-9
+            assert abs(_twisted_correlation(t, Q, two_k, xi)) <= majorant + 1e-9
 
     def test_trivial_modulus_gives_power_at_xi(self):
         n = 900
         t = build_table(n)
         spec = forward(t.ring_indicator())
         for xi in (1, 5, 100):
-            probe = error_probe(t, 1, 2, xi)
-            assert probe.correlation == pytest.approx(
+            assert _twisted_correlation(t, 1, 2, xi) == pytest.approx(
                 abs(spec[xi]) ** 2, abs=1e-6 * t.pi(n)
             )
 
     def test_per_residue_is_twisted_count(self):
         n, Q, xi = 3000, 30, 17
         t = build_table(n)
-        probe = error_probe(t, Q, 2, xi)
+        rho = residue_profile(t, Q, xi=xi)
         for a in (0, 1, 7, 29):
-            assert probe.per_residue[a] == pytest.approx(
-                twisted_progression_count(t, xi, Q, a), abs=1e-9
-            )
-
-
-class TestErrorSpectrumStats:
-    def test_self_consistent_with_decompose(self):
-        n, Q, two_k = 3840, 30, 2
-        t = build_table(n)
-        stats = error_spectrum_stats(t, Q, two_k)
-        report = decompose(t, Q, two_k)
-        tail = np.abs(report.error_spectrum[1:])
-        assert stats["max_abs_T_over_n"] == pytest.approx(tail.max() / n)
-        assert stats["argmax_xi"] == int(np.argmax(tail)) + 1
-
-    def test_offzero_sum_is_reconstruction_gap(self):
-        n, Q, two_k = 3840, 30, 2
-        t = build_table(n)
-        stats = error_spectrum_stats(t, Q, two_k)
-        report = decompose(t, Q, two_k)
-        offzero = complex(stats["offzero_sum_re"], stats["offzero_sum_im"])
-        assert abs(offzero) == pytest.approx(
-            abs(report.pair_count_circular - report.main_term), abs=1e-6
-        )
-
-    @pytest.mark.parametrize("n", [3840, 3841, 2310, 1155])
-    def test_large_frequencies_counted_over_all_of_z_mod_n(self, n):
-        # the count read from the cached half, each bin with its mirror,
-        # equals the count over the full transform's n bins; even n has a
-        # Nyquist bin |F(n/2)| near pi(n), which reaches the level
-        t = build_table(n)
-        power = np.abs(forward(t.ring_indicator())) ** 2
-        expected = int(np.count_nonzero(power[1:] / n >= n / math.log(n) ** 2))
-        stats = error_spectrum_stats(t, 1, 2)
-        assert stats["large_frequency_count"] == expected
-        if n in (3840, 2310):
-            assert expected % 2 == 1  # the Nyquist bin, counted once
-
-    def test_degenerate_modulus_rejected(self, table_100):
-        with pytest.raises(UsageError):
-            error_spectrum_stats(table_100, 100, 2)
-
-    @pytest.mark.parametrize("two_k", [3, -2, 0, 9240, 10**6])
-    def test_invalid_shift_rejected(self, table_9240, two_k):
-        # the shifts of the decomposition, whose T it reads
-        with pytest.raises(UsageError, match=f"got 2k={two_k}, n=9240$"):
-            error_spectrum_stats(table_9240, 30, two_k)
-
-    def test_cap_checked_before_the_columns(self):
-        # the large-frequency count reads the length-n spectrum, so an n
-        # over the cap is rejected before the (11, 333334) column rfft
-        t = build_table(10000020)
-        with _counted_column_rffts() as batches:
-            with pytest.raises(ResourceLimitError, match="capped at 1e7, got 10000020$"):
-                error_spectrum_stats(t, 30, 2)
-        assert batches == []
-
-    @pytest.mark.parametrize("Q", [1, 6, 30, 2310])
-    def test_progression_scale_counts_units(self, table_9240, Q):
-        # phi(Q) from the factorization gives, bit for bit, the scale of a
-        # count of the units among 1..Q
-        n = 9240
-        units = np.count_nonzero(np.gcd(np.arange(1, Q + 1), Q) == 1)
-        stats = error_spectrum_stats(table_9240, Q, 2)
-        assert stats["progression_scale"] == n / (float(units) * math.log(n))
+            assert rho[a] == pytest.approx(twisted_progression_count(t, xi, Q, a), abs=1e-9)
 
 
 class TestPsiPair:
@@ -411,13 +338,12 @@ class TestPsiPair:
 class TestBlasFreeSums:
     def test_independent_of_blas_threads(self):
         """OpenBLAS splits a dot product of more than about 1e4 entries
-        across its threads, which sums it in another order; the folded
-        pair value and the residue-count convolution are numpy reductions,
-        so one BLAS thread and two print the same digits."""
+        across its threads, which sums it in another order; the
+        residue-count convolution is a numpy reduction, so one BLAS thread
+        and two print the same digits."""
         script = (
-            "from primepairs import build_table, half_spectrum_pair_value, main_term_convolution\n"
+            "from primepairs import build_table, main_term_convolution\n"
             "t = build_table(10**6)\n"
-            "print(repr(half_spectrum_pair_value(t, 2)))\n"
             "print(repr(main_term_convolution(t, 10**5, 2)))\n"
         )
         printed = []
@@ -432,7 +358,7 @@ class TestBlasFreeSums:
             assert proc.returncode == 0, proc.stderr
             printed.append(proc.stdout)
         assert printed[0] == printed[1]
-        assert printed[0].count("\n") == 2
+        assert printed[0].count("\n") == 1
 
 
 class TestHalfSpectrum:
@@ -444,20 +370,6 @@ class TestHalfSpectrum:
     def test_rejects_odd_extent(self):
         with pytest.raises(UsageError):
             half_spectrum_residual(build_table(99))
-
-    def test_folded_value_close_to_pair_count(self):
-        # scanned over every even n <= 1e5 during development: the folded
-        # half-spectrum sum never strays from the pair count by more than 6
-        rng = np.random.default_rng(31)
-        ns = list(range(4, 600, 2)) + [2 * int(v) for v in rng.integers(300, 50000, size=60)]
-        for n in ns:
-            t = build_table(n)
-            for two_k in (2, 6):
-                if two_k >= n:
-                    continue
-                folded = half_spectrum_pair_value(t, two_k)
-                full = pair_count_circular(t, two_k)
-                assert abs(folded - full) <= 6.0, (n, two_k)
 
 
 PRIMORIALS = (1, 2, 6, 30, 210, 2310)
@@ -503,12 +415,6 @@ class TestHermitianPaths:
             got = decompose(t, Q, two_k).error_spectrum
             assert got.shape == (n // Q,)
             assert np.abs(got - expected).max() <= 1e-12 * max(np.abs(expected).max(), 1.0)
-        if n % 2 == 0:
-            # folded value: read from the cached half, against the full power
-            power = np.abs(forward(ring)) ** 2
-            half = n // 2
-            folded = 2.0 * np.dot(power[:half], unit_phase(n, two_k * np.arange(half))) / n
-            assert half_spectrum_pair_value(t, two_k) == pytest.approx(folded, rel=1e-12)
 
     @given(n=EXTENTS)
     @example(n=4)
@@ -601,18 +507,14 @@ class TestHermitianPaths:
             lambda t, two_k: next(decomposition_checks(t, 30, [2, two_k])),
             lambda t, two_k: list(decompositions(t, 30, [two_k])),
             lambda t, two_k: decompose(t, 30, two_k),
-            lambda t, two_k: error_spectrum_stats(t, 30, two_k),
-            lambda t, two_k: half_spectrum_pair_value(t, two_k),
             lambda t, two_k: main_term_convolution(t, 30, two_k),
-            lambda t, two_k: error_probe(t, 30, two_k, 1),
         ],
     )
     def test_shifts_checked_before_any_column_rfft(self, entry, two_k):
         # an odd shift, 2k = 0 and 2k = n are rejected before the first
         # numpy.fft call (a (19, 154) column batch for the pair counts, an
-        # (11, 308) one for the decompositions, the table's length-n rfft
-        # for the folded pair value, forward for the error probe), and
-        # before any residue profile; a fresh table has no cached spectrum
+        # (11, 308) one for the decompositions) and before the main-term
+        # convolution's residue profile; a fresh table has no cached spectrum
         t = build_table(9240)
         with _counted_fft_calls() as calls, mock.patch.object(spectral, "residue_profile") as profile:
             with pytest.raises(UsageError, match=f"need even 2 <= 2k < n, got 2k={two_k}, n=9240$"):
@@ -807,10 +709,9 @@ class TestColumnKernel:
                 assert abs(raw - pair_count_circular(t, two_k)) <= pair_count_rounding_budget(
                     t.pi(n), Q, m
                 )
-                # error_probe's direct twisted sums use no transform of length m or n
+                # the direct twisted sums use no transform of length m or n
                 for xi in (1, 12345, m - 1):
-                    probe = error_probe(t, Q, two_k, xi)
-                    assert abs(Q * probe.correlation - got[xi]) <= 1e-9 * scale
+                    assert abs(Q * _twisted_correlation(t, Q, two_k, xi) - got[xi]) <= 1e-9 * scale
 
     @given(
         n=st.integers(min_value=4, max_value=1500),
