@@ -464,14 +464,35 @@ def psi_pair_direct(table: PrimeTable, two_k: int) -> float:
     return correlation_direct(as_ring(von_mangoldt_vector(table)), two_k)
 
 
+def psi_rounding_budget(weights: np.ndarray, Q: int) -> float:
+    """Bound on the gap between the column route and the direct sum of a
+    correlation of the 1-indexed real ``weights``, n = len(weights) - 1,
+    with Q classes of length m = n/Q.
+
+    The column route's is ``pair_count_rounding_budget`` with the energy
+    E = sum f(x)^2 in place of the prime count (||C_a||_2^2 = m E_a by
+    Parseval).  The direct sum adds n products, each rounded once, whose
+    absolute sum is at most E (Cauchy-Schwarz); numpy's pairwise sum takes
+    a term through at most log2(n) halvings and 25 adds in a block of 128,
+    so it errs by at most (log2(n) + 26) eps E.
+    """
+    n = weights.shape[0] - 1
+    held = weights[weights != 0]
+    energy = float(np.square(held, out=held).sum())
+    eps = float(np.finfo(np.float64).eps)
+    direct = eps * energy * (math.log2(max(n, 2)) + 26)
+    return pair_count_rounding_budget(energy, Q, n // Q) + direct
+
+
 def psi_pair_checks(table: PrimeTable, shifts, tol: float = 1e-6) -> list[tuple]:
     """(value, check) for every even shift 2k >= 0 in ``shifts``: the von
     Mangoldt pair correlation of the table's primes through the
     residue-column spectra (``column_pair_counts`` on the von Mangoldt
     weights, Q from ``pair_count_modulus``, one batched transform for
     every shift), and its gap to the direct double sum, checked against
-    tol * n * log(n)^2.  The cap applies to the column length n/Q, and is
-    checked before the weights are built."""
+    ``psi_rounding_budget``, tightened to tol * n * log(n)^2 when that is
+    smaller.  The cap applies to the column length n/Q, and is checked
+    before the weights are built."""
     n = table.n
     shifts = list(shifts)
     for two_k in shifts:
@@ -481,8 +502,8 @@ def psi_pair_checks(table: PrimeTable, shifts, tol: float = 1e-6) -> list[tuple]
     check_extents([n // Q], "residue-column length")
     weights = von_mangoldt_vector(table)
     raws = column_pair_counts(weights, Q, shifts)
+    budget = min(psi_rounding_budget(weights, Q), tol * n * math.log(n) ** 2)
     ring = as_ring(weights)
-    budget = tol * n * math.log(n) ** 2
     checked = []
     for two_k, raw in zip(shifts, raws):
         gap = abs(raw - correlation_direct(ring, two_k))

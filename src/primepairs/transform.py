@@ -36,19 +36,32 @@ von Mangoldt pairs), the error spectrum and the subgroup samples all
 read it.  A PrimeTable may keep one of its bitmap, with at most one
 block of spectra; ``PrimeTable.columns`` says for how long.
 
+A class a with gcd(a, Q) > 1 holds no prime but a itself, at j = 0, so
+in the bitmap the columns of all such classes that hold a prime are one
+unit impulse with one spectrum.  ``ColumnBlocks`` confirms each of them,
+and class 0, by its column's content (a von Mangoldt column also holds
+the prime powers of its class), transforms the first impulse of each
+weight in a block, and copies its spectrum to the others; the copies are
+bit for bit what their own rffts would give.  At 1000002 with Q = 6 that
+is 3 rows of 166667, not 4.
+
 Memory model of one block: its spectra, (m//2 + 1) * 16 bytes per
-column; the gathered columns, m entries of the weights' type per column
-(1 byte for the prime bitmap); and one row batch in flight, its float
-input, which the rfft copies from bool, and its spectra until they are
-copied into the block's.  A block whose float input fits
-COLUMN_BLOCK_BYTES // 8 (8 MiB) is one batch; a larger one goes in
-batches whose float input and spectra together fit that size (at
-9699690 with Q = 30, one row of 323323 a call), so no float copy of the
-whole block is made and a batch in flight holds at most 8 MiB.  Each
+column; the gathered columns, m entries of the weights' type per
+transformed column (1 byte for the prime bitmap); and one row batch in
+flight, its float input, which the rfft copies from bool, and its
+spectra until they are copied into the block's.  A block whose float
+input fits COLUMN_BLOCK_BYTES // 8 (8 MiB) is one batch; a larger one
+goes in batches whose float input and spectra together fit that size
+(at 9699690 with Q = 30, one row of 323323 a call), so no float copy
+of the whole block is made and a batch in flight holds at most 8 MiB.  Each
 row is its own transform, so the spectra are bit for bit those of one
 call on the block.  Every block of the identity suite fits one batch,
 which matters at its Bluestein lengths (166667, 33334): numpy 2 keeps
-no plan cache, so each call builds its plan anew.
+no plan cache, so each call builds its plan anew.  At those lengths
+pocketfft's own Bluestein scratch outweighs the model: with numpy 2.4 a
+one-row rfft of 166667 raises a process's peak RSS by about 24 MB, and
+one of two to four rows by about 40 MB.  That scratch sets the peak RSS
+of the identity suite at n = 1e6, in its Q = 6 column rfft at 1000002.
 
 Every transform in the package is a call here, on plain arrays: this is
 the only module that names ``numpy.fft``, and each call checks its length.
@@ -157,7 +170,10 @@ class ColumnBlocks:
     columns: the whole block when its float input fits
     COLUMN_BLOCK_BYTES // 8 bytes, else as many as fit that size with
     their spectra.  The columns are gathered from the weights by
-    ``gather_columns``.
+    ``gather_columns``.  ``impulses`` maps each class whose column holds
+    one weight, at j = 0, to that weight; within a block only the first
+    class of each weight is gathered and transformed, and the others get
+    a copy of its spectrum.
 
     When every class fits one block, as at every extent of the identity
     suite, the spectra of the first transform are kept (``kept``, not
@@ -177,6 +193,17 @@ class ColumnBlocks:
         holding = weights[:n].reshape(self.m, Q).any(axis=0)
         holding[0] |= bool(weights[n])
         self.classes = np.flatnonzero(holding)
+        # a class with gcd(a, Q) > 1 holds no prime but a, at j = 0, so its
+        # column may be an impulse, one for every such class of equal
+        # weight; so may class 0, whose slot 0 holds x = n.  Each candidate
+        # is confirmed by its column's other entries, x = a + Q, a + 2Q, ...,
+        # where a prime power (or the prime Q, in class 0) may lie
+        candidates = self.classes[(self.classes == 0) | (np.gcd(self.classes, Q) > 1)]
+        self.impulses = {
+            a: (weights[a] if a else weights[n]).item()
+            for a in candidates.tolist()
+            if not weights[a + Q : n : Q].any()
+        }
         spectrum = (self.m // 2 + 1) * 16
         self.chunk = max(1, COLUMN_BLOCK_BYTES // spectrum)
         # a block whose float input fits the batch size goes whole, so its
@@ -191,14 +218,30 @@ class ColumnBlocks:
         if self.kept is not None:
             return self.kept  # the one block
         chunk = self.chunk
-        columns = gather_columns(self.weights, self.Q, self.classes[block * chunk : (block + 1) * chunk])
+        classes = self.classes[block * chunk : (block + 1) * chunk]
+        # the first impulse of each weight in the block is transformed, and
+        # the others copy its spectrum; only the transformed columns are
+        # gathered
+        first: dict = {}
+        own, copies = [], []
+        for row, a in enumerate(classes.tolist()):
+            weight = self.impulses.get(a)
+            if weight in first:
+                copies.append((row, first[weight]))
+            else:
+                own.append(row)
+                if weight is not None:
+                    first[weight] = row
+        columns = gather_columns(self.weights, self.Q, classes[own])
         # the rfft takes a float copy of its input and returns new spectra,
         # so it is given at most ``rows`` columns at a time; each row is its
         # own transform, so the spectra are those of one call on the block
         rows = self.rows
-        spectra = np.empty((columns.shape[0], self.m // 2 + 1), dtype=complex)
-        for lo in range(0, columns.shape[0], rows):
-            spectra[lo : lo + rows] = forward_real(columns[lo : lo + rows])
+        spectra = np.empty((classes.size, self.m // 2 + 1), dtype=complex)
+        for lo in range(0, len(own), rows):
+            spectra[own[lo : lo + rows]] = forward_real(columns[lo : lo + rows])
+        for row, source in copies:
+            spectra[row] = spectra[source]
         if self.classes.size <= chunk:
             spectra.flags.writeable = False
             self.kept = spectra

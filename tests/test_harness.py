@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from primepairs import PrimePairsError, ResourceLimitError, UsageError
-from primepairs import constants, harness, reports, sieve, spectral
+from primepairs import constants, harness, reports, sieve, spectral, transform
 from primepairs.cli import main
 from primepairs.constants import hl_constant, li2
 from primepairs.harness import (
@@ -27,8 +27,16 @@ from primepairs.harness import (
 )
 from primepairs.factored import primorial
 from primepairs.reports import complex_rows
-from primepairs.sieve import build_table, fnv1a64, pair_count_circular, pair_count_linear
-from primepairs.spectral import pair_count_modulus, pair_count_rounding_budget
+from primepairs.sieve import (
+    build_table,
+    fnv1a64,
+    pair_count_circular,
+    pair_count_linear,
+    pi_progression,
+    von_mangoldt_vector,
+)
+from primepairs.spectral import pair_count_modulus, pair_count_rounding_budget, psi_rounding_budget
+from primepairs.transform import fold_half, gather_columns
 
 import oracles
 from oracles import csv_body, render_csv
@@ -163,7 +171,12 @@ class TestIdentitySuite:
         "subgroup-restriction": lambda row, tol: tol * max(build_table(row["n"]).pi(row["n"]), 1),
         "decomposition-reconstruction": lambda row, tol: tol * row["n"],
         "main-term-convolution": lambda row, tol: tol * (row["n"] / row["Q"]),
-        "psi-spectral-identity": lambda row, tol: tol * row["n"] * math.log(row["n"]) ** 2,
+        "psi-spectral-identity": lambda row, tol: min(
+            psi_rounding_budget(
+                von_mangoldt_vector(build_table(row["n"])), pair_count_modulus(row["n"])
+            ),
+            tol * row["n"] * math.log(row["n"]) ** 2,
+        ),
     }
 
     @pytest.fixture(scope="class")
@@ -254,6 +267,32 @@ class TestIdentitySuite:
         assert self._failed(tmp_path) == {"twisted-plancherel"}
         assert capsys.readouterr().out.count("[FAIL] twisted-plancherel") == 2
 
+    def test_wrong_impulse_share_fails_psi(self, tmp_path, monkeypatch, capsys):
+        # 1e5 groups by Q = 250, where the von Mangoldt columns of 2, 4, 8,
+        # ..., 128 are one impulse of log 2 and those of 5 and 25 one of
+        # log 5.  Sharing every impulse whatever its weight, in the weights'
+        # columns only, gives 5 and 25 the spectrum of log 2: the psi
+        # correlations move by units, which the rounding budget catches and
+        # 1e-6 * n * log(n)^2 (13.3) does not.  The bitmap's impulses are of
+        # one weight, so no other row moves
+        n = 10**5
+        init = transform.ColumnBlocks.__init__
+
+        def planted(self, weights, Q):
+            init(self, weights, Q)
+            if weights.dtype != bool:
+                self.impulses = dict.fromkeys(self.impulses, 0.0)
+
+        monkeypatch.setattr(transform.ColumnBlocks, "__init__", planted)
+        argv = ["verify", "--n", str(n), "--z", "5", "--two-k", "2,4", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        payload = json.loads((tmp_path / "identity_suite.json").read_text())
+        assert payload["failing_identities"] == ["psi-spectral-identity"]
+        psi = [r for r in payload["results"] if r["identity"] == "psi-spectral-identity"]
+        assert [r["two_k"] for r in psi] == [2, 4] and not any(r["passed"] for r in psi)
+        assert all(1 < r["residual"] < 1e-6 * n * math.log(n) ** 2 for r in psi)
+        assert capsys.readouterr().out.count(f"[FAIL] psi-spectral-identity n={n}") == 2
+
     def test_twisted_plancherel_at_q_one(self, tmp_path):
         """z = 2 gives Q = 1, whose one residue class is all of Z/nZ."""
         result = run(small_config("identity-suite", tmp_path, n_values=[120], z_schedule=[2]))
@@ -296,6 +335,43 @@ class TestIdentitySuite:
         assert capsys.readouterr().out.count("[FAIL] psi-spectral-identity") == 4
 
 
+class TestTwistedEnergies:
+    """The twisted-Plancherel row's class energies, two real columns to one
+    complex row, against one rfft per class."""
+
+    @staticmethod
+    def _alone(column):
+        m = column.shape[0]
+        return fold_half(np.abs(np.fft.rfft(column.astype(np.float64))) ** 2, m) / m
+
+    @pytest.mark.parametrize("Q", [1, 2, 6, 30])
+    def test_packed_energies_equal_per_class_rfft(self, Q):
+        # m = 1009 is prime, a Bluestein length; 1024 is 2^10
+        for n in (Q * 1009, Q * 1024, round_up_multiple(30030, Q)):
+            t = build_table(n)
+            classes = sorted({0, 1 % Q, Q - 1})
+            columns = gather_columns(t.is_prime, Q, classes)
+            energies = harness._class_energies(columns)
+            for a, column, energy in zip(classes, columns, energies, strict=True):
+                # a class that holds no prime reads 0 exactly
+                assert energy == pytest.approx(self._alone(column), rel=1e-12, abs=0), (n, a)
+                assert round(energy) == pi_progression(t, Q, a)
+
+    @pytest.mark.parametrize("rows", [4, 5])
+    def test_odd_and_even_row_counts_share_one_call(self, monkeypatch, rows):
+        # one zero row, so 3 or 4 rows go in two complex rows, the last of
+        # 3 alone in its row's real part
+        columns = np.random.default_rng(rows).integers(0, 2, (rows, 1009)).astype(bool)
+        columns[1] = False
+        calls = []
+        forward = harness.forward
+        monkeypatch.setattr(harness, "forward", lambda f: calls.append(f.shape) or forward(f))
+        energies = harness._class_energies(columns)
+        assert calls == [(2, 1009)]
+        for column, energy in zip(columns, energies, strict=True):
+            assert energy == pytest.approx(self._alone(column), rel=1e-12, abs=0)
+
+
 class TestTransformBudget:
     FFT_ENTRY_POINTS = (
         "fft", "ifft", "rfft", "irfft", "hfft", "ihfft",
@@ -322,10 +398,11 @@ class TestTransformBudget:
 
     def test_pairs_one_batched_column_rfft_per_extent(self, calls, capsys):
         # every shift from one rfft of the prime-holding residue columns:
-        # 1001 = 7 * 143 takes Q = 7 (classes 1..6 and 0, which holds 7)
-        # and 2310 takes Q = 30 (the 8 units and 2, 3, 5), length n/Q each
+        # 1001 = 7 * 143 takes Q = 7 (classes 1..6 and 0, which holds 7 at
+        # j = 1) and 2310 takes Q = 30 (the 8 units and 2, 3, 5, whose
+        # columns are one impulse, transformed once), length n/Q each
         assert main(["pairs", "--n", "1001,2310", "--two-k", "2,4,6"]) == 0
-        assert [(name, a.shape) for name, a in calls] == [("rfft", (7, 143)), ("rfft", (11, 77))]
+        assert [(name, a.shape) for name, a in calls] == [("rfft", (7, 143)), ("rfft", (9, 77))]
 
     def test_one_ring_transform_per_extent(self, tmp_path, monkeypatch, calls):
         built = {}
@@ -386,9 +463,10 @@ class TestTransformBudget:
         # transform of a ring
         assert ring_transforms("fft") == Counter()
         # every complex fft by length: per (n, z) two of length Q, of the
-        # column bins 0 and of the residue counts, and one batched call on
-        # the twisted-Plancherel rows' three residue columns of length n/Q
-        # at the adjusted extent, gathered from the bitmap
+        # column bins 0 and of the residue counts, and one call on the
+        # twisted-Plancherel row's residue columns of length n/Q at the
+        # adjusted extent, gathered from the bitmap: class 0 holds no prime,
+        # and classes 1 and Q - 1 go two to one complex row
         lengths = Counter()
         for n in n_values:
             for z in z_values:
@@ -398,7 +476,7 @@ class TestTransformBudget:
         assert Counter(a.shape[-1] for fn, a in calls if fn == "fft") == lengths
         twisted = [a.shape for fn, a in calls if fn == "fft" and a.ndim == 2]
         assert twisted == [
-            (3, round_up_multiple(n, primorial(z).value) // primorial(z).value)
+            (1, round_up_multiple(n, primorial(z).value) // primorial(z).value)
             for n in n_values
             for z in z_values
         ]
@@ -432,7 +510,8 @@ class TestTransformBudget:
         # mod 6 (1, 5 and those of 2 and 3) in columns of length 5005, and
         # the 8 units mod 30 and the classes of 2, 3 and 5 in columns of
         # length 1001, each one block, transformed once for the subgroup
-        # and the reconstruction rows together
+        # and the reconstruction rows together.  The columns of 2, 3 and 5
+        # are one impulse, so one of them is transformed
         inside = []
         subgroup_rows = harness._subgroup_rows
 
@@ -445,7 +524,7 @@ class TestTransformBudget:
         argv = ["verify", "--n", "30030", "--z", "5,7", "--two-k", "2,4", "--out", str(tmp_path)]
         assert main(argv) == 0
         rffts = Counter(a.shape for fn, a in inside if fn == "rfft")
-        assert rffts == Counter({(4, 5005): 1, (11, 1001): 1})
+        assert rffts == Counter({(3, 5005): 1, (9, 1001): 1})
 
     def test_every_transform_goes_through_transform_module(self, tmp_path, calls, callers):
         argv = ["verify", "--n", "2310,1001", "--z", "5,7,11", "--two-k", "2,4,6", "--out", str(tmp_path)]

@@ -323,19 +323,52 @@ class TestColumnBlocks:
         shapes = self._counted(monkeypatch)
         # batches of three rows of float input and their spectra; the
         # holding classes (8 units and 2, 3, 5, and for the weights also 4,
-        # 8, 16, 9, 21, 27 and 25) fit one block of 47, but not one batch
+        # 8, 16, 9, 21, 27 and 25) fit one block of 47, but not one batch.
+        # The bitmap's columns of 2, 3 and 5 are one impulse, transformed
+        # once; each weight class of 2, 3 and 5 holds a prime power too
         monkeypatch.setattr(transform, "COLUMN_BLOCK_BYTES", 3 * (8 * m + (m // 2 + 1) * 16) * 8)
         columns = ColumnBlocks(weights, Q)
-        k = {"prime": 11, "mangoldt": 18}[source]
+        k, own = {"prime": (11, 9), "mangoldt": (18, 18)}[source]
         assert (columns.chunk, columns.rows, columns.classes.size) == (47, 3, k)
+        assert columns.impulses == ({2: True, 3: True, 5: True} if source == "prime" else {})
         spectra = columns.spectra(0)
-        assert shapes == [(3, m)] * (k // 3) + [(k % 3, m)] * (k % 3 > 0)
+        assert shapes == [(3, m)] * (own // 3) + [(own % 3, m)] * (own % 3 > 0)
         assert spectra.dtype == whole.dtype and spectra.shape == whole.shape
         assert spectra.tobytes() == whole.tobytes()
         # the one block is kept and returned again without a transform
         calls = len(shapes)
         assert columns.spectra(0) is spectra and not spectra.flags.writeable
         assert len(shapes) == calls
+
+    @pytest.mark.parametrize("source", ["prime", "mangoldt"])
+    def test_shared_impulse_spectra_equal_unshared(self, monkeypatch, source):
+        # 1e5 mod 1000: the bitmap's columns of 2 and 5 are one impulse of
+        # weight 1; the weights' columns of 2, 4, ..., 512 one of log 2, and
+        # those of 5 and 25 another, of log 5 (125 and 625 also hold 5^7 and
+        # 5^6).  One rfft per impulse, and the spectra are those of a
+        # transform of every column
+        n, Q = 10**5, 1000
+        t = build_table(n)
+        weights = t.is_prime if source == "prime" else von_mangoldt_vector(t)
+        columns = ColumnBlocks(weights, Q)
+        m, classes = columns.m, columns.classes
+        whole = np.fft.rfft(np.ascontiguousarray(as_ring(weights).reshape(m, Q)[:, classes].T))
+        if source == "prime":
+            groups = [[2, 5]]
+        else:
+            groups = [[2**j for j in range(1, 10)], [5, 25]]
+        assert columns.impulses == {a: weights[group[0]] for group in groups for a in group}
+        shapes = self._counted(monkeypatch)
+        spectra = columns.spectra(0)
+        shared = sum(len(group) - 1 for group in groups)
+        assert shapes == [(classes.size - shared, m)]
+        assert spectra.tobytes() == whole.tobytes()
+        row = {a: i for i, a in enumerate(classes.tolist())}
+        for group in groups:
+            assert all(np.array_equal(spectra[row[a]], spectra[row[group[0]]]) for a in group)
+        if source == "mangoldt":
+            # impulses of unequal weight do not share
+            assert not np.array_equal(spectra[row[5]], spectra[row[2]])
 
     def test_default_batch_takes_a_small_block_whole(self, monkeypatch):
         # 1000002 / 6 = 166667 is prime, a Bluestein length: even all 6
