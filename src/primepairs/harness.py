@@ -323,10 +323,16 @@ def _extent_rows(config: ExperimentConfig, record, table: PrimeTable) -> None:
     for two_k, (_, check) in zip(config.two_k_values, counts):
         record(check, n, None, two_k)
 
-    ring = table.ring_indicator()
+    # the cached spectrum first, so its rfft sees the one ring it makes and
+    # frees; the inverse next, and only then the ring it is compared with.
+    # The residual is formed in place in the inverse, so the round trip
+    # holds the ring, the half spectrum and the inverse, and no more
     half = table.spectrum()
-
-    round_trip = float(np.abs(inverse_real(half, n) - ring).max())
+    residual = inverse_real(half, n)
+    ring = table.ring_indicator()
+    np.subtract(residual, ring, out=residual)
+    round_trip = float(np.abs(residual, out=residual).max())
+    residual = None
     record(_check(config, "round-trip", round_trip), n, None, None)
 
     # the cached spectrum's power, folded over Z/nZ, against sum ring^2,
@@ -402,8 +408,10 @@ def _class_energies(columns: np.ndarray) -> list[float]:
     packed.real = columns[held[0::2]]
     packed.imag[: held.size // 2] = columns[held[1::2]]
     spectra = forward(packed)
-    # conj Z(-xi): xi = 0 stays, xi = 1 .. m - 1 read m - 1 .. 1
-    mirror = np.conjugate(np.roll(spectra[:, ::-1], 1, axis=1))
+    # conj Z(-xi): xi = 0 stays, xi = 1 .. m - 1 read m - 1 .. 1; the roll
+    # is a copy, conjugated in place
+    mirror = np.roll(spectra[:, ::-1], 1, axis=1)
+    np.conjugate(mirror, out=mirror)
     for row, (u, v) in enumerate(zip(held[0::2].tolist(), held[1::2].tolist() + [None])):
         energies[u] = float(np.sum(np.abs(spectra[row] + mirror[row]) ** 2)) / (4 * m)
         if v is not None:

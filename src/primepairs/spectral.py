@@ -100,6 +100,9 @@ logger = logging.getLogger(__name__)
 
 # c in the transform error model ||dC||_2 <= c * eps * log2(m) * ||C||_2
 FFT_ERROR_GROWTH = 16
+# frequencies per block of the parity relation, so that its scratch is a
+# few arrays of this length, not of n/2
+PARITY_BLOCK = 1 << 16
 
 
 @dataclass(eq=False)
@@ -503,7 +506,10 @@ def psi_pair_checks(table: PrimeTable, shifts, tol: float = 1e-6) -> list[tuple]
     weights = von_mangoldt_vector(table)
     raws = column_pair_counts(weights, Q, shifts)
     budget = min(psi_rounding_budget(weights, Q), tol * n * math.log(n) ** 2)
+    # the direct side holds one float copy of the weights, the ring, and
+    # each shift's product
     ring = as_ring(weights)
+    weights = None
     checked = []
     for two_k, raw in zip(shifts, raws):
         gap = abs(raw - correlation_direct(ring, two_k))
@@ -524,13 +530,23 @@ def half_spectrum_residual(table: PrimeTable) -> float:
 
     The sum of the two half-spectrum samples is exactly twice the even-x
     contribution, and the only even prime is 2; the residual is pure
-    floating-point error.  Requires even n >= 4.
+    floating-point error.  Requires even n >= 4.  The frequencies go in
+    blocks of PARITY_BLOCK, so beside the cached spectrum the relation
+    holds a few arrays of one block.
     """
     n = table.n
     if n < 4 or n % 2:
         raise UsageError(f"parity relation needs even n >= 4, got {n}")
     values = table.spectrum()
     half = n // 2
-    upper = spectrum_at(values, n, np.arange(half, n, dtype=np.int64))
-    expected = 2.0 * unit_phase(n, 2 * np.arange(half, dtype=np.int64))
-    return float(np.abs(upper + values[:half] - expected).max())
+    worst = 0.0
+    # each block of PARITY_BLOCK frequencies is the full-vector expression
+    # on its slice, elementwise, and a max is exact, so the residual is the
+    # one a single pass over all n/2 frequencies gives, bit for bit
+    for lo in range(0, half, PARITY_BLOCK):
+        hi = min(lo + PARITY_BLOCK, half)
+        xi = np.arange(lo, hi, dtype=np.int64)
+        upper = spectrum_at(values, n, xi + half)
+        expected = 2.0 * unit_phase(n, 2 * xi)
+        worst = max(worst, float(np.abs(upper + values[lo:hi] - expected).max()))
+    return worst

@@ -50,18 +50,22 @@ column; the gathered columns, m entries of the weights' type per
 transformed column (1 byte for the prime bitmap); and one row batch in
 flight, its float input, which the rfft copies from bool, and its
 spectra until they are copied into the block's.  A block whose float
-input fits COLUMN_BLOCK_BYTES // 8 (8 MiB) is one batch; a larger one
-goes in batches whose float input and spectra together fit that size
-(at 9699690 with Q = 30, one row of 323323 a call), so no float copy
-of the whole block is made and a batch in flight holds at most 8 MiB.  Each
-row is its own transform, so the spectra are bit for bit those of one
-call on the block.  Every block of the identity suite fits one batch,
-which matters at its Bluestein lengths (166667, 33334): numpy 2 keeps
-no plan cache, so each call builds its plan anew.  At those lengths
-pocketfft's own Bluestein scratch outweighs the model: with numpy 2.4 a
-one-row rfft of 166667 raises a process's peak RSS by about 24 MB, and
-one of two to four rows by about 40 MB.  That scratch sets the peak RSS
-of the identity suite at n = 1e6, in its Q = 6 column rfft at 1000002.
+input fits COLUMN_BLOCK_BYTES // 8 (8 MiB) is one batch, so its plan is
+built once (numpy 2 keeps no plan cache, and each call builds its plan
+anew): the suite's small Bluestein blocks (9, 33334), (49, 4762) and
+(481, 433) are one call each.  A larger block goes in batches whose
+float input and spectra together fit that size (at 9699690 with Q = 30,
+one row of 323323 a call), so no float copy of the whole block is made
+and a batch in flight holds at most 8 MiB.  The model counts
+pocketfft's own Bluestein scratch as well, 128 bytes a point at a length
+whose largest prime factor exceeds its square root
+(``_bluestein_scratch``): a block whose float input and that scratch
+outgrow 8 MiB goes one row a call, since with numpy 2.4 a one-row rfft
+of 166667 raises a process's peak RSS by about 24 MB and one of two to
+four rows by about 40 MB.  So the suite's Q = 6 columns at 1000002 take
+three rffts of (1, 166667), each building its plan.  Each row is its
+own transform, so the spectra are bit for bit those of one call on the
+block.
 
 Every transform in the package is a call here, on plain arrays: this is
 the only module that names ``numpy.fft``, and each call checks its length.
@@ -94,6 +98,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError
+from .factored import factorize
 
 FORWARD_CONVENTION = "forward = sum_x f(x) exp(-2*pi*i*xi*x/n); inverse carries 1/n"
 MAX_TRANSFORM_LENGTH = 10**7
@@ -156,6 +161,17 @@ def gather_columns(weights: np.ndarray, Q: int, classes) -> np.ndarray:
     return columns
 
 
+def _bluestein_scratch(m: int) -> int:
+    """Bytes of pocketfft's scratch in one rfft call at length m, modelled
+    as 128 bytes a point (about four complex values a point of the
+    convolution of length about 2m) when m may take the Bluestein path,
+    its largest prime factor above its square root, and as 0 otherwise.
+    With numpy 2.4 a one-row rfft of the prime 166667 raises a process's
+    peak RSS by 24 MB, 146 bytes a point."""
+    primes = factorize(m).primes
+    return 128 * m if primes and primes[-1] ** 2 > m else 0
+
+
 class ColumnBlocks:
     """The residue columns mod Q of a 1-indexed weight vector that hold a
     nonzero weight, and their length-m spectra, m = n/Q.
@@ -169,11 +185,13 @@ class ColumnBlocks:
     chunk*j .. chunk*(j + 1) - 1, one per row, in batches of ``rows``
     columns: the whole block when its float input fits
     COLUMN_BLOCK_BYTES // 8 bytes, else as many as fit that size with
-    their spectra.  The columns are gathered from the weights by
-    ``gather_columns``.  ``impulses`` maps each class whose column holds
-    one weight, at j = 0, to that weight; within a block only the first
-    class of each weight is gathered and transformed, and the others get
-    a copy of its spectrum.
+    their spectra.  A block whose float input fits goes one row a call
+    instead when that input and pocketfft's Bluestein scratch at length m
+    (``_bluestein_scratch``) outgrow that size.  The columns are gathered
+    from the weights by ``gather_columns``.  ``impulses`` maps each class
+    whose column holds one weight, at j = 0, to that weight; within a
+    block only the first class of each weight is gathered and
+    transformed, and the others get a copy of its spectrum.
 
     When every class fits one block, as at every extent of the identity
     suite, the spectra of the first transform are kept (``kept``, not
@@ -207,11 +225,20 @@ class ColumnBlocks:
         spectrum = (self.m // 2 + 1) * 16
         self.chunk = max(1, COLUMN_BLOCK_BYTES // spectrum)
         # a block whose float input fits the batch size goes whole, so its
-        # plan is built once; a larger one goes in batches whose float input
-        # and spectra together fit it
+        # plan is built once, unless the Bluestein scratch of the call
+        # outgrows the batch with it: then one row a call, since a call of
+        # two or more rows holds more of that scratch than a call of one.  A
+        # larger block goes in batches whose float input and spectra
+        # together fit the batch
         block, batch = min(self.chunk, self.classes.size), COLUMN_BLOCK_BYTES // 8
-        fits = block * 8 * self.m <= batch
-        self.rows = max(1, block if fits else batch // (8 * self.m + spectrum))
+        floats = block * 8 * self.m
+        if floats > batch:
+            rows = batch // (8 * self.m + spectrum)
+        elif floats + _bluestein_scratch(self.m) > batch:
+            rows = 1
+        else:
+            rows = block
+        self.rows = max(1, rows)
         self.kept: np.ndarray | None = None
 
     def spectra(self, block: int) -> np.ndarray:
@@ -302,6 +329,12 @@ def fold_half(half: np.ndarray, n: int) -> float:
     return float(total)
 
 
+def _power(values: np.ndarray) -> np.ndarray:
+    """|values|^2, squared in place in its one absolute-value array."""
+    power = np.abs(values)
+    return np.multiply(power, power, out=power)
+
+
 def plancherel_residual(f: np.ndarray, half: np.ndarray) -> float:
     """Relative defect of the energy identity (1/n) sum |F(xi)|^2 =
     sum f(x)^2 for a real vector f of length n and its half spectrum
@@ -311,7 +344,7 @@ def plancherel_residual(f: np.ndarray, half: np.ndarray) -> float:
     n = f.shape[0]
     if half.shape[0] != n // 2 + 1:
         raise UsageError(f"half spectrum of length {half.shape[0]} does not fit n={n}")
-    energy = float(np.sum(np.abs(f) ** 2))
-    spectral = fold_half(np.abs(half) ** 2, n) / n
+    energy = float(np.sum(_power(f)))
+    spectral = fold_half(_power(half), n) / n
     gap = abs(spectral - energy)
     return gap / energy if energy > 0 else gap

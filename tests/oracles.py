@@ -207,6 +207,20 @@ def subgroup_samples_full_route(ring: np.ndarray, Q: int) -> np.ndarray:
     return np.where(upper, np.conj(values), values)
 
 
+def half_spectrum_residual_one_pass(half: np.ndarray, n: int) -> float:
+    """max over 0 <= xi < n/2 of |F(xi + n/2) + F(xi) - 2 e_n(-2 xi)| for
+    even n, from the half spectrum ``half`` (F(n - m) = conj F(m) above
+    n/2), in one pass over all n/2 frequencies, each term formed as the
+    library forms it (e_n(-k) = exp((-2 pi i / n) * (k mod n))): the
+    one-pass formula that the library's blocked parity residual is
+    checked against, bit for bit."""
+    h = n // 2
+    upper = np.conj(half[n - np.arange(h, n, dtype=np.int64)])
+    upper[0] = half[h]  # F(n/2) itself, not its mirror
+    expected = 2.0 * np.exp((-2j * np.pi / n) * ((2 * np.arange(h, dtype=np.int64)) % n))
+    return float(np.abs(upper + half[:h] - expected).max())
+
+
 def class_energy_masked(ring: np.ndarray, Q: int, a: int) -> float:
     """Mean power (1/n) sum |F(xi)|^2 of the ring masked to the class
     x = a (mod Q), slot j holding x = j (slot 0 holding x = n = 0 mod Q),

@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -136,6 +137,33 @@ class TestIdentitySuite:
         payload = json.loads((tmp_path / "identity_suite.json").read_text())
         assert payload["all_passed"] is False
         assert payload["failing_identities"] == ["spectral-pair-count"]
+
+    def test_extent_rows_hold_ring_half_and_inverse(self):
+        # the round-trip and Plancherel rows at n = 1e6 hold the float ring,
+        # the cached half spectrum and the inverse, and no more: the
+        # spectrum's rfft sees the one ring it makes and frees, the ring is
+        # laid out after the inverse, and the residual is formed in place
+        # in the inverse.  numpy < 2 zero-pads irfft's input to n complex
+        # entries (16n bytes) beside the half and the inverse, a copy it
+        # frees before the ring is laid out, so there that copy stands in
+        # the ring's place
+        n = 10**6
+        table = build_table(n)
+        config = ExperimentConfig(mode="identity-suite", two_k_values=[2, 4, 6])
+        recorded = []
+        transform.inverse_real(transform.forward_real(np.zeros(8)), 8)  # numpy.fft loads
+        tracemalloc.start()
+        try:
+            harness._extent_rows(config, lambda check, *args: recorded.append(check), table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        identities = [check.identity for check in recorded]
+        assert identities == ["spectral-pair-count"] * 3 + ["round-trip", "plancherel"]
+        assert all(check.passed for check in recorded)
+        ring = inverse = 8 * n
+        padded = 16 * n if np.lib.NumpyVersion(np.__version__) < "2.0.0" else 0
+        assert peak <= max(ring, padded) + table.spectrum().nbytes + inverse + (64 << 10)
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-17])
     def test_spectral_pair_count_tolerance_is_the_rounding_budget(self, tmp_path, tol):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -372,6 +373,29 @@ class TestHalfSpectrum:
     def test_rejects_odd_extent(self):
         with pytest.raises(UsageError):
             half_spectrum_residual(build_table(99))
+
+    # n/2 below one block; 2.5 blocks; 1e6, whose n/2 = 500000 is not a
+    # multiple of the block either
+    @pytest.mark.parametrize("n", [4, 5 * spectral.PARITY_BLOCK, 10**6])
+    def test_blocks_equal_one_pass(self, n):
+        t = build_table(n)
+        residual = half_spectrum_residual(t)
+        assert residual.hex() == oracles.half_spectrum_residual_one_pass(t.spectrum(), n).hex()
+
+    def test_traced_peak_holds_a_few_blocks(self):
+        # beside the cached half spectrum, the relation holds the arrays of
+        # one block of frequencies, about 105 bytes a frequency; one pass
+        # over all n/2 = 2e6 frequencies would hold 130 MB
+        n = 4 * 10**6
+        t = build_table(n)
+        t.spectrum()
+        tracemalloc.start()
+        try:
+            half_spectrum_residual(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * spectral.PARITY_BLOCK < 16 * (n // 2)
 
 
 PRIMORIALS = (1, 2, 6, 30, 210, 2310)

@@ -371,14 +371,25 @@ class TestColumnBlocks:
             assert not np.array_equal(spectra[row[5]], spectra[row[2]])
 
     def test_default_batch_takes_a_small_block_whole(self, monkeypatch):
-        # 1000002 / 6 = 166667 is prime, a Bluestein length: even all 6
-        # classes (8.0 MB of float input) go in one rfft, so the suite's
-        # block of 4 at that length builds its plan once
+        # the identity suite's column blocks at n = 1e6.  1000002 / 6 =
+        # 166667 is prime, a Bluestein length whose scratch (128 bytes a
+        # point, 21 MB) outgrows the 8 MiB batch: the units 1 and 5 and the
+        # one impulse of 2 and 3 go one row a call, and the spectra are
+        # those of one multi-row rfft.  The small Bluestein blocks, 33334 =
+        # 2 * 7 * 2381, 4762 = 2 * 2381 and the prime 433, go whole, so
+        # each builds its plan once
+        cases = [(1000002, 6, [(1, 166667)] * 3)]
+        cases += [(1000020, 30, [(9, 33334)]), (1000020, 210, [(49, 4762)])]
+        cases += [(1000230, 2310, [(481, 433)])]
         shapes = self._counted(monkeypatch)
-        columns = ColumnBlocks(np.ones(1000003, dtype=bool), 6)
-        assert columns.rows >= 6
-        columns.spectra(0)
-        assert shapes == [(6, 166667)]
+        for n, Q, calls in cases:
+            t = build_table(n)
+            columns = ColumnBlocks(t.is_prime, Q)
+            shapes.clear()
+            spectra = columns.spectra(0)
+            assert shapes == calls
+            whole = np.fft.rfft(gather_columns(t.is_prime, Q, columns.classes))
+            assert spectra.tobytes() == whole.tobytes()
 
     def test_traced_peak_holds_one_batch(self, monkeypatch, table_1e6):
         # 1e6 mod 1000: 402 holding classes of 1000 entries, one block of
