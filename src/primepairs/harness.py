@@ -9,7 +9,6 @@ without affecting them.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -156,6 +155,11 @@ def config_hash(config: ExperimentConfig) -> str:
     payload.pop("output_dir")
     payload.pop("cache_dir")
     blob = json.dumps(payload, sort_keys=True).encode()
+    # imported at its one use, not with the module: hashlib maps OpenSSL,
+    # about 3.5 MB of RSS, and the identity suite forms its hash only
+    # after its last transform, so its Bluestein transforms run without it
+    import hashlib
+
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -366,8 +370,6 @@ def _subgroup_rows(
         "within_log5": bool(Q <= math.log(adjusted) ** 5),
         "within_log10": bool(Q <= math.log(adjusted) ** 10),
     }
-    check = subgroup_restriction_check(sub_table, Q, _tol(config, "subgroup-restriction"))
-    record(check, adjusted, Q, None, extra=extra)
     # twisted energy identity on a few residue classes: the class-masked
     # spectrum is the twisted progression sum, so its mean power equals
     # the plain class count.  That spectrum is e_n(-xi a) times the
@@ -375,13 +377,18 @@ def _subgroup_rows(
     # its mean power exactly.  A column that holds no prime has energy 0
     # exactly; the others, gathered from the bitmap, go two to a complex
     # row through one forward call, independent of the column blocks the
-    # other rows read
+    # other rows read.  It runs before the subgroup check, which builds
+    # and keeps those blocks' spectra, so that its transform (a Bluestein
+    # one at 1000002 with Q = 6) runs while they are not yet resident; its
+    # row is still recorded after the subgroup row
     classes = sorted({0, 1 % Q, Q - 1})  # Q = 1 has the one class 0
     energies = _class_energies(gather_columns(sub_table.is_prime, Q, classes))
     worst = 0.0
     for a, energy in zip(classes, energies):
         count = pi_progression(sub_table, Q, a)
         worst = max(worst, abs(energy - count) / max(count, 1))
+    check = subgroup_restriction_check(sub_table, Q, _tol(config, "subgroup-restriction"))
+    record(check, adjusted, Q, None, extra=extra)
     record(_check(config, "twisted-plancherel", worst), adjusted, Q, None, extra=extra)
     reports = decomposition_checks(
         sub_table, Q, config.two_k_values, _tol(config, "decomposition-reconstruction")

@@ -49,23 +49,25 @@ Memory model of one block: its spectra, (m//2 + 1) * 16 bytes per
 column; the gathered columns, m entries of the weights' type per
 transformed column (1 byte for the prime bitmap); and one row batch in
 flight, its float input, which the rfft copies from bool, and its
-spectra until they are copied into the block's.  A block whose float
-input fits COLUMN_BLOCK_BYTES // 8 (8 MiB) is one batch, so its plan is
-built once (numpy 2 keeps no plan cache, and each call builds its plan
-anew): the suite's small Bluestein blocks (9, 33334), (49, 4762) and
-(481, 433) are one call each.  A larger block goes in batches whose
-float input and spectra together fit that size (at 9699690 with Q = 30,
-one row of 323323 a call), so no float copy of the whole block is made
-and a batch in flight holds at most 8 MiB.  The model counts
-pocketfft's own Bluestein scratch as well, 128 bytes a point at a length
-whose largest prime factor exceeds its square root
-(``_bluestein_scratch``): a block whose float input and that scratch
-outgrow 8 MiB goes one row a call, since with numpy 2.4 a one-row rfft
-of 166667 raises a process's peak RSS by about 24 MB and one of two to
-four rows by about 40 MB.  So the suite's Q = 6 columns at 1000002 take
-three rffts of (1, 166667), each building its plan.  Each row is its
-own transform, so the spectra are bit for bit those of one call on the
-block.
+spectra until they are copied into the block's, and pocketfft's own
+Bluestein scratch, 128 bytes a point at a length whose largest prime
+factor exceeds its square root (``_bluestein_scratch``).  One rule sets
+the batch: a block whose float input fits COLUMN_BLOCK_BYTES // 8
+(8 MiB) beside that scratch is one batch, so its plan is built once
+(numpy 2 keeps no plan cache, and each call builds its plan anew): the
+suite's small Bluestein blocks (9, 33334), (49, 4762) and (481, 433)
+are one call each.  A larger block goes in batches whose float input
+and spectra fit that size beside the scratch, at least one row a call,
+so no float copy of the whole block is made: at 9699690 with Q = 30,
+one row of 323323 a call.  Where the scratch alone outgrows 8 MiB the
+batches are one row, since with numpy 2.4 a one-row rfft of 166667
+raises a process's peak RSS by about 24 MB and one of two to four rows
+by about 40 MB; so the suite's Q = 6 columns at 1000002 take three
+rffts of (1, 166667), each building its plan, and at 3000090 with
+Q = 30 the columns of the prime 100003 go one a call: filling that
+block raises a process's peak RSS by 23.7 MB, against 36.9 MB in calls
+of five rows.  Each row is its own transform, so the spectra are bit
+for bit those of one call on the block.
 
 Every transform in the package is a call here, on plain arrays: this is
 the only module that names ``numpy.fft``, and each call checks its length.
@@ -183,14 +185,13 @@ class ColumnBlocks:
     COLUMN_BLOCK_BYTES; ``spectra(j)`` is block j's column spectra, the
     rffts (``forward_real``) of the columns of classes
     chunk*j .. chunk*(j + 1) - 1, one per row, in batches of ``rows``
-    columns: the whole block when its float input fits
+    columns: the whole block when its float input and pocketfft's
+    Bluestein scratch at length m (``_bluestein_scratch``) fit
     COLUMN_BLOCK_BYTES // 8 bytes, else as many as fit that size with
-    their spectra.  A block whose float input fits goes one row a call
-    instead when that input and pocketfft's Bluestein scratch at length m
-    (``_bluestein_scratch``) outgrow that size.  The columns are gathered
-    from the weights by ``gather_columns``.  ``impulses`` maps each class
-    whose column holds one weight, at j = 0, to that weight; within a
-    block only the first class of each weight is gathered and
+    their spectra beside that scratch, and at least one.  The columns are
+    gathered from the weights by ``gather_columns``.  ``impulses`` maps
+    each class whose column holds one weight, at j = 0, to that weight;
+    within a block only the first class of each weight is gathered and
     transformed, and the others get a copy of its spectrum.
 
     When every class fits one block, as at every extent of the identity
@@ -224,21 +225,16 @@ class ColumnBlocks:
         }
         spectrum = (self.m // 2 + 1) * 16
         self.chunk = max(1, COLUMN_BLOCK_BYTES // spectrum)
-        # a block whose float input fits the batch size goes whole, so its
-        # plan is built once, unless the Bluestein scratch of the call
-        # outgrows the batch with it: then one row a call, since a call of
-        # two or more rows holds more of that scratch than a call of one.  A
-        # larger block goes in batches whose float input and spectra
-        # together fit the batch
+        # a block whose float input fits the batch size beside pocketfft's
+        # Bluestein scratch goes whole, so its plan is built once; a larger
+        # one goes as many rows a call as fit the batch with their spectra
+        # beside that scratch, and at least one
         block, batch = min(self.chunk, self.classes.size), COLUMN_BLOCK_BYTES // 8
-        floats = block * 8 * self.m
-        if floats > batch:
-            rows = batch // (8 * self.m + spectrum)
-        elif floats + _bluestein_scratch(self.m) > batch:
-            rows = 1
+        floats, scratch = block * 8 * self.m, _bluestein_scratch(self.m)
+        if floats + scratch <= batch:
+            self.rows = block
         else:
-            rows = block
-        self.rows = max(1, rows)
+            self.rows = max(1, (batch - scratch) // (8 * self.m + spectrum))
         self.kept: np.ndarray | None = None
 
     def spectra(self, block: int) -> np.ndarray:

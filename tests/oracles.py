@@ -151,6 +151,25 @@ def dft_direct(values: np.ndarray) -> np.ndarray:
     return kernel @ v
 
 
+def dft_direct_longdouble(values: np.ndarray) -> np.ndarray:
+    """O(m^2) evaluation of sum_x f(x) exp(-2*pi*i*xi*x/m) for each row of
+    a real or complex (rows, m) array in long double: pi is formed as
+    4 atan(1) and every phase from its exactly reduced integer angle in
+    ``np.longdouble``, so where long double is wider than float64 (x87's
+    80-bit format, eps 1.08e-19) the reference's own rounding lies far
+    below that of a float64 transform.  Phases formed in float64 would
+    not: the reference is only as good as its phases."""
+    rows = np.asarray(values).astype(np.clongdouble)
+    m = rows.shape[-1]
+    idx = np.arange(m, dtype=np.int64)
+    pi = 4 * np.arctan(np.longdouble(1))
+    angle = (-2 * pi / m) * ((idx[:, None] * idx[None, :]) % m).astype(np.longdouble)
+    kernel = np.empty((m, m), dtype=np.clongdouble)
+    kernel.real = np.cos(angle)
+    kernel.imag = np.sin(angle)
+    return rows @ kernel
+
+
 def plancherel_residual_full_route(f: np.ndarray) -> float:
     """Relative defect of (1/n) sum |F(xi)|^2 = sum |f(x)|^2 from one
     full-length complex transform of a real or complex f, every bin summed

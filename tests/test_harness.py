@@ -165,6 +165,43 @@ class TestIdentitySuite:
         padded = 16 * n if np.lib.NumpyVersion(np.__version__) < "2.0.0" else 0
         assert peak <= max(ring, padded) + table.spectrum().nbytes + inverse + (64 << 10)
 
+    def test_twisted_row_transforms_before_the_kept_columns(self, tmp_path, monkeypatch):
+        # at 1000002 with Q = 6 the twisted-Plancherel row's complex fft,
+        # one packed row of the Bluestein length 166667, runs before the
+        # table builds and keeps its column spectra mod 6 for the subgroup
+        # and reconstruction rows, so that they are not resident beside
+        # its scratch; its row is still recorded after the subgroup row
+        events = []
+        fft, columns = np.fft.fft, sieve.PrimeTable.columns
+
+        def spied_fft(a, *args, **kwargs):
+            events.append(("fft", np.shape(a), np.asarray(a).dtype.kind))
+            return fft(a, *args, **kwargs)
+
+        def spied_columns(table, Q):
+            events.append(("columns", Q))
+            return columns(table, Q)
+
+        monkeypatch.setattr(np.fft, "fft", spied_fft)
+        monkeypatch.setattr(sieve.PrimeTable, "columns", spied_columns)
+        argv = ["verify", "--n", "1000002", "--z", "5", "--two-k", "2", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        twisted = [i for i, event in enumerate(events) if event[0] == "fft" and len(event[1]) == 2]
+        assert [events[i] for i in twisted] == [("fft", (1, 166667), "c")]
+        assert twisted[0] < events.index(("columns", 6))
+        rows = json.loads((tmp_path / "identity_suite.json").read_text())["results"]
+        assert [(row["identity"], row["n"], row["Q"], row["two_k"]) for row in rows] == [
+            ("spectral-pair-count", 1000002, None, 2),
+            ("round-trip", 1000002, None, None),
+            ("plancherel", 1000002, None, None),
+            ("parity-half-spectrum", 1000002, None, None),
+            ("psi-spectral-identity", 1000002, None, 2),
+            ("subgroup-restriction", 1000002, 6, None),
+            ("twisted-plancherel", 1000002, 6, None),
+            ("decomposition-reconstruction", 1000002, 6, 2),
+            ("main-term-convolution", 1000002, 6, 2),
+        ]
+
     @pytest.mark.parametrize("tol", [1e-6, 1e-17])
     def test_spectral_pair_count_tolerance_is_the_rounding_budget(self, tmp_path, tol):
         # the rows hold the bound pair_counts_via_spectrum rounds against,

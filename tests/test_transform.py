@@ -14,7 +14,7 @@ from primepairs import (
     plancherel_residual,
     von_mangoldt_vector,
 )
-from primepairs import transform
+from primepairs import spectral, transform
 from primepairs.transform import (
     MAX_TRANSFORM_LENGTH,
     ColumnBlocks,
@@ -69,6 +69,38 @@ class TestForward:
     def test_length_budget(self):
         with pytest.raises(ResourceLimitError):
             forward(np.zeros(10**7 + 1, dtype=np.float32))
+
+
+class TestRoundingConstant:
+    """The constant c of the transform error model ||dC||_2 <= c eps
+    log2(m) ||C||_2 that every certified rounding budget rests on
+    (``spectral.FFT_ERROR_GROWTH``), measured against a long-double direct
+    DFT on the columns the system transforms: residue columns mod 30 of
+    the prime bitmap and of the von Mangoldt weights, at the smooth
+    length 1000 and the primes 433 (a column length of the identity
+    suite) and 1009."""
+
+    @pytest.mark.parametrize("m", [433, 1000, 1009])
+    @pytest.mark.parametrize("source", ["prime", "mangoldt"])
+    def test_measured_constant_within_a_quarter_of_the_model(self, m, source):
+        if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
+            pytest.skip("long double has float64's eps here, so it cannot measure float64 rounding")
+        t = build_table(30 * m)
+        weights = t.is_prime if source == "prime" else von_mangoldt_vector(t)
+        columns = gather_columns(weights, 30, [1, 7, 11, 13, 17, 19, 23, 29])
+        # the real columns through rfft, and packed two to a complex row,
+        # as the twisted-Plancherel row packs them, through fft
+        packed = columns[0::2] + 1j * columns[1::2]
+        eps, bound = np.finfo(np.float64).eps, spectral.FFT_ERROR_GROWTH / 4
+        for name, computed, rows in (
+            ("forward_real", forward_real(columns), columns),
+            ("forward", forward(packed), packed),
+        ):
+            exact = oracles.dft_direct_longdouble(rows)[:, : computed.shape[1]]
+            norms = np.sqrt(np.sum(np.abs(exact) ** 2, axis=1))
+            errors = np.sqrt(np.sum(np.abs(computed - exact) ** 2, axis=1))
+            c = float(np.max(errors / (eps * np.log2(m) * norms)))
+            assert c < bound, f"c = {c:.3f} for {name} at m = {m} ({source}), bound {bound}"
 
 
 class TestInverse:
@@ -321,15 +353,19 @@ class TestColumnBlocks:
         ring = as_ring(weights)
         whole = np.fft.rfft(np.ascontiguousarray(ring.reshape(m, Q)[:, classes].T))
         shapes = self._counted(monkeypatch)
-        # batches of three rows of float input and their spectra; the
-        # holding classes (8 units and 2, 3, 5, and for the weights also 4,
-        # 8, 16, 9, 21, 27 and 25) fit one block of 47, but not one batch.
-        # The bitmap's columns of 2, 3 and 5 are one impulse, transformed
-        # once; each weight class of 2, 3 and 5 holds a prime power too
-        monkeypatch.setattr(transform, "COLUMN_BLOCK_BYTES", 3 * (8 * m + (m // 2 + 1) * 16) * 8)
+        # batches of three rows of float input and their spectra, beside
+        # the Bluestein scratch of one call (129 KB at 1009, none at 1024);
+        # the holding classes (8 units and 2, 3, 5, and for the weights
+        # also 4, 8, 16, 9, 21, 27 and 25) fit one block, of 175 at 1009
+        # and 47 at 1024, but not one batch.  The bitmap's columns of 2, 3
+        # and 5 are one impulse, transformed once; each weight class of 2,
+        # 3 and 5 holds a prime power too
+        batch = 3 * (8 * m + (m // 2 + 1) * 16) + transform._bluestein_scratch(m)
+        monkeypatch.setattr(transform, "COLUMN_BLOCK_BYTES", batch * 8)
         columns = ColumnBlocks(weights, Q)
         k, own = {"prime": (11, 9), "mangoldt": (18, 18)}[source]
-        assert (columns.chunk, columns.rows, columns.classes.size) == (47, 3, k)
+        chunk = {1009: 175, 1024: 47}[m]
+        assert (columns.chunk, columns.rows, columns.classes.size) == (chunk, 3, k)
         assert columns.impulses == ({2: True, 3: True, 5: True} if source == "prime" else {})
         spectra = columns.spectra(0)
         assert shapes == [(3, m)] * (own // 3) + [(own % 3, m)] * (own % 3 > 0)
@@ -390,6 +426,21 @@ class TestColumnBlocks:
             assert shapes == calls
             whole = np.fft.rfft(gather_columns(t.is_prime, Q, columns.classes))
             assert spectra.tobytes() == whole.tobytes()
+
+    def test_oversized_bluestein_block_goes_one_row_a_call(self, monkeypatch):
+        # 3000090 / 30 = 100003 is prime: 11 columns (8.8 MB of float
+        # input) outgrow the 8 MiB batch, and so does the scratch of one
+        # call (128 bytes a point, 12.8 MB), so the 9 transformed columns
+        # (2, 3 and 5 share one impulse) go one row a call, and the spectra
+        # are those of one call on the block
+        t = build_table(3000090)
+        columns = ColumnBlocks(t.is_prime, 30)
+        assert (columns.m, columns.classes.size, columns.rows) == (100003, 11, 1)
+        shapes = self._counted(monkeypatch)
+        spectra = columns.spectra(0)
+        assert shapes == [(1, 100003)] * 9
+        whole = np.fft.rfft(gather_columns(t.is_prime, 30, columns.classes))
+        assert spectra.tobytes() == whole.tobytes()
 
     def test_traced_peak_holds_one_batch(self, monkeypatch, table_1e6):
         # 1e6 mod 1000: 402 holding classes of 1000 entries, one block of
