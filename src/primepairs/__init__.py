@@ -58,14 +58,12 @@ from .constants import (
 )
 from .spectral import (
     DecompositionReport,
-    decompose,
     decompositions,
     half_spectrum_residual,
     main_term_convolution,
     pair_counts_via_spectrum,
     psi_pair_direct,
     psi_pair_via_spectrum,
-    rho_identity_check,
 )
 
 __all__ = [
@@ -109,9 +107,7 @@ __all__ = [
     "li2",
     "DecompositionReport",
     "pair_counts_via_spectrum",
-    "rho_identity_check",
     "main_term_convolution",
-    "decompose",
     "decompositions",
     "psi_pair_via_spectrum",
     "psi_pair_direct",

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .constants import hl_constant, li2, singular_series_product
 from .errors import IdentityCheck, UsageError
@@ -28,42 +26,38 @@ from .sieve import (
     load_or_build,
     load_table,
     pair_count_linear,
-    pi_progression,
     save_table,
     von_mangoldt_vector,
 )
 from .spectral import (
     decomposition_checks,
     decompositions,
-    half_spectrum_residual,
-    main_term_convolution,
+    main_term_convolution_check,
     pair_count_checks,
     pair_count_modulus,
     pair_counts_via_spectrum,
+    parity_half_spectrum_check,
+    plancherel_check,
     psi_pair_checks,
+    round_trip_check,
     subgroup_restriction_check,
+    twisted_plancherel_check,
 )
-from .transform import (
-    as_ring,
-    check_extents,
-    forward,
-    gather_columns,
-    inverse_real,
-    plancherel_residual,
-)
+from .transform import as_ring, check_extents, forward
 
 MODES = ("identity-suite", "decompose", "constants", "spectrum-export", "hl-ratio-sweep")
 
-# Scale-factor tolerances, each with its scale and the function applying it.
+# Scale-factor tolerances, each with its scale and the one library function
+# applying it; each is that function's default tol.
 DEFAULT_TOLERANCES = {
     "spectral-pair-count": 1e-6,       # x n or the rounding model: spectral.pair_count_checks
-    "round-trip": 1e-8,                # absolute (max|f| = 1): _extent_rows
-    "plancherel": 1e-8,                # relative: _extent_rows
-    "twisted-plancherel": 1e-8,        # relative, per residue class: _subgroup_rows
-    "parity-half-spectrum": 1e-6,      # x pi(n): _parity_row
+    "round-trip": 1e-8,                # absolute (max|f| = 1): spectral.round_trip_check
+    "plancherel": 1e-8,                # relative: spectral.plancherel_check
+    "twisted-plancherel": 1e-8,        # relative, per class: spectral.twisted_plancherel_check
+    "parity-half-spectrum": 1e-6,      # x pi(n): spectral.parity_half_spectrum_check
     "subgroup-restriction": 1e-6,      # x pi(n): spectral.subgroup_restriction_check
     "decomposition-reconstruction": 1e-6,  # x n: spectral.decomposition_checks
-    "main-term-convolution": 1e-6,     # x n/Q: _subgroup_rows
+    "main-term-convolution": 1e-6,     # x n/Q: spectral.main_term_convolution_check
     "psi-spectral-identity": 1e-6,     # x n log^2 n or the rounding model: spectral.psi_pair_checks
 }
 
@@ -234,13 +228,6 @@ def _tol(config: ExperimentConfig, key: str) -> float:
     return float(config.tolerances.get(key, DEFAULT_TOLERANCES[key]))
 
 
-def _check(
-    config: ExperimentConfig, identity: str, residual: float, scale: float = 1
-) -> IdentityCheck:
-    """The check of an identity the suite alone computes, at tolerance x scale."""
-    return IdentityCheck(identity, residual, _tol(config, identity) * scale)
-
-
 def _table(config: ExperimentConfig, n: int) -> PrimeTable:
     return load_or_build(n, config.cache_dir)
 
@@ -272,18 +259,10 @@ def _run_identity_suite(config: ExperimentConfig, out: Path) -> RunResult:
     lines = []
 
     def record(check: IdentityCheck, n, Q, two_k, extra=None):
-        row = {
-            "identity": check.identity,
-            "n": n,
-            "Q": Q,
-            "two_k": two_k,
-            "residual": float(check.residual),
-            "tolerance": float(check.tolerance),
-            "passed": check.passed,
-        }
-        if extra:
-            row.update(extra)
-        results.append(row)
+        # the report sorts its keys, so a row's key order is free
+        row = {"identity": check.identity, "n": n, "Q": Q, "two_k": two_k, "passed": check.passed}
+        row.update(residual=float(check.residual), tolerance=float(check.tolerance))
+        results.append({**row, **(extra or {})})
         status = "pass" if check.passed else "FAIL"
         lines.append(
             f"[{status}] {check.identity} n={n} Q={Q} 2k={two_k} "
@@ -327,29 +306,14 @@ def _extent_rows(config: ExperimentConfig, record, table: PrimeTable) -> None:
     for two_k, (_, check) in zip(config.two_k_values, counts):
         record(check, n, None, two_k)
 
-    # the cached spectrum first, so its rfft sees the one ring it makes and
-    # frees; the inverse next, and only then the ring it is compared with.
-    # The residual is formed in place in the inverse, so the round trip
-    # holds the ring, the half spectrum and the inverse, and no more
-    half = table.spectrum()
-    residual = inverse_real(half, n)
-    ring = table.ring_indicator()
-    np.subtract(residual, ring, out=residual)
-    round_trip = float(np.abs(residual, out=residual).max())
-    residual = None
-    record(_check(config, "round-trip", round_trip), n, None, None)
-
-    # the cached spectrum's power, folded over Z/nZ, against sum ring^2,
-    # the prime count: the energy identity checks that spectrum directly
-    record(_check(config, "plancherel", plancherel_residual(ring, half)), n, None, None)
+    record(round_trip_check(table, _tol(config, "round-trip")), n, None, None)
+    record(plancherel_check(table, _tol(config, "plancherel")), n, None, None)
 
 
 def _parity_row(config: ExperimentConfig, record, tables: _ExtentTable, n: int) -> None:
     """The half-spectrum parity relation at n, or at n + 1 when n is odd."""
     even_n = n if n % 2 == 0 else n + 1
-    table = tables.get(even_n)
-    residual = half_spectrum_residual(table)
-    check = _check(config, "parity-half-spectrum", residual, max(table.pi(even_n), 1))
+    check = parity_half_spectrum_check(tables.get(even_n), _tol(config, "parity-half-spectrum"))
     record(check, even_n, None, None, extra={"requested_n": n})
 
 
@@ -370,60 +334,21 @@ def _subgroup_rows(
         "within_log5": bool(Q <= math.log(adjusted) ** 5),
         "within_log10": bool(Q <= math.log(adjusted) ** 10),
     }
-    # twisted energy identity on a few residue classes: the class-masked
-    # spectrum is the twisted progression sum, so its mean power equals
-    # the plain class count.  That spectrum is e_n(-xi a) times the
-    # length-n/Q transform of residue column a, so (1/m) sum |DFT_m|^2 is
-    # its mean power exactly.  A column that holds no prime has energy 0
-    # exactly; the others, gathered from the bitmap, go two to a complex
-    # row through one forward call, independent of the column blocks the
-    # other rows read.  It runs before the subgroup check, which builds
-    # and keeps those blocks' spectra, so that its transform (a Bluestein
-    # one at 1000002 with Q = 6) runs while they are not yet resident; its
-    # row is still recorded after the subgroup row
-    classes = sorted({0, 1 % Q, Q - 1})  # Q = 1 has the one class 0
-    energies = _class_energies(gather_columns(sub_table.is_prime, Q, classes))
-    worst = 0.0
-    for a, energy in zip(classes, energies):
-        count = pi_progression(sub_table, Q, a)
-        worst = max(worst, abs(energy - count) / max(count, 1))
+    # the twisted check transforms its own columns before the subgroup
+    # check builds and keeps the table's column spectra, so that its
+    # transform runs while they are not resident; its row is still
+    # recorded after the subgroup row
+    twisted = twisted_plancherel_check(sub_table, Q, _tol(config, "twisted-plancherel"))
     check = subgroup_restriction_check(sub_table, Q, _tol(config, "subgroup-restriction"))
     record(check, adjusted, Q, None, extra=extra)
-    record(_check(config, "twisted-plancherel", worst), adjusted, Q, None, extra=extra)
+    record(twisted, adjusted, Q, None, extra=extra)
     reports = decomposition_checks(
         sub_table, Q, config.two_k_values, _tol(config, "decomposition-reconstruction")
     )
+    tol = _tol(config, "main-term-convolution")
     for two_k, (report, check) in zip(config.two_k_values, reports):
         record(check, adjusted, Q, two_k, extra=extra)
-        gap = abs(main_term_convolution(sub_table, Q, two_k) - report.main_term)
-        check = _check(config, "main-term-convolution", gap, adjusted / Q)
-        record(check, adjusted, Q, two_k, extra=extra)
-
-
-def _class_energies(columns: np.ndarray) -> list[float]:
-    """(1/m) sum |C|^2 of each row's length-m DFT C, the rows real.  The
-    rows that hold a nonzero value go two to a complex row, Z = c_u + i c_v,
-    all in one ``forward`` call; C_u(xi) = (Z(xi) + conj Z(-xi)) / 2 and
-    C_v(xi) = (Z(xi) - conj Z(-xi)) / 2i.  A zero row has energy 0 and no
-    transform."""
-    m = columns.shape[1]
-    held = np.flatnonzero(columns.any(axis=1))
-    energies = [0.0] * columns.shape[0]
-    if not held.size:
-        return energies
-    packed = np.zeros(((held.size + 1) // 2, m), dtype=complex)
-    packed.real = columns[held[0::2]]
-    packed.imag[: held.size // 2] = columns[held[1::2]]
-    spectra = forward(packed)
-    # conj Z(-xi): xi = 0 stays, xi = 1 .. m - 1 read m - 1 .. 1; the roll
-    # is a copy, conjugated in place
-    mirror = np.roll(spectra[:, ::-1], 1, axis=1)
-    np.conjugate(mirror, out=mirror)
-    for row, (u, v) in enumerate(zip(held[0::2].tolist(), held[1::2].tolist() + [None])):
-        energies[u] = float(np.sum(np.abs(spectra[row] + mirror[row]) ** 2)) / (4 * m)
-        if v is not None:
-            energies[v] = float(np.sum(np.abs(spectra[row] - mirror[row]) ** 2)) / (4 * m)
-    return energies
+        record(main_term_convolution_check(sub_table, report, tol), adjusted, Q, two_k, extra=extra)
 
 
 def _report_meta(config: ExperimentConfig, **extra) -> dict:

@@ -13,13 +13,17 @@ T(0)/n is the main term; the rest is the error spectrum this module
 instruments.  Every identity here is exact in exact arithmetic, and each
 function takes only what its identity reads: the Hardy-Littlewood
 prediction that the main term is compared with is not part of the split,
-and the decompose reports compute it (``harness``).  One
-function computes each identity's floating-point residual and tolerance
-as an ``IdentityCheck`` (``pair_count_checks``, ``psi_pair_checks``,
-``subgroup_restriction_check``, ``decomposition_checks``); the identity
-suite records those checks, and the functions that return the values
-(``pair_counts_via_spectrum``, ``psi_pair_via_spectrum``,
-``rho_identity_check``, ``decompositions``) raise IdentityError from them.
+and the decompose reports compute it (``harness``).
+
+Each key of the identity suite's tolerances is applied by one function
+here, which returns the identity's residual and tolerance as an
+``IdentityCheck``: ``pair_count_checks``, ``psi_pair_checks``,
+``subgroup_restriction_check``, ``twisted_plancherel_check``,
+``decomposition_checks``, ``main_term_convolution_check``, and
+``round_trip_check``, ``plancherel_check`` and
+``parity_half_spectrum_check`` on the cached spectrum.  The suite only
+records them; ``pair_counts_via_spectrum``, ``psi_pair_via_spectrum`` and
+``decompositions`` raise IdentityError from them.
 
 Residue columns tie the two sides without any length-n transform.  With
 m = n/Q, column a of the ring is the class x = a (mod Q) (the Cooley-Tukey
@@ -37,7 +41,7 @@ bitmap for prime pairs, the von Mangoldt weights for psi pairs.  It is
 the one spectral correlation route, and the one route to T.  The
 spectral pair counts and psi pair correlations take it with Q from
 ``pair_count_modulus``; ``decomposition_checks``, the one
-decomposition routine (``decompositions`` and ``decompose`` read it),
+decomposition routine (``decompositions`` reads it),
 takes it with the Q it is given, at every n, so the transform length is
 n/Q, and forms each T from its S alone once the kernel has run to the
 end.  The reconstruction sum of the decompositions, the direct
@@ -84,13 +88,22 @@ import numpy as np
 
 from .errors import IdentityCheck, IdentityError, UsageError
 from .factored import euler_phi, factorize
-from .sieve import PrimeTable, pair_count_circular, residue_profile, von_mangoldt_vector
+from .sieve import (
+    PrimeTable,
+    pair_count_circular,
+    pi_progression,
+    residue_profile,
+    von_mangoldt_vector,
+)
 from .transform import (
     ColumnBlocks,
     as_ring,
     check_extents,
     fold_half,
     forward,
+    gather_columns,
+    inverse_real,
+    plancherel_residual,
     require_divisor,
     spectrum_at,
     unit_phase,
@@ -369,10 +382,44 @@ def subgroup_restriction_check(table: PrimeTable, Q: int, tol: float = 1e-6) -> 
     return IdentityCheck("subgroup-restriction", deviation, budget, f"n={n}, Q={Q}")
 
 
-def rho_identity_check(table: PrimeTable, Q: int, tol: float = 1e-6) -> float:
-    """The deviation of ``subgroup_restriction_check``; raises
-    IdentityError if it exceeds its tolerance."""
-    return subgroup_restriction_check(table, Q, tol).require().residual
+def _class_energies(columns: np.ndarray) -> list[float]:
+    """(1/m) sum |C|^2 of each row's length-m DFT C, the rows real.  The
+    rows that hold a nonzero value go two to a complex row, Z = c_u + i c_v,
+    all in one ``forward`` call; C_u(xi) = (Z(xi) + conj Z(-xi)) / 2 and
+    C_v(xi) = (Z(xi) - conj Z(-xi)) / 2i.  A zero row has energy 0 and no
+    transform."""
+    m = columns.shape[1]
+    held = np.flatnonzero(columns.any(axis=1))
+    energies = [0.0] * columns.shape[0]
+    if not held.size:
+        return energies
+    packed = np.zeros(((held.size + 1) // 2, m), dtype=complex)
+    packed.real = columns[held[0::2]]
+    packed.imag[: held.size // 2] = columns[held[1::2]]
+    spectra = forward(packed)
+    # conj Z(-xi): xi = 0 stays, xi = 1 .. m - 1 read m - 1 .. 1; the roll
+    # is a copy, conjugated in place
+    mirror = np.roll(spectra[:, ::-1], 1, axis=1)
+    np.conjugate(mirror, out=mirror)
+    for row, (u, v) in enumerate(zip(held[0::2].tolist(), held[1::2].tolist() + [None])):
+        energies[u] = float(np.sum(np.abs(spectra[row] + mirror[row]) ** 2)) / (4 * m)
+        if v is not None:
+            energies[v] = float(np.sum(np.abs(spectra[row] - mirror[row]) ** 2)) / (4 * m)
+    return energies
+
+
+def twisted_plancherel_check(table: PrimeTable, Q: int, tol: float = 1e-8) -> IdentityCheck:
+    """The worst relative gap, over the classes 0, 1 and Q - 1 mod Q, between
+    a class's spectral energy and its prime count pi(n, Q, a), checked
+    against tol.  The class-masked spectrum is e_n(-xi a) times the DFT of
+    residue column a, so the column's energy (``_class_energies``, on
+    columns gathered from the bitmap: no table's kept spectra) is the
+    class's mean power, its count, exactly."""
+    classes = sorted({0, 1 % Q, Q - 1})
+    energies = _class_energies(gather_columns(table.is_prime, Q, classes))
+    counts = [pi_progression(table, Q, a) for a in classes]
+    worst = max(abs(energy - count) / max(count, 1) for energy, count in zip(energies, counts))
+    return IdentityCheck("twisted-plancherel", worst, tol, f"n={table.n}, Q={Q}")
 
 
 def main_term_convolution(table: PrimeTable, Q: int, two_k: int) -> float:
@@ -384,6 +431,17 @@ def main_term_convolution(table: PrimeTable, Q: int, two_k: int) -> float:
     require_divisor(n, Q, "main-term convolution")
     _pair_shifts(n, [two_k])
     return Q / n * correlation_direct(residue_profile(table, Q), two_k)
+
+
+def main_term_convolution_check(
+    table: PrimeTable, report: DecompositionReport, tol: float = 1e-6
+) -> IdentityCheck:
+    """The gap between the main term of ``report``, a decomposition of
+    ``table``, and ``main_term_convolution`` at its Q and 2k, checked
+    against tol * (n/Q)."""
+    n, Q, two_k = table.n, report.Q, report.two_k
+    gap = abs(main_term_convolution(table, Q, two_k) - report.main_term)
+    return IdentityCheck("main-term-convolution", gap, tol * (n / Q), f"n={n}, Q={Q}, 2k={two_k}")
 
 
 def _error_spectrum(n: int, Q: int, two_k: int, half: np.ndarray):
@@ -427,7 +485,7 @@ def decomposition_checks(table: PrimeTable, Q: int, shifts, tol: float = 1e-6):
     require_divisor(n, Q, "decomposition")
     shifts = _pair_shifts(n, shifts)
     if Q * Q > n:
-        logger.warning("decompose called with Q=%d above sqrt(n=%d); identity still exact", Q, n)
+        logger.warning("decomposition at Q=%d above sqrt(n=%d); identity still exact", Q, n)
     halves = list(column_pair_spectra(table.columns(Q), shifts))
     table.release_columns()
     budget, detail = tol * n, f"n={n}, Q={Q}"
@@ -453,12 +511,6 @@ def decompositions(table: PrimeTable, Q: int, shifts, tol: float = 1e-6):
     """The reports of ``decomposition_checks`` in turn; raises
     IdentityError at the first check that fails."""
     return _required(decomposition_checks(table, Q, shifts, tol))
-
-
-def decompose(table: PrimeTable, Q: int, two_k: int, tol: float = 1e-6) -> DecompositionReport:
-    """The main-term / error-spectrum split for one shift:
-    ``decompositions`` with the one shift."""
-    return next(decompositions(table, Q, [two_k], tol))
 
 
 def psi_pair_direct(table: PrimeTable, two_k: int) -> float:
@@ -550,3 +602,33 @@ def half_spectrum_residual(table: PrimeTable) -> float:
         expected = 2.0 * unit_phase(n, 2 * xi)
         worst = max(worst, float(np.abs(upper + values[lo:hi] - expected).max()))
     return worst
+
+
+def parity_half_spectrum_check(table: PrimeTable, tol: float = 1e-6) -> IdentityCheck:
+    """``half_spectrum_residual`` of the table, checked against
+    tol * pi(n).  Requires even n >= 4."""
+    n = table.n
+    residual = half_spectrum_residual(table)
+    return IdentityCheck("parity-half-spectrum", residual, tol * max(table.pi(n), 1), f"n={n}")
+
+
+def round_trip_check(table: PrimeTable, tol: float = 1e-8) -> IdentityCheck:
+    """max_x |f(x) - inverse(F)(x)| for the table's ring indicator f and
+    its cached half spectrum F, checked against tol.  The spectrum comes
+    first, so its rfft sees the one ring it makes and frees; then the
+    inverse, then the ring, and the residual is formed in the inverse: the
+    check holds the ring, the half spectrum and the inverse, and no more."""
+    n = table.n
+    residual = inverse_real(table.spectrum(), n)
+    ring = table.ring_indicator()
+    np.subtract(residual, ring, out=residual)
+    worst = float(np.abs(residual, out=residual).max())
+    return IdentityCheck("round-trip", worst, tol, f"n={n}")
+
+
+def plancherel_check(table: PrimeTable, tol: float = 1e-8) -> IdentityCheck:
+    """``plancherel_residual`` of the table's ring indicator and cached half
+    spectrum, the relative energy defect, checked against tol."""
+    half = table.spectrum()
+    residual = plancherel_residual(table.ring_indicator(), half)
+    return IdentityCheck("plancherel", residual, tol, f"n={table.n}")

@@ -76,9 +76,9 @@ The fast path delegates to numpy's pocketfft, which implements exactly
 this forward kernel with mixed-radix decomposition plus a Bluestein
 chirp-transform fallback for large prime factors, so arbitrary composite
 or prime lengths run in O(n log n) without any padding of the ring.
-Accumulated transform error is budgeted as 1e-10 * n * max|f|; every
-integer-valued identity downstream asserts a rounding residual against
-that model.
+Transform error is modelled as ||dF||_2 <= c * eps * log2(n) * ||F||_2,
+c = ``spectral.FFT_ERROR_GROWTH``; the pair-count and psi budgets derive
+their rounding bounds from that model.
 
 Real input has a Hermitian spectrum, F(n - xi) = conj F(xi), so its whole
 spectrum is fixed by the half 0 <= xi <= n//2 that ``forward_real`` (one
@@ -86,13 +86,10 @@ rfft) returns.  A PrimeTable caches that half spectrum of its ring
 indicator (``PrimeTable.spectrum``), and the length-n identities on a
 table read it: ``inverse_real`` inverts it (the round trip),
 ``spectrum_at`` samples F at any frequency (the parity relation) and
-``plancherel_residual`` folds its power over Z/nZ (the energy).  No
-correlation, no error spectrum, no subgroup sample and no class energy
-is computed at length n: the prime and von Mangoldt pair correlations,
-the coset-regrouped error spectrum, the samples F(r*n/Q) of the subgroup
-restriction and the twisted energies read residue columns instead.
-``forward`` stays a full complex transform, at length Q or n/Q, and at
-length n for the spectrum export alone.
+``plancherel_residual`` folds its power over Z/nZ (the energy).  Every
+other identity reads residue columns instead.  ``forward`` stays a full
+complex transform, at length Q or n/Q, and at length n for the spectrum
+export alone.
 """
 
 from __future__ import annotations

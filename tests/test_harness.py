@@ -26,7 +26,7 @@ from primepairs.harness import (
     run,
     validate_config,
 )
-from primepairs.factored import primorial
+from primepairs.factored import factorize, primorial
 from primepairs.reports import complex_rows
 from primepairs.sieve import (
     build_table,
@@ -326,8 +326,8 @@ class TestIdentitySuite:
     def test_perturbed_class_count_fails_twisted_plancherel(self, tmp_path, monkeypatch, capsys):
         # one prime too many in class 1: that class's column energy is off
         # by 1/count relative, far past 1e-8, at every Q
-        exact = harness.pi_progression
-        monkeypatch.setattr(harness, "pi_progression", lambda table, q, a: exact(table, q, a) + (a == 1))
+        exact = spectral.pi_progression
+        monkeypatch.setattr(spectral, "pi_progression", lambda table, q, a: exact(table, q, a) + (a == 1))
         assert main(self.SUITE_ARGV + ["--out", str(tmp_path)]) == 2
         assert self._failed(tmp_path) == {"twisted-plancherel"}
         assert capsys.readouterr().out.count("[FAIL] twisted-plancherel") == 2
@@ -400,6 +400,44 @@ class TestIdentitySuite:
         assert capsys.readouterr().out.count("[FAIL] psi-spectral-identity") == 4
 
 
+class TestSuiteChecksAtBoundaries:
+    """The checks the identity suite once computed itself, called from the
+    library at its defaults, against the rows ``verify`` records at the
+    kernel's boundary examples: bit for bit the same residual and
+    tolerance."""
+
+    @pytest.mark.parametrize(
+        "n, z, Q, two_k",
+        [
+            (30029, 2, 1, 2),  # prime n, Q = 1: the twisted classes collapse to {0}
+            (30030, 17, 30030, 2),  # Q = n: residue columns of length 1
+            (9240, None, 12, 2),  # Q = 12, no primorial
+            (8, 3, 2, 6),  # n = 2k + 2
+        ],
+    )
+    def test_library_checks_equal_the_rows(self, tmp_path, monkeypatch, n, z, Q, two_k):
+        if z is None:  # verify names Q by a primorial; here z = 5 names 12
+            z = 5
+            monkeypatch.setattr(harness, "primorial", lambda _: factorize(Q))
+        argv = ["verify", "--n", str(n), "--z", str(z), "--two-k", str(two_k), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        rows = json.loads((tmp_path / "identity_suite.json").read_text())["results"]
+        t = build_table(n)
+        ((report, _),) = spectral.decomposition_checks(t, Q, [two_k])
+        checks = [
+            spectral.round_trip_check(t),
+            spectral.plancherel_check(t),
+            spectral.parity_half_spectrum_check(build_table(n + n % 2)),
+            spectral.twisted_plancherel_check(t, Q),
+            spectral.main_term_convolution_check(t, report),
+        ]
+        for check in checks:
+            (row,) = [row for row in rows if row["identity"] == check.identity]
+            assert row["Q"] in (None, Q)
+            assert (check.residual, check.tolerance) == (row["residual"], row["tolerance"])
+            assert check.passed and row["passed"]
+
+
 class TestTwistedEnergies:
     """The twisted-Plancherel row's class energies, two real columns to one
     complex row, against one rfft per class."""
@@ -416,7 +454,7 @@ class TestTwistedEnergies:
             t = build_table(n)
             classes = sorted({0, 1 % Q, Q - 1})
             columns = gather_columns(t.is_prime, Q, classes)
-            energies = harness._class_energies(columns)
+            energies = spectral._class_energies(columns)
             for a, column, energy in zip(classes, columns, energies, strict=True):
                 # a class that holds no prime reads 0 exactly
                 assert energy == pytest.approx(self._alone(column), rel=1e-12, abs=0), (n, a)
@@ -429,9 +467,9 @@ class TestTwistedEnergies:
         columns = np.random.default_rng(rows).integers(0, 2, (rows, 1009)).astype(bool)
         columns[1] = False
         calls = []
-        forward = harness.forward
-        monkeypatch.setattr(harness, "forward", lambda f: calls.append(f.shape) or forward(f))
-        energies = harness._class_energies(columns)
+        forward = spectral.forward
+        monkeypatch.setattr(spectral, "forward", lambda f: calls.append(f.shape) or forward(f))
+        energies = spectral._class_energies(columns)
         assert calls == [(2, 1009)]
         for column, energy in zip(columns, energies, strict=True):
             assert energy == pytest.approx(self._alone(column), rel=1e-12, abs=0)

@@ -18,7 +18,6 @@ from primepairs import (
     ResourceLimitError,
     UsageError,
     build_table,
-    decompose,
     half_spectrum_residual,
     main_term_convolution,
     pair_count_circular,
@@ -28,12 +27,12 @@ from primepairs import (
     psi_pair_direct,
     psi_pair_via_spectrum,
     residue_profile,
-    rho_identity_check,
     twisted_progression_count,
     von_mangoldt_vector,
 )
 from primepairs import IdentityError, spectral, transform
 from primepairs.errors import IdentityCheck
+from primepairs.harness import DEFAULT_TOLERANCES
 from primepairs.spectral import (
     column_pair_counts,
     column_pair_spectra,
@@ -80,10 +79,10 @@ class TestSpectralPairCount:
 class TestRhoIdentity:
     def test_desk_instances(self):
         t = build_table(3000)
-        assert rho_identity_check(t, 30) < 1e-6 * t.pi(3000)
+        assert subgroup_restriction_check(t, 30).require().residual < 1e-6 * t.pi(3000)
 
     def test_trivial_modulus(self, table_100):
-        assert rho_identity_check(table_100, 1) < 1e-9
+        assert subgroup_restriction_check(table_100, 1).require().residual < 1e-9
 
     def test_dc_sample_is_prime_count(self, table_9240):
         spec = forward(table_9240.ring_indicator())
@@ -91,7 +90,7 @@ class TestRhoIdentity:
 
     def test_rejects_non_divisor(self, table_100):
         with pytest.raises(UsageError):
-            rho_identity_check(table_100, 30)
+            subgroup_restriction_check(table_100, 30)
 
 
 class TestIdentityChecks:
@@ -113,7 +112,7 @@ class TestIdentityChecks:
         check = subgroup_restriction_check(t, 30)
         assert check.identity == "subgroup-restriction"
         assert check.tolerance == 1e-6 * t.pi(3000)
-        assert check.residual == rho_identity_check(t, 30)
+        assert check.residual == subgroup_restriction_check(t, 30).require().residual
         # one count off by one moves the counts' transform by 1 at every r
         original = spectral.residue_profile
 
@@ -124,7 +123,7 @@ class TestIdentityChecks:
         check = subgroup_restriction_check(t, 30)
         assert check.residual == pytest.approx(1.0) and not check.passed
         with pytest.raises(IdentityError, match="subgroup-restriction"):
-            rho_identity_check(t, 30)
+            subgroup_restriction_check(t, 30).require()
 
     def test_decomposition_reconstruction(self):
         # at n = 30030, Q = 6, 2k = 2 the reconstruction residual is about
@@ -134,9 +133,9 @@ class TestIdentityChecks:
         assert check.identity == "decomposition-reconstruction"
         assert check.residual == report.reconstruction_residual > 0
         assert check.tolerance == 1e-30 * 30030 and not check.passed
-        assert report.main_term == decompose(t, 6, 2).main_term
+        assert report.main_term == next(decompositions(t, 6, [2])).main_term
         with pytest.raises(IdentityError, match="decomposition-reconstruction"):
-            decompose(t, 6, 2, tol=1e-30)
+            next(decompositions(t, 6, [2], tol=1e-30))
 
     def test_pair_counts(self, table_10k):
         checked = pair_count_checks(table_10k, [2, 4, 210])
@@ -145,6 +144,87 @@ class TestIdentityChecks:
         model = pair_count_rounding_budget(table_10k.pi(10**4), Q, 10**4 // Q)
         assert {check.tolerance for _, check in checked} == {min(model, 1e-6 * 10**4)}
         assert all(check.passed for _, check in checked)
+
+
+def _plus_one(monkeypatch, name, hit=lambda *args: True):
+    """Patch spectral.<name> to add 1 to its value where ``hit`` holds."""
+    exact = getattr(spectral, name)
+    monkeypatch.setattr(spectral, name, lambda *args: exact(*args) + hit(*args))
+
+
+def _flip_bit(table, x):
+    """Mark the composite x prime in the table's bitmap."""
+    assert not table.is_prime[x]
+    table.is_prime[x] = True
+
+
+class TestOneUnitDefects:
+    """Each check's identity with one unit planted on one side only, at
+    n = 30030 and Q = 30: the check fails at its default tolerance.  Each
+    entry is (check, plant); the plant alters the table or a sieve-side
+    value before the check runs."""
+
+    N, Q = 30030, 30
+
+    DEFECTS = {
+        # the cached spectrum reads the true bitmap; the ring, laid out
+        # after it, holds the composite 9 too: off by 1 at x = 9
+        "round-trip": (
+            lambda t, tol: spectral.round_trip_check(t, tol),
+            lambda t, mp: (t.spectrum(), _flip_bit(t, 9)),
+        ),
+        # the same plant: sum f^2 is pi(n) + 1 against a spectral pi(n)
+        "plancherel": (
+            lambda t, tol: spectral.plancherel_check(t, tol),
+            lambda t, mp: (t.spectrum(), _flip_bit(t, 9)),
+        ),
+        # a second even "prime", 4, in the spectrum: the even part is then
+        # e_n(-2 xi) + e_n(-4 xi), not e_n(-2 xi), off by 2 at every xi
+        "parity-half-spectrum": (
+            lambda t, tol: spectral.parity_half_spectrum_check(t, tol),
+            lambda t, mp: _flip_bit(t, 4),
+        ),
+        # one prime too many counted in class 1
+        "twisted-plancherel": (
+            lambda t, tol: spectral.twisted_plancherel_check(t, 30, tol),
+            lambda t, mp: _plus_one(mp, "pi_progression", lambda t, q, a: a == 1),
+        ),
+        # the residue counts read the cached primes; the columns, gathered
+        # after them, hold the composite 9 in class 9: off by 1 at every r
+        "subgroup-restriction": (
+            lambda t, tol: subgroup_restriction_check(t, 30, tol),
+            lambda t, mp: (t.primes(), _flip_bit(t, 9)),
+        ),
+        # the sieved circular count one pair too many
+        "spectral-pair-count": (
+            lambda t, tol: pair_count_checks(t, [2], tol)[0][1],
+            lambda t, mp: _plus_one(mp, "pair_count_circular"),
+        ),
+        # the direct psi correlation one unit too large
+        "psi-spectral-identity": (
+            lambda t, tol: psi_pair_checks(t, [2], tol)[0][1],
+            lambda t, mp: _plus_one(mp, "correlation_direct"),
+        ),
+    }
+
+    def test_every_certifying_key_has_a_defect(self):
+        # the reconstruction (tol * n) and main-term (tol * n/Q) budgets
+        # pass a defect of one unit at the suite's extents, n >= 1e6: they
+        # do not certify yet, so they have no case here
+        uncertified = {"decomposition-reconstruction", "main-term-convolution"}
+        assert set(self.DEFECTS) == set(DEFAULT_TOLERANCES) - uncertified
+
+    @pytest.mark.parametrize("key", sorted(DEFECTS))
+    def test_one_unit_fails_the_check(self, monkeypatch, key):
+        check, plant = self.DEFECTS[key]
+        tol = DEFAULT_TOLERANCES[key]
+        clean = check(build_table(self.N), tol)
+        assert clean.identity == key and clean.passed
+        t = build_table(self.N)
+        plant(t, monkeypatch)
+        planted = check(t, tol)
+        assert planted.identity == key and planted.tolerance <= clean.tolerance * 1.001
+        assert not planted.passed, (planted.residual, planted.tolerance)
 
 
 class TestMainTermConvolution:
@@ -161,7 +241,7 @@ class TestMainTermConvolution:
     def test_matches_decomposition_main_term(self):
         for n, Q, two_k in ((3000, 30, 2), (3840, 30, 2), (9240, 2310, 6)):
             t = build_table(n)
-            report = decompose(t, Q, two_k)
+            report = next(decompositions(t, Q, [two_k]))
             assert main_term_convolution(t, Q, two_k) == pytest.approx(
                 report.main_term, abs=1e-6 * n / Q
             )
@@ -170,7 +250,7 @@ class TestMainTermConvolution:
 class TestDecompose:
     def test_reconstruction_and_positivity(self):
         t = build_table(3840)
-        report = decompose(t, 30, 2)
+        report = next(decompositions(t, 30, [2]))
         assert report.reconstruction_residual < 1e-6 * 3840
         assert report.main_term > 0
         assert report.pair_count_circular == pair_count_circular(t, 2)
@@ -188,7 +268,7 @@ class TestDecompose:
         # naive squared density
         n = 4096
         t = build_table(n)
-        report = decompose(t, 2, 2)
+        report = next(decompositions(t, 2, [2]))
         naive = t.pi(n) ** 2 / n
         assert report.main_term == pytest.approx(2 * naive, rel=0.01)
 
@@ -204,7 +284,7 @@ class TestDecompose:
     )
     def test_any_divisor_modulus(self, n, Q, two_k):
         t = build_table(n)
-        report = decompose(t, Q, two_k)
+        report = next(decompositions(t, Q, [two_k]))
         sieved = pair_count_circular(t, two_k)
         assert report.pair_count_circular == sieved
         assert report.reconstruction_residual < 1e-9 * n
@@ -218,18 +298,18 @@ class TestDecompose:
     def test_non_primorial_main_term_hand_value(self):
         # n = 360, Q = 12: n * main term = 12 * sum_r rho(r) rho(r + 2)
         t = build_table(360)
-        assert round(360 * decompose(t, 12, 2).main_term) == 7752
+        assert round(360 * next(decompositions(t, 12, [2])).main_term) == 7752
         rho = [pi_progression(t, 12, r) for r in range(12)]
         assert 12 * sum(rho[r] * rho[(r + 2) % 12] for r in range(12)) == 7752
 
     def test_requires_divisibility(self):
         with pytest.raises(UsageError):
-            decompose(build_table(3001), 30, 2)
+            next(decompositions(build_table(3001), 30, [2]))
 
     def test_oversized_modulus_still_exact(self, caplog):
         # Q above sqrt(n) stays a valid exact identity
         with caplog.at_level("WARNING"):
-            report = decompose(build_table(2310 * 2), 2310, 2)
+            report = next(decompositions(build_table(2310 * 2), 2310, [2]))
         assert report.reconstruction_residual < 1e-6 * 2310 * 2
 
 
@@ -248,7 +328,7 @@ class TestErrorProbe:
     def test_matches_coset_regroup_value(self):
         n, Q, two_k = 3000, 30, 2
         t = build_table(n)
-        report = decompose(t, Q, two_k)
+        report = next(decompositions(t, Q, [two_k]))
         for xi in (1, 7, 42):
             assert Q * _twisted_correlation(t, Q, two_k, xi) == pytest.approx(
                 complex(report.error_spectrum[xi]), abs=1e-6 * t.pi(n) ** 2
@@ -438,7 +518,7 @@ class TestHermitianPaths:
         ring = t.ring_indicator()
         for Q in (q for q in PRIMORIALS if n % q == 0):
             expected = oracles.error_spectrum_full_route(ring, Q, two_k)
-            got = decompose(t, Q, two_k).error_spectrum
+            got = next(decompositions(t, Q, [two_k])).error_spectrum
             assert got.shape == (n // Q,)
             assert np.abs(got - expected).max() <= 1e-12 * max(np.abs(expected).max(), 1.0)
 
@@ -459,7 +539,7 @@ class TestHermitianPaths:
             got = spectral.subgroup_samples(ColumnBlocks(t.is_prime, Q))
             assert got.shape == (Q,)
             assert np.abs(got - expected).max() <= 1e-9 * max(t.pi(n), 1)
-            assert rho_identity_check(t, Q) <= budget
+            assert subgroup_restriction_check(t, Q).require().residual <= budget
 
     @pytest.mark.parametrize("block", [1, 2, 5])
     def test_subgroup_samples_across_blocks(self, table_9240, block):
@@ -515,7 +595,7 @@ class TestHermitianPaths:
         t = build_table(9240)
         with _counted_column_rffts() as batches:
             columns = t.columns(30)
-            rho_identity_check(t, 30)
+            subgroup_restriction_check(t, 30).require()
             first = list(decompositions(t, 30, [2, 4]))
             assert batches == [(9, 9240 // 30)]
             fresh = t.columns(30)
@@ -534,7 +614,7 @@ class TestHermitianPaths:
             lambda t, two_k: pair_counts_via_spectrum(t, [two_k]),
             lambda t, two_k: next(decomposition_checks(t, 30, [2, two_k])),
             lambda t, two_k: list(decompositions(t, 30, [two_k])),
-            lambda t, two_k: decompose(t, 30, two_k),
+            lambda t, two_k: next(decompositions(t, 30, [two_k])),
             lambda t, two_k: main_term_convolution(t, 30, two_k),
         ],
     )
@@ -780,7 +860,7 @@ class TestColumnKernel:
         shifts = [2 + 2 * (k % ((n - 1) // 2)) for k in ks]  # every even 2 <= 2k < n
         with _classes_per_block(block, n // Q):
             reports = list(decompositions(t, Q, shifts))
-            singles = [decompose(t, Q, two_k) for two_k in shifts]
+            singles = [next(decompositions(t, Q, [two_k])) for two_k in shifts]
         for report, single in zip(reports, singles, strict=True):
             assert report.error_spectrum.tobytes() == single.error_spectrum.tobytes()
             for name in ("n", "Q", "two_k", "main_term", "reconstruction_residual", "pair_count_circular"):
@@ -882,7 +962,7 @@ class TestUpperExtent:
         # 10000020 = 30 * 333334: T from length-333334 columns
         n, Q = 10000020, 30
         t = build_table(n)
-        report = decompose(t, Q, 2)
+        report = next(decompositions(t, Q, [2]))
         assert report.error_spectrum.shape == (n // Q,)
         assert report.pair_count_circular == pair_count_circular(t, 2)
         assert report.reconstruction_residual < 1e-6
@@ -894,7 +974,7 @@ class TestUpperExtent:
         # cap that the kernel checks
         n, Q = 20030010, 30030
         t = build_table(n)
-        assert rho_identity_check(t, Q) <= 1e-6 * t.pi(n)
+        assert subgroup_restriction_check(t, Q).require().residual <= 1e-6 * t.pi(n)
 
     def test_extent_above_ceiling_rejected(self, table_10000019):
         # the cap holds the column length n/Q: the prime 10000019 has Q = 1,
@@ -905,7 +985,7 @@ class TestUpperExtent:
             with pytest.raises(ResourceLimitError, match="residue-column length capped at 1e7, got 10000019$"):
                 pair_counts_via_spectrum(table_10000019, [2])
             with pytest.raises(ResourceLimitError, match="subgroup samples length capped at 1e7, got 10000019$"):
-                rho_identity_check(table_10000019, 1)
+                subgroup_restriction_check(table_10000019, 1)
         assert calls == []
 
 
@@ -919,7 +999,7 @@ class TestConcurrency:
             two_k = 2 + 2 * (seed % 6)
             return (
                 pair_counts_via_spectrum(table_9240, [two_k]),
-                rho_identity_check(table_9240, 30),
+                subgroup_restriction_check(table_9240, 30).require().residual,
                 factorize(10**6 + seed).value,
                 float(singular_series_product(2310, two_k)),
                 hl_constant(two_k, 1000).value,
