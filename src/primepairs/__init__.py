@@ -42,11 +42,7 @@ from .sieve import (
     twisted_progression_count,
     von_mangoldt_vector,
 )
-from .transform import (
-    as_ring,
-    forward,
-    plancherel_residual,
-)
+from .transform import as_ring, forward
 from .constants import (
     TruncatedConstant,
     hl_constant,
@@ -96,7 +92,6 @@ __all__ = [
     "pair_count_circular",
     "von_mangoldt_vector",
     "forward",
-    "plancherel_residual",
     "as_ring",
     "TruncatedConstant",
     "hl_constant",

@@ -30,6 +30,7 @@ from .sieve import (
     von_mangoldt_vector,
 )
 from .spectral import (
+    DEFAULT_TOLERANCES,
     decomposition_checks,
     decompositions,
     main_term_convolution_check,
@@ -46,20 +47,6 @@ from .spectral import (
 from .transform import as_ring, check_extents, forward
 
 MODES = ("identity-suite", "decompose", "constants", "spectrum-export", "hl-ratio-sweep")
-
-# Scale-factor tolerances, each with its scale and the one library function
-# applying it; each is that function's default tol.
-DEFAULT_TOLERANCES = {
-    "spectral-pair-count": 1e-6,       # x n or the rounding model: spectral.pair_count_checks
-    "round-trip": 1e-8,                # absolute (max|f| = 1): spectral.round_trip_check
-    "plancherel": 1e-8,                # relative: spectral.plancherel_check
-    "twisted-plancherel": 1e-8,        # relative, per class: spectral.twisted_plancherel_check
-    "parity-half-spectrum": 1e-6,      # x pi(n): spectral.parity_half_spectrum_check
-    "subgroup-restriction": 1e-6,      # x pi(n): spectral.subgroup_restriction_check
-    "decomposition-reconstruction": 1e-6,  # x n: spectral.decomposition_checks
-    "main-term-convolution": 1e-6,     # x n/Q: spectral.main_term_convolution_check
-    "psi-spectral-identity": 1e-6,     # x n log^2 n or the rounding model: spectral.psi_pair_checks
-}
 
 # Experiment schedule for subgroup moduli; kept explicit rather than
 # derived from a growth law so that desk-scale runs stay interpretable.

@@ -203,7 +203,8 @@ class PrimeTable:
 
     def spectrum(self) -> np.ndarray:
         """Half spectrum F(P)(xi), 0 <= xi <= n//2, of the ring indicator:
-        one rfft, computed once, then cached.  F(n - xi) = conj F(xi)."""
+        one rfft, computed once, then cached.  F(n - xi) = conj F(xi).  Its
+        ring is the only one that the length-n checks lay out."""
         if self._spectrum is None:
             self._spectrum = forward_real(self.ring_indicator())
         return self._spectrum
@@ -501,7 +502,8 @@ def load_or_build(n: int, cache_dir: str | Path | None = None) -> PrimeTable:
     """Fetch a table from the cache directory when a valid file exists,
     otherwise build it (and write the cache when a directory is given).
     Corrupt caches, including a file whose header names another extent,
-    are logged as a warning and rebuilt in place."""
+    are logged as a warning and rebuilt; ``save_table`` replaces the file
+    atomically, even one that a concurrent rebuilder has removed."""
     if cache_dir is None:
         return build_table(n)
     path = cache_path(cache_dir, n)
@@ -510,7 +512,6 @@ def load_or_build(n: int, cache_dir: str | Path | None = None) -> PrimeTable:
             return load_table(path, n)
         except CacheError as exc:
             logger.warning("rebuilding corrupt prime-table cache %s: %s", path, exc)
-            os.remove(path)
     table = build_table(n)
     save_table(table, path)
     return table

@@ -15,14 +15,10 @@ function takes only what its identity reads: the Hardy-Littlewood
 prediction that the main term is compared with is not part of the split,
 and the decompose reports compute it (``harness``).
 
-Each key of the identity suite's tolerances is applied by one function
-here, which returns the identity's residual and tolerance as an
-``IdentityCheck``: ``pair_count_checks``, ``psi_pair_checks``,
-``subgroup_restriction_check``, ``twisted_plancherel_check``,
-``decomposition_checks``, ``main_term_convolution_check``, and
-``round_trip_check``, ``plancherel_check`` and
-``parity_half_spectrum_check`` on the cached spectrum.  The suite only
-records them; ``pair_counts_via_spectrum``, ``psi_pair_via_spectrum`` and
+Each key of ``DEFAULT_TOLERANCES`` is applied by the one function here
+that its comment names, which returns the identity's residual and
+tolerance as an ``IdentityCheck``.  The suite only records them;
+``pair_counts_via_spectrum``, ``psi_pair_via_spectrum`` and
 ``decompositions`` raise IdentityError from them.
 
 Residue columns tie the two sides without any length-n transform.  With
@@ -58,16 +54,16 @@ one of length n.  Both it and ``decomposition_checks`` read the table's
 own residue columns mod Q, ``PrimeTable.columns(Q)``, which states how
 long the table keeps them; a subgroup check followed by a decomposition
 at the same Q, the identity suite's order, shares one transform.  The
-parity relation reads the table's one cached real spectrum
-(``PrimeTable.spectrum``, an rfft of the ring indicator) instead of
-transforming again: ``half_spectrum_residual`` takes the samples
-F(n - m) as conj F(m).  The length-Q transform of the residue profile,
-the independent side of the subgroup identity, is a ``transform.forward``
-call like every other.  The phase weights e_n(-k), the Q | n check and
-the 1e7 extent cap are the ones ``transform`` defines (``unit_phase``,
-``require_divisor``, ``check_extents``); the cap is checked where each
-transform's length is known, so an over-cap transform raises
-ResourceLimitError before it runs.
+length-n checks read the table's one cached real spectrum
+(``PrimeTable.spectrum``) beside its bitmap and pi(n), the energy of a
+0/1 indicator, and lay out no ring: the parity relation reads F(n - m)
+as conj F(m) off a reversed slice.  The length-Q transform of the
+residue profile, the independent side of the subgroup identity, is a
+``transform.forward`` call like every other.  The phase weights e_n(-k),
+the Q | n check and the 1e7 extent cap are the ones ``transform``
+defines (``unit_phase``, ``require_divisor``, ``check_extents``); the
+cap is checked where each transform's length is known, so an over-cap
+transform raises ResourceLimitError before it runs.
 
 Conjugation note: at a frequency 0 < xi < n/Q the subgroup inversion
 gives T(xi) = Q * sum_a rho(a) * conj(rho(a + 2k)) for the complex
@@ -103,9 +99,7 @@ from .transform import (
     forward,
     gather_columns,
     inverse_real,
-    plancherel_residual,
     require_divisor,
-    spectrum_at,
     unit_phase,
 )
 
@@ -116,6 +110,19 @@ FFT_ERROR_GROWTH = 16
 # frequencies per block of the parity relation, so that its scratch is a
 # few arrays of this length, not of n/2
 PARITY_BLOCK = 1 << 16
+
+# each identity's default tol, with its scale and the function here applying it
+DEFAULT_TOLERANCES = {
+    "spectral-pair-count": 1e-6,       # x n or the rounding model: pair_count_checks
+    "round-trip": 1e-8,                # absolute (max|f| = 1): round_trip_check
+    "plancherel": 1e-8,                # relative: plancherel_check
+    "twisted-plancherel": 1e-8,        # relative, per class: twisted_plancherel_check
+    "parity-half-spectrum": 1e-6,      # x pi(n): parity_half_spectrum_check
+    "subgroup-restriction": 1e-6,      # x pi(n): subgroup_restriction_check
+    "decomposition-reconstruction": 1e-6,  # x n: decomposition_checks
+    "main-term-convolution": 1e-6,     # x n/Q: main_term_convolution_check
+    "psi-spectral-identity": 1e-6,     # x n log^2 n or the rounding model: psi_pair_checks
+}
 
 
 @dataclass(eq=False)
@@ -306,7 +313,9 @@ def pair_count_rounding_budget(primes: int, Q: int, m: int) -> float:
     return eps * primes * (2 * FFT_ERROR_GROWTH * math.log2(max(m, 2)) + Q + m + 4)
 
 
-def pair_count_checks(table: PrimeTable, shifts, tol: float = 1e-6) -> list[tuple]:
+def pair_count_checks(
+    table: PrimeTable, shifts, tol: float = DEFAULT_TOLERANCES["spectral-pair-count"]
+) -> list[tuple]:
     """(count, check) for every shift in ``shifts``: the table's circular
     prime-pair count through the residue-column spectra with
     Q = pair_count_modulus(n), one batched transform of length-n/Q columns
@@ -336,7 +345,9 @@ def pair_count_checks(table: PrimeTable, shifts, tol: float = 1e-6) -> list[tupl
     return checked
 
 
-def pair_counts_via_spectrum(table: PrimeTable, shifts, tol: float = 1e-6) -> list[int]:
+def pair_counts_via_spectrum(
+    table: PrimeTable, shifts, tol: float = DEFAULT_TOLERANCES["spectral-pair-count"]
+) -> list[int]:
     """The spectral circular prime-pair counts of ``pair_count_checks``;
     raises IdentityError if any check fails."""
     return list(_required(pair_count_checks(table, shifts, tol)))
@@ -362,7 +373,9 @@ def subgroup_samples(columns: ColumnBlocks) -> np.ndarray:
     return forward(bins)
 
 
-def subgroup_restriction_check(table: PrimeTable, Q: int, tol: float = 1e-6) -> IdentityCheck:
+def subgroup_restriction_check(
+    table: PrimeTable, Q: int, tol: float = DEFAULT_TOLERANCES["subgroup-restriction"]
+) -> IdentityCheck:
     """Max deviation between the subgroup samples F(P)(r*n/Q) of the
     table and the mod-Q transform of its residue counts
     rho(a) = pi(n, Q, a), checked against tol * pi(n).
@@ -408,7 +421,9 @@ def _class_energies(columns: np.ndarray) -> list[float]:
     return energies
 
 
-def twisted_plancherel_check(table: PrimeTable, Q: int, tol: float = 1e-8) -> IdentityCheck:
+def twisted_plancherel_check(
+    table: PrimeTable, Q: int, tol: float = DEFAULT_TOLERANCES["twisted-plancherel"]
+) -> IdentityCheck:
     """The worst relative gap, over the classes 0, 1 and Q - 1 mod Q, between
     a class's spectral energy and its prime count pi(n, Q, a), checked
     against tol.  The class-masked spectrum is e_n(-xi a) times the DFT of
@@ -434,7 +449,9 @@ def main_term_convolution(table: PrimeTable, Q: int, two_k: int) -> float:
 
 
 def main_term_convolution_check(
-    table: PrimeTable, report: DecompositionReport, tol: float = 1e-6
+    table: PrimeTable,
+    report: DecompositionReport,
+    tol: float = DEFAULT_TOLERANCES["main-term-convolution"],
 ) -> IdentityCheck:
     """The gap between the main term of ``report``, a decomposition of
     ``table``, and ``main_term_convolution`` at its Q and 2k, checked
@@ -462,7 +479,12 @@ def _error_spectrum(n: int, Q: int, two_k: int, half: np.ndarray):
     return spectrum, terms
 
 
-def decomposition_checks(table: PrimeTable, Q: int, shifts, tol: float = 1e-6):
+def decomposition_checks(
+    table: PrimeTable,
+    Q: int,
+    shifts,
+    tol: float = DEFAULT_TOLERANCES["decomposition-reconstruction"],
+):
     """Yield, for each shift 2k in ``shifts`` in turn, the split of the
     table's spectral pair-count sum into the subgroup main term and the
     per-frequency error spectrum T, as a ``DecompositionReport``, with the
@@ -507,7 +529,12 @@ def decomposition_checks(table: PrimeTable, Q: int, shifts, tol: float = 1e-6):
         yield report, IdentityCheck("decomposition-reconstruction", residual, budget, detail)
 
 
-def decompositions(table: PrimeTable, Q: int, shifts, tol: float = 1e-6):
+def decompositions(
+    table: PrimeTable,
+    Q: int,
+    shifts,
+    tol: float = DEFAULT_TOLERANCES["decomposition-reconstruction"],
+):
     """The reports of ``decomposition_checks`` in turn; raises
     IdentityError at the first check that fails."""
     return _required(decomposition_checks(table, Q, shifts, tol))
@@ -539,7 +566,9 @@ def psi_rounding_budget(weights: np.ndarray, Q: int) -> float:
     return pair_count_rounding_budget(energy, Q, n // Q) + direct
 
 
-def psi_pair_checks(table: PrimeTable, shifts, tol: float = 1e-6) -> list[tuple]:
+def psi_pair_checks(
+    table: PrimeTable, shifts, tol: float = DEFAULT_TOLERANCES["psi-spectral-identity"]
+) -> list[tuple]:
     """(value, check) for every even shift 2k >= 0 in ``shifts``: the von
     Mangoldt pair correlation of the table's primes through the
     residue-column spectra (``column_pair_counts`` on the von Mangoldt
@@ -569,7 +598,9 @@ def psi_pair_checks(table: PrimeTable, shifts, tol: float = 1e-6) -> list[tuple]
     return checked
 
 
-def psi_pair_via_spectrum(table: PrimeTable, two_k: int, tol: float = 1e-6) -> float:
+def psi_pair_via_spectrum(
+    table: PrimeTable, two_k: int, tol: float = DEFAULT_TOLERANCES["psi-spectral-identity"]
+) -> float:
     """The von Mangoldt pair correlation at one shift of
     ``psi_pair_checks``; raises IdentityError if its check fails."""
     (value,) = _required(psi_pair_checks(table, [two_k], tol))
@@ -597,14 +628,19 @@ def half_spectrum_residual(table: PrimeTable) -> float:
     # one a single pass over all n/2 frequencies gives, bit for bit
     for lo in range(0, half, PARITY_BLOCK):
         hi = min(lo + PARITY_BLOCK, half)
-        xi = np.arange(lo, hi, dtype=np.int64)
-        upper = spectrum_at(values, n, xi + half)
-        expected = 2.0 * unit_phase(n, 2 * xi)
+        # F(xi + n/2) = conj F(n/2 - xi), a reversed slice of the half
+        # spectrum, but F(n/2) itself at xi = 0
+        upper = np.conj(values[half - hi + 1 : half - lo + 1][::-1])
+        if lo == 0:
+            upper[0] = values[half]
+        expected = 2.0 * unit_phase(n, 2 * np.arange(lo, hi, dtype=np.int64))
         worst = max(worst, float(np.abs(upper + values[lo:hi] - expected).max()))
     return worst
 
 
-def parity_half_spectrum_check(table: PrimeTable, tol: float = 1e-6) -> IdentityCheck:
+def parity_half_spectrum_check(
+    table: PrimeTable, tol: float = DEFAULT_TOLERANCES["parity-half-spectrum"]
+) -> IdentityCheck:
     """``half_spectrum_residual`` of the table, checked against
     tol * pi(n).  Requires even n >= 4."""
     n = table.n
@@ -612,23 +648,34 @@ def parity_half_spectrum_check(table: PrimeTable, tol: float = 1e-6) -> Identity
     return IdentityCheck("parity-half-spectrum", residual, tol * max(table.pi(n), 1), f"n={n}")
 
 
-def round_trip_check(table: PrimeTable, tol: float = 1e-8) -> IdentityCheck:
-    """max_x |f(x) - inverse(F)(x)| for the table's ring indicator f and
-    its cached half spectrum F, checked against tol.  The spectrum comes
-    first, so its rfft sees the one ring it makes and frees; then the
-    inverse, then the ring, and the residual is formed in the inverse: the
-    check holds the ring, the half spectrum and the inverse, and no more."""
+def round_trip_check(
+    table: PrimeTable, tol: float = DEFAULT_TOLERANCES["round-trip"]
+) -> IdentityCheck:
+    """max_x |f(x) - inverse(F)(x)| for the table's prime indicator f and
+    its cached half spectrum F, checked against tol.  f is the bitmap in
+    residue layout (slot 0 holds x = n), subtracted in place in the
+    inverse, so the check holds the half spectrum and the inverse alone."""
     n = table.n
     residual = inverse_real(table.spectrum(), n)
-    ring = table.ring_indicator()
-    np.subtract(residual, ring, out=residual)
+    np.subtract(residual[1:], table.is_prime[1:n], out=residual[1:])
+    residual[0] -= table.is_prime[n]
     worst = float(np.abs(residual, out=residual).max())
     return IdentityCheck("round-trip", worst, tol, f"n={n}")
 
 
-def plancherel_check(table: PrimeTable, tol: float = 1e-8) -> IdentityCheck:
-    """``plancherel_residual`` of the table's ring indicator and cached half
-    spectrum, the relative energy defect, checked against tol."""
-    half = table.spectrum()
-    residual = plancherel_residual(table.ring_indicator(), half)
-    return IdentityCheck("plancherel", residual, tol, f"n={table.n}")
+def _power(values: np.ndarray) -> np.ndarray:
+    """|values|^2, squared in place in its one absolute-value array."""
+    power = np.abs(values)
+    return np.multiply(power, power, out=power)
+
+
+def plancherel_check(
+    table: PrimeTable, tol: float = DEFAULT_TOLERANCES["plancherel"]
+) -> IdentityCheck:
+    """|(1/n) sum |F(xi)|^2 - pi(n)| / pi(n) (the bare gap when pi(n) = 0),
+    the energy identity's defect for the table's 0/1 indicator, from its
+    cached half spectrum's folded power (``fold_half``), checked against tol."""
+    n = table.n
+    primes = table.pi(n)
+    gap = abs(fold_half(_power(table.spectrum()), n) / n - primes)
+    return IdentityCheck("plancherel", gap / primes if primes else gap, tol, f"n={n}")

@@ -6,9 +6,6 @@ downstream may re-derive phases:
     forward:  F(xi) = sum_{x in Z_n} f(x) * exp(-2*pi*i*xi*x/n)
     inverse:  f(x)  = (1/n) * sum_{xi} F(xi) * exp(+2*pi*i*xi*x/n)
 
-The one inverse is ``inverse_real``, of a Hermitian spectrum given by its
-half.
-
 Z/nZ is identified with {1,...,n}; arrays are stored in residue layout,
 where slot j holds the value at x = j for 1 <= j < n and slot 0 holds the
 value at x = n (the phase factors agree because exp(-2*pi*i*xi*n/n) = 1).
@@ -84,12 +81,12 @@ Real input has a Hermitian spectrum, F(n - xi) = conj F(xi), so its whole
 spectrum is fixed by the half 0 <= xi <= n//2 that ``forward_real`` (one
 rfft) returns.  A PrimeTable caches that half spectrum of its ring
 indicator (``PrimeTable.spectrum``), and the length-n identities on a
-table read it: ``inverse_real`` inverts it (the round trip),
-``spectrum_at`` samples F at any frequency (the parity relation) and
-``plancherel_residual`` folds its power over Z/nZ (the energy).  Every
-other identity reads residue columns instead.  ``forward`` stays a full
-complex transform, at length Q or n/Q, and at length n for the spectrum
-export alone.
+table read it beside the bitmap: ``inverse_real``, the package's one
+inverse, inverts it (the round trip), the parity relation reads its
+mirror bins off reversed slices, and ``fold_half`` sums its power over
+Z/nZ (the energy).  Every other identity reads residue columns instead.
+``forward`` stays a full complex transform, at length Q or n/Q, and at
+length n for the spectrum export alone.
 """
 
 from __future__ import annotations
@@ -304,14 +301,6 @@ def inverse_real(half: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfft(half, n)
 
 
-def spectrum_at(half: np.ndarray, n: int, xi: np.ndarray) -> np.ndarray:
-    """Samples F(xi mod n) of a Hermitian spectrum given by its half."""
-    m = np.asarray(xi, dtype=np.int64) % n
-    upper = m > n // 2
-    values = half[np.where(upper, n - m, m)]
-    return np.where(upper, np.conj(values), values)
-
-
 def fold_half(half: np.ndarray, n: int) -> float:
     """sum over xi in Z/nZ of a real g with g(n - xi) = g(xi), given its
     half g(xi), 0 <= xi <= n//2: twice the half's sum, less bin 0 and, for
@@ -320,24 +309,3 @@ def fold_half(half: np.ndarray, n: int) -> float:
     if n % 2 == 0:
         total -= half[-1]  # the Nyquist bin has no mirror
     return float(total)
-
-
-def _power(values: np.ndarray) -> np.ndarray:
-    """|values|^2, squared in place in its one absolute-value array."""
-    power = np.abs(values)
-    return np.multiply(power, power, out=power)
-
-
-def plancherel_residual(f: np.ndarray, half: np.ndarray) -> float:
-    """Relative defect of the energy identity (1/n) sum |F(xi)|^2 =
-    sum f(x)^2 for a real vector f of length n and its half spectrum
-    ``half``, the power |F|^2 folded over Z/nZ by ``fold_half``; runs no
-    transform.  Zero input returns 0 exactly."""
-    f = np.asarray(f)
-    n = f.shape[0]
-    if half.shape[0] != n // 2 + 1:
-        raise UsageError(f"half spectrum of length {half.shape[0]} does not fit n={n}")
-    energy = float(np.sum(_power(f)))
-    spectral = fold_half(_power(half), n) / n
-    gap = abs(spectral - energy)
-    return gap / energy if energy > 0 else gap

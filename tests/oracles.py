@@ -174,12 +174,36 @@ def plancherel_residual_full_route(f: np.ndarray) -> float:
     """Relative defect of (1/n) sum |F(xi)|^2 = sum |f(x)|^2 from one
     full-length complex transform of a real or complex f, every bin summed
     as it is: the route that the library's folded half spectrum
-    (``transform.plancherel_residual``) is checked against.  Zero input
+    (``spectral.plancherel_check``) is checked against.  Zero input
     returns 0 exactly."""
     f = np.asarray(f)
     energy = float(np.sum(np.abs(f) ** 2))
     spectral = float(np.sum(np.abs(np.fft.fft(f)) ** 2)) / f.shape[0]
     gap = abs(spectral - energy)
+    return gap / energy if energy > 0 else gap
+
+
+def round_trip_residual_ring(ring: np.ndarray, half: np.ndarray) -> float:
+    """max_x |inverse(F)(x) - f(x)| for a float ring f and its half
+    spectrum F, the ring laid out as its own float vector: the formula
+    that ``spectral.round_trip_check``, which reads the bitmap instead,
+    must equal bit for bit."""
+    return float(np.abs(np.fft.irfft(half, ring.shape[0]) - ring).max())
+
+
+def plancherel_residual_ring(ring: np.ndarray, half: np.ndarray) -> float:
+    """Relative defect of (1/n) sum |F(xi)|^2 = sum f(x)^2 for a float
+    ring f and its half spectrum F: the energy summed off the ring, the
+    power folded as twice the half's sum less bin 0 and, for even n, the
+    Nyquist bin.  The formula that ``spectral.plancherel_check``, which
+    reads pi(n) instead, must equal bit for bit."""
+    n = ring.shape[0]
+    energy = float(np.sum(np.abs(ring) ** 2))
+    power = np.abs(half) ** 2
+    folded = 2.0 * float(power.sum()) - power[0]
+    if n % 2 == 0:
+        folded -= power[-1]
+    gap = abs(float(folded) / n - energy)
     return gap / energy if energy > 0 else gap
 
 

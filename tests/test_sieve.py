@@ -418,6 +418,24 @@ class TestCache:
         assert np.array_equal(rebuilt.is_prime, fresh.is_prime)
         assert np.array_equal(load_table(path).is_prime, fresh.is_prime)
 
+    def test_load_or_build_survives_a_concurrent_rebuild(self, tmp_path, monkeypatch, caplog):
+        # another process rebuilding the same corrupt cache removes the
+        # file between this load's failure and its rebuild; save_table's
+        # os.replace writes the new file whether or not the old one is there
+        path = save_table(build_table(5000), tmp_path / "primetable_5000.pspc")
+
+        def raced_load(p, n=None):
+            Path(p).unlink()
+            raise CacheError(f"{p}: checksum mismatch, cache is corrupt")
+
+        with monkeypatch.context() as patched, caplog.at_level(logging.WARNING, "primepairs.sieve"):
+            patched.setattr(sieve, "load_table", raced_load)
+            table = load_or_build(5000, tmp_path)
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "checksum mismatch" in warnings[0].getMessage()
+        assert np.array_equal(table.is_prime, build_table(5000).is_prime)
+        assert np.array_equal(load_table(path, 5000).is_prime, table.is_prime)
+
     def test_one_hash_per_table(self, tmp_path, fnv_calls):
         table = load_or_build(7000, tmp_path)
         assert table.checksum() == oracles.fnv1a64_reference(table.bitmap_payload())

@@ -167,13 +167,13 @@ class TestOneUnitDefects:
     N, Q = 30030, 30
 
     DEFECTS = {
-        # the cached spectrum reads the true bitmap; the ring, laid out
-        # after it, holds the composite 9 too: off by 1 at x = 9
+        # the cached spectrum reads the true bitmap; the round trip then
+        # subtracts the bitmap that holds the composite 9 too: off by 1 at x = 9
         "round-trip": (
             lambda t, tol: spectral.round_trip_check(t, tol),
             lambda t, mp: (t.spectrum(), _flip_bit(t, 9)),
         ),
-        # the same plant: sum f^2 is pi(n) + 1 against a spectral pi(n)
+        # the same plant: the table's pi(n) is one more than the spectral one
         "plancherel": (
             lambda t, tol: spectral.plancherel_check(t, tol),
             lambda t, mp: (t.spectrum(), _flip_bit(t, 9)),
@@ -476,6 +476,23 @@ class TestHalfSpectrum:
         finally:
             tracemalloc.stop()
         assert peak <= 128 * spectral.PARITY_BLOCK < 16 * (n // 2)
+
+
+class TestRingFreeChecks:
+    """The round-trip and Plancherel checks read the bitmap and pi(n) in
+    place of a float ring, with the same residuals, bit for bit, as the
+    ring formulas: the ring's entries are exactly 0.0 and 1.0, and a float
+    sum of pi(n) ones is pi(n)."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 30030, 30031, 1000002])
+    def test_residuals_equal_the_ring_formulas(self, n):
+        t = build_table(n)
+        ring, half = t.ring_indicator(), t.spectrum()
+        for check, formula in (
+            (spectral.round_trip_check(t), oracles.round_trip_residual_ring(ring, half)),
+            (spectral.plancherel_check(t), oracles.plancherel_residual_ring(ring, half)),
+        ):
+            assert check.residual.hex() == formula.hex()
 
 
 PRIMORIALS = (1, 2, 6, 30, 210, 2310)

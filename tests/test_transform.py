@@ -6,12 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primepairs import (
+    PrimeTable,
     ResourceLimitError,
     UsageError,
     as_ring,
     build_table,
     forward,
-    plancherel_residual,
     von_mangoldt_vector,
 )
 from primepairs import spectral, transform
@@ -24,7 +24,6 @@ from primepairs.transform import (
     gather_columns,
     inverse_real,
     require_divisor,
-    spectrum_at,
     unit_phase,
 )
 
@@ -143,24 +142,27 @@ class TestInverse:
 
 
 class TestPlancherel:
-    """The energy identity on a real vector and its half spectrum, whose
-    power is folded over Z/nZ, runs no transform; the full complex
-    transform is the oracle's route."""
+    """The energy identity, the power of a half spectrum folded over Z/nZ
+    (``fold_half``), runs no transform on a table's cached spectrum; the
+    full complex transform is the oracle's route."""
 
     def test_prime_indicator_energy(self, monkeypatch):
         t = build_table(6)
-        ring, half = t.ring_indicator(), t.spectrum()
+        half = t.spectrum()
         monkeypatch.setattr(np, "fft", None)  # no transform may run
-        assert plancherel_residual(ring, half) < 1e-12
+        assert spectral.plancherel_check(t).residual < 1e-12
         assert fold_half(np.abs(half) ** 2, 6) / 6 == pytest.approx(3.0)  # pi(6) = 3
 
     def test_zero_vector(self):
-        assert plancherel_residual(np.zeros(8), np.zeros(5, dtype=complex)) == 0.0
+        # a bitmap without a prime: pi(n) = 0, and the residual is the bare gap
+        t = PrimeTable(n=8, is_prime=np.zeros(9, dtype=bool))
+        assert spectral.plancherel_check(t).residual == 0.0
 
     def test_random_real(self):
         for n in (1, 2, 7, 1000, 1001):
             f = _rng().normal(size=n)
-            assert plancherel_residual(f, forward_real(f)) < 1e-10
+            energy = float(np.sum(f**2))
+            assert abs(fold_half(np.abs(forward_real(f)) ** 2, n) / n - energy) < 1e-10 * energy
             assert oracles.plancherel_residual_full_route(f) < 1e-10
 
     def test_fold_is_the_full_sum(self):
@@ -169,10 +171,6 @@ class TestPlancherel:
             f = _rng().normal(size=n)
             power = np.abs(np.fft.fft(f)) ** 2
             assert fold_half(np.abs(forward_real(f)) ** 2, n) == pytest.approx(power.sum(), rel=1e-12)
-
-    def test_half_must_fit(self):
-        with pytest.raises(UsageError, match="does not fit n=8"):
-            plancherel_residual(np.zeros(8), np.zeros(4, dtype=complex))
 
 
 class TestRingLayout:
@@ -300,8 +298,9 @@ class TestRealSpectrum:
         half = forward_real(f)
         assert half.shape == (n // 2 + 1,)
         scale = np.abs(full).max()
-        every = np.arange(-n, 2 * n)
-        assert np.abs(spectrum_at(half, n, every) - full[every % n]).max() <= 1e-12 * scale
+        # the upper bins mirrored, F(n - xi) = conj F(xi) for 0 < xi < n/2
+        rebuilt = np.concatenate((half, np.conj(half[(n - 1) // 2 : 0 : -1])))
+        assert np.abs(rebuilt - full).max() <= 1e-12 * scale
         assert np.abs(inverse_real(half, n) - f).max() <= 1e-12 * max(1.0, np.abs(f).max())
 
     def test_rejects_mismatched_half(self):
