@@ -32,7 +32,7 @@ def is_prime_u64(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for 0 <= n <= 2**63 - 1."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -113,41 +113,36 @@ def factorize(m: int) -> FactoredInteger:
     value = m
     factors = []
     for p in (2, 3, 5):
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors.append((p, e))
-    # 30-wheel over candidates coprime to 2, 3, 5
+        m = _divide_out(m, p, factors)
+    # 30-wheel over candidates coprime to 2, 3, 5.  A cofactor that
+    # Miller-Rabin calls composite has a prime factor at most its square
+    # root, so a candidate divides it before the wheel passes that root and
+    # no bound is checked; the factors come out in increasing order
     wheel = (7, 11, 13, 17, 19, 23, 29, 31)
     base = 0
     while m > 1:
         if is_prime_u64(m):
             factors.append((m, 1))
             break
-        advanced = False
         for off in wheel:
-            d = base + off
-            if d * d > m:
+            if m % (base + off) == 0:
+                m = _divide_out(m, base + off, factors)
                 break
-            if m % d == 0:
-                e = 0
-                while m % d == 0:
-                    m //= d
-                    e += 1
-                factors.append((d, e))
-                advanced = True
-                break
-        if advanced:
-            continue
-        if (base + wheel[0]) ** 2 > m:
-            if m > 1:
-                factors.append((m, 1))
-            break
-        base += 30
-    factors.sort()
+        else:
+            base += 30
     return FactoredInteger(value, tuple(factors))
+
+
+def _divide_out(m: int, d: int, factors: list) -> int:
+    """m with every factor d removed; appends (d, e) to factors when d^e,
+    e >= 1, exactly divides m."""
+    e = 0
+    while m % d == 0:
+        m //= d
+        e += 1
+    if e:
+        factors.append((d, e))
+    return m
 
 
 def _as_factored(m) -> FactoredInteger:
@@ -239,8 +234,6 @@ def ramanujan_sum_formula(q, r: int) -> int:
     """Ramanujan sum c_q(r) via the closed form mu(q/g) * phi(q) / phi(q/g)
     with g = gcd(r, q)."""
     f = _as_factored(q)
-    if f.value < 1:
-        raise UsageError(f"ramanujan_sum_formula requires q >= 1, got {f.value}")
     g = math.gcd(abs(r), f.value)
     cofactor = f.value // g
     mu = mobius(cofactor)

@@ -273,14 +273,13 @@ def _run_identity_suite(config: ExperimentConfig, out: Path) -> RunResult:
             _subgroup_rows(config, record, tables, n, z)
 
     failures = sorted({row["identity"] for row in results if not row["passed"]})
-    payload = {
-        "version": __version__,
-        "config_hash": config_hash(config),
-        "mode": config.mode,
-        "all_passed": not failures,
-        "failing_identities": failures,
-        "results": results,
-    }
+    payload = _report_meta(
+        config,
+        mode=config.mode,
+        all_passed=not failures,
+        failing_identities=failures,
+        results=results,
+    )
     path = write_json(out / "identity_suite.json", payload)
     return RunResult(exit_code=0 if not failures else 2, files=[path], failures=failures, lines=lines)
 

@@ -373,8 +373,6 @@ def pair_count_linear(table: PrimeTable, two_k: int) -> int:
     n = table.n
     if not 0 <= two_k <= n or two_k % 2:
         raise UsageError(f"need even 0 <= 2k <= n, got 2k={two_k}, n={n}")
-    if two_k == 0:
-        return table.pi(n)
     ip = table.is_prime
     core = _and_count(ip, 1, 1 + two_k, n - two_k)
     boundary = sum(

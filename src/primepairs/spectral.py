@@ -629,10 +629,8 @@ def half_spectrum_residual(table: PrimeTable) -> float:
     for lo in range(0, half, PARITY_BLOCK):
         hi = min(lo + PARITY_BLOCK, half)
         # F(xi + n/2) = conj F(n/2 - xi), a reversed slice of the half
-        # spectrum, but F(n/2) itself at xi = 0
+        # spectrum; at xi = 0 that is conj F(n/2) = F(n/2), which is real
         upper = np.conj(values[half - hi + 1 : half - lo + 1][::-1])
-        if lo == 0:
-            upper[0] = values[half]
         expected = 2.0 * unit_phase(n, 2 * np.arange(lo, hi, dtype=np.int64))
         worst = max(worst, float(np.abs(upper + values[lo:hi] - expected).max()))
     return worst

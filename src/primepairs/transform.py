@@ -208,10 +208,12 @@ class ColumnBlocks:
         self.classes = np.flatnonzero(holding)
         # a class with gcd(a, Q) > 1 holds no prime but a, at j = 0, so its
         # column may be an impulse, one for every such class of equal
-        # weight; so may class 0, whose slot 0 holds x = n.  Each candidate
-        # is confirmed by its column's other entries, x = a + Q, a + 2Q, ...,
-        # where a prime power (or the prime Q, in class 0) may lie
-        candidates = self.classes[(self.classes == 0) | (np.gcd(self.classes, Q) > 1)]
+        # weight; so may class 0, whose slot 0 holds x = n, and which
+        # gcd(0, Q) = Q admits for Q > 1 (at Q = 1 it is the one class, with
+        # nothing to share).  Each candidate is confirmed by its column's
+        # other entries, x = a + Q, a + 2Q, ..., where a prime power (or the
+        # prime Q, in class 0) may lie
+        candidates = self.classes[np.gcd(self.classes, Q) > 1]
         self.impulses = {
             a: (weights[a] if a else weights[n]).item()
             for a in candidates.tolist()

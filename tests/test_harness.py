@@ -472,6 +472,13 @@ class TestTwistedEnergies:
         for column, energy in zip(columns, energies, strict=True):
             assert energy == pytest.approx(self._alone(column), rel=1e-12, abs=0)
 
+    def test_zero_rows_make_no_transform(self, monkeypatch):
+        calls = []
+        forward = spectral.forward
+        monkeypatch.setattr(spectral, "forward", lambda f: calls.append(f.shape) or forward(f))
+        assert spectral._class_energies(np.zeros((3, 7), bool)) == [0.0] * 3
+        assert calls == []
+
 
 class TestTransformBudget:
     FFT_ENTRY_POINTS = (

@@ -171,6 +171,13 @@ class TestPairCounts:
                         n, two_k
                     ), (n, two_k)
 
+    def test_linear_zero_shift_counts_the_primes(self, table_1e6):
+        # 2k = 0 takes the general path: the bitmap ANDed with itself, and
+        # an empty boundary range
+        tables = [build_table(n) for n in (2, 3, 4, 5, 10, 100, 9999, 30030)]
+        for t in tables + [table_1e6]:
+            assert pair_count_linear(t, 0) == t.pi(t.n), t.n
+
     def test_circular_examples(self, table_100):
         assert pair_count_circular(build_table(30), 2) == 4  # (29,31) wraps to 1
         assert pair_count_circular(table_100, 2) == 8
@@ -443,6 +450,14 @@ class TestCache:
         loaded = load_table(tmp_path / "primetable_7000.pspc")
         assert loaded.checksum() == table.checksum()
         assert len(fnv_calls) == 2
+
+
+    def test_save_reuses_the_table_checksum(self, tmp_path, fnv_calls):
+        t = build_table(7000)
+        t.checksum()
+        path = save_table(t, tmp_path / "t.pspc")
+        assert fnv_calls == [875]
+        assert path.read_bytes()[-8:] == t.checksum().to_bytes(8, "little")
 
 
 class TestMemoryModel:

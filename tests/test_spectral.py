@@ -307,10 +307,17 @@ class TestDecompose:
             next(decompositions(build_table(3001), 30, [2]))
 
     def test_oversized_modulus_still_exact(self, caplog):
-        # Q above sqrt(n) stays a valid exact identity
-        with caplog.at_level("WARNING"):
+        # Q above sqrt(n) stays a valid exact identity, with one warning;
+        # Q = 30 below sqrt(4620) gives none
+        with caplog.at_level("WARNING", "primepairs.spectral"):
             report = next(decompositions(build_table(2310 * 2), 2310, [2]))
         assert report.reconstruction_residual < 1e-6 * 2310 * 2
+        warnings = [r.getMessage() for r in caplog.records if r.name == "primepairs.spectral"]
+        assert len(warnings) == 1 and "Q=2310" in warnings[0] and "n=4620" in warnings[0]
+        caplog.clear()
+        with caplog.at_level("WARNING", "primepairs.spectral"):
+            next(decompositions(build_table(4620), 30, [2]))
+        assert not [r for r in caplog.records if r.name == "primepairs.spectral"]
 
 
 def _twisted_correlation(t, Q, two_k, xi):
@@ -838,6 +845,18 @@ class TestColumnKernel:
                 for a, b in zip(whole, blocks, strict=True):
                     assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
         assert list(column_pair_spectra(ColumnBlocks(t.is_prime, 210), [])) == []
+
+    def test_block_without_a_pair_is_not_transformed(self):
+        # one class per block: the classes 1, 2, 3 and 5 hold primes mod 6,
+        # and at 2k = 2 the class of 2 pairs with none (4 holds no prime),
+        # so its block is skipped; the others transform 0 and 2, then 3,
+        # then 0 again
+        t = build_table(30030)
+        (whole,) = column_pair_spectra(ColumnBlocks(t.is_prime, 6), [2])
+        with _classes_per_block(1, 30030 // 6), _counted_column_rffts() as batches:
+            (half,) = column_pair_spectra(ColumnBlocks(t.is_prime, 6), [2])
+        assert batches == [(1, 5005)] * 4
+        assert np.array_equal(half, whole)
 
     def test_cross_check_at_primorial_19(self):
         n = 9699690  # 2*3*5*7*11*13*17*19
